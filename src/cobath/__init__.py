@@ -6,9 +6,6 @@ from .core import (
     KetState,
     Operator,
     basis_ket,
-    commutator,
-    anticommutator,
-    expectation,
     make_atom_ops,
     make_cavity_ops,
     partial_trace,

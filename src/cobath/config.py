@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jc import JCParams
-from .master_equation import SpectralTensor, apply_t0_filter
+from .master_equation import FREQ_MATCH_TOL, SpectralTensor, apply_t0_filter
 
 __all__ = [
     "ConfigError",
@@ -170,6 +170,14 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
             raise ConfigError(
                 f"{path}.tensor.gamma: need 2x2 matrices (channels: atom, mode)"
             )
+        # the bare split puts every coupling component at +-omega0; a rate
+        # anywhere else would act on no operator and silently vanish
+        for i, w in enumerate(obj["tensor"]["frequencies"]):
+            if w > FREQ_MATCH_TOL and abs(w - abs(omega0)) > FREQ_MATCH_TOL:
+                raise ConfigError(
+                    f"{path}.tensor.frequencies[{i}]: no coupling component at "
+                    f"frequency {w!r} (the channels act at omega0 = {abs(omega0)!r})"
+                )
         g11 = g22 = 0.0
         g12 = 0.0
         k_mirror = 0.0

@@ -25,9 +25,6 @@ __all__ = [
     "identity",
     "embed",
     "basis_ket",
-    "commutator",
-    "anticommutator",
-    "expectation",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -197,11 +194,6 @@ def tensor_product(a: Operator, b: Operator) -> Operator:
     return Operator(space, np.kron(a.matrix, b.matrix), label=label)
 
 
-def tensor_product_kets(a: KetState, b: KetState) -> KetState:
-    space = HilbertSpace(a.space.factor_dims + b.space.factor_dims)
-    return KetState(space, np.kron(a.amplitudes, b.amplitudes))
-
-
 def identity(space: HilbertSpace) -> Operator:
     return Operator(space, np.eye(space.total_dim), label="I")
 
@@ -293,15 +285,3 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> Dens
     sub = HilbertSpace(tuple(dims[k] for k in keep))
     return DensityMatrix(sub, m, tolerance=rho.tolerance, trace_target=rho.trace_target)
 
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    return a @ b - b @ a
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    return a @ b + b @ a
-
-
-def expectation(rho: DensityMatrix | np.ndarray, op: Operator) -> complex:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return complex(np.trace(op.matrix @ m))

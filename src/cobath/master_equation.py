@@ -18,9 +18,12 @@ validated against detailed balance but not integrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import DensityMatrix, HilbertSpace, Operator
 from .eigenops import EigenOperator
@@ -123,11 +126,71 @@ class SpectralTensor:
         return any(w <= FREQ_MATCH_TOL for w in self.frequencies)
 
 
+class ChannelTerm(NamedTuple):
+    """One channel pair (a, b) at frequency w: gamma_ab(w), A_b(w), A_a(w)^dag."""
+
+    frequency: float
+    rate: complex
+    A_b: np.ndarray
+    A_a_dag: np.ndarray
+
+
+def _coupling_space(couplings: tuple[tuple[EigenOperator, ...], ...]) -> HilbertSpace:
+    for fam in couplings:
+        for eo in fam:
+            return eo.op.space
+    raise ValueError("no coupling operators given")
+
+
+def _coupling_at(
+    couplings: tuple[tuple[EigenOperator, ...], ...], channel: int, w: float, dim: int
+) -> np.ndarray:
+    """Component of a channel at frequency w; zero if the channel has none there."""
+    for eo in couplings[channel]:
+        if abs(eo.frequency - w) <= FREQ_MATCH_TOL:
+            return eo.op.matrix
+    return np.zeros((dim, dim), dtype=complex)
+
+
+def _channel_terms(
+    couplings: tuple[tuple[EigenOperator, ...], ...],
+    frequencies: tuple[float, ...],
+    coefficients: tuple[np.ndarray, ...],
+    dim: int,
+) -> tuple[ChannelTerm, ...]:
+    """Every channel pair with a nonzero coefficient, in (w, a, b) order.
+
+    Terms with an exactly-zero coefficient are skipped, so a tensor with
+    zero cross rates performs bit-for-bit the same arithmetic as a
+    diagonal (independent-channels) tensor.
+    """
+    terms = []
+    for w, c in zip(frequencies, coefficients):
+        ops = [_coupling_at(couplings, a, w, dim) for a in range(c.shape[0])]
+        for a in range(c.shape[0]):
+            for b in range(c.shape[0]):
+                rate = complex(c[a, b])
+                if rate != 0:
+                    terms.append(ChannelTerm(w, rate, ops[b], ops[a].conj().T))
+    return tuple(terms)
+
+
+def _pair_sum(terms: tuple[ChannelTerm, ...], dim: int) -> np.ndarray:
+    """sum over the terms of coefficient * A_a^dag A_b."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for term in terms:
+        out = out + term.rate * (term.A_a_dag @ term.A_b)
+    return out
+
+
 @dataclass(frozen=True)
 class MasterEquation:
     """Assembled generator: Hamiltonian, optional shift, channels, tensor.
 
     ``couplings[a]`` is the family of frequency components of channel a.
+    ``terms`` is the channel-term list of the tensor and ``K`` the matrix
+    sum gamma_ab A_a^dag A_b; every generator form (dissipator,
+    Liouvillian, no-jump generator, jump feed) is built from these two.
     Immutable after assembly; integrations of the same object may run
     concurrently.
     """
@@ -137,6 +200,8 @@ class MasterEquation:
     tensor: SpectralTensor
     H_LS: Operator | None = None
     temperature_mode: str = "zero"
+    terms: tuple[ChannelTerm, ...] = field(init=False, repr=False, compare=False)
+    K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.temperature_mode not in ("zero", "validated-finite"):
@@ -153,16 +218,19 @@ class MasterEquation:
         if self.H_LS is not None and self.H_LS.space != self.H_S.space:
             raise ValueError("Lamb-shift operator space mismatch")
         object.__setattr__(self, "couplings", fams)
+        dim = self.space.total_dim
+        terms = _channel_terms(fams, self.tensor.frequencies, self.tensor.gamma, dim)
+        K = _pair_sum(terms, dim)
+        K.setflags(write=False)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "K", K)
 
     @property
     def space(self) -> HilbertSpace:
         return self.H_S.space
 
     def coupling_at(self, channel: int, w: float) -> np.ndarray:
-        for eo in self.couplings[channel]:
-            if abs(eo.frequency - w) <= FREQ_MATCH_TOL:
-                return eo.op.matrix
-        return np.zeros((self.space.total_dim,) * 2, dtype=complex)
+        return _coupling_at(self.couplings, channel, w, self.space.total_dim)
 
     def hamiltonian_matrix(self) -> np.ndarray:
         h = self.H_S.matrix
@@ -198,25 +266,14 @@ def build_dissipator(me: MasterEquation):
 
     For any input the output is Hermiticity- and trace-preserving by
     construction (anticommutator uses K = sum gamma_{a,b} A_a^dag A_b).
-    Terms with an exactly-zero rate are skipped, so a tensor with zero
-    cross rates performs bit-for-bit the same arithmetic as a diagonal
-    (independent-channels) tensor.
+    This pair-sum form is the authority the other generator forms are
+    tested against.
     """
-    terms = []  # (gamma_ab, A_b, A_a_dag)
-    K = np.zeros((me.space.total_dim,) * 2, dtype=complex)
-    for w, g in zip(me.tensor.frequencies, me.tensor.gamma):
-        ops = [me.coupling_at(a, w) for a in range(me.tensor.n_channels)]
-        for a in range(me.tensor.n_channels):
-            for b in range(me.tensor.n_channels):
-                rate = complex(g[a, b])
-                if rate == 0:
-                    continue
-                terms.append((rate, ops[b], ops[a].conj().T))
-                K = K + rate * (ops[a].conj().T @ ops[b])
+    terms, K = me.terms, me.K
 
     def dissipator(rho: np.ndarray) -> np.ndarray:
         out = np.zeros_like(K)
-        for rate, A_b, A_a_dag in terms:
+        for _, rate, A_b, A_a_dag in terms:
             out = out + rate * (A_b @ rho @ A_a_dag)
         out = out - 0.5 * (K @ rho + rho @ K)
         return out
@@ -245,32 +302,10 @@ def build_lamb_shift(
     """
     if tensor.lamb is None:
         raise ValueError("tensor carries no Lamb-shift coefficients")
-    space = None
-    for fam in couplings:
-        for eo in fam:
-            space = eo.op.space
-            break
-        if space:
-            break
-    if space is None:
-        raise ValueError("no coupling operators given")
+    space = _coupling_space(couplings)
     dim = space.total_dim
-    h = np.zeros((dim, dim), dtype=complex)
-
-    def at(channel, w):
-        for eo in couplings[channel]:
-            if abs(eo.frequency - w) <= FREQ_MATCH_TOL:
-                return eo.op.matrix
-        return np.zeros((dim, dim), dtype=complex)
-
-    for w, s in zip(tensor.frequencies, tensor.lamb):
-        ops = [at(a, w) for a in range(tensor.n_channels)]
-        for a in range(tensor.n_channels):
-            for b in range(tensor.n_channels):
-                if s[a, b] == 0:
-                    continue
-                h = h + s[a, b] * (ops[a].conj().T @ ops[b])
-    return Operator(space, h, label="H_LS")
+    terms = _channel_terms(couplings, tensor.frequencies, tensor.lamb, dim)
+    return Operator(space, _pair_sum(terms, dim), label="H_LS")
 
 
 def apply_t0_filter(tensor: SpectralTensor) -> SpectralTensor:
@@ -321,33 +356,30 @@ def validate_detailed_balance(
     return DetailedBalanceReport(worst <= tol, worst)
 
 
-SUPEROP_DIM_LIMIT = 32
+def jump_superoperator(terms: tuple[ChannelTerm, ...], dim: int) -> np.ndarray:
+    """rho -> sum_terms gamma_ab A_b rho A_a^dag as a matrix on row-major vec(rho)."""
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for term in terms:
+        out = out + term.rate * np.kron(term.A_b, term.A_a_dag.T)
+    return out
 
 
 def liouvillian_matrix(me: MasterEquation) -> np.ndarray:
     """Full generator as a dim^2 x dim^2 matrix acting on row-major vec(rho).
 
-    Exactly the same term set (and term order) as :func:`build_dissipator`
-    plus the commutator, so the two paths agree to the last bit of each
-    assembled coefficient.  Intended for dimensions up to
-    ``SUPEROP_DIM_LIMIT``; memory grows as dim^4.
+    Built from the same channel-term list as :func:`build_dissipator` plus
+    the commutator.  Memory grows as dim^4, so :func:`integrate` builds it
+    only for states of at most ``EXACT_SIZE_LIMIT`` entries.
     """
     d = me.space.total_dim
     eye = np.eye(d, dtype=complex)
     h = me.hamiltonian_matrix()
-    L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    K = np.zeros((d, d), dtype=complex)
-    for w, g in zip(me.tensor.frequencies, me.tensor.gamma):
-        ops = [me.coupling_at(a, w) for a in range(me.tensor.n_channels)]
-        for a in range(me.tensor.n_channels):
-            for b in range(me.tensor.n_channels):
-                rate = complex(g[a, b])
-                if rate == 0:
-                    continue
-                L = L + rate * np.kron(ops[b], ops[a].conj())
-                K = K + rate * (ops[a].conj().T @ ops[b])
-    L = L - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T))
-    return L
+    K = me.K
+    return (
+        -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        + jump_superoperator(me.terms, d)
+        - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T))
+    )
 
 
 def default_max_step(me: MasterEquation) -> float:
@@ -363,6 +395,12 @@ def default_max_step(me: MasterEquation) -> float:
 
 
 MAX_SUBSTEPS = 10_000_000
+
+# Largest vectorized state propagated with a dense matrix exponential.  One
+# expm of the n x n generator costs about n^3: at 256 entries that is tens of
+# milliseconds, at 1024 more than a whole fixed-step RK4 run of the same
+# problem.
+EXACT_SIZE_LIMIT = 256
 
 
 def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndarray:
@@ -382,6 +420,45 @@ def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndar
     return y
 
 
+def propagate_linear(
+    me: MasterEquation,
+    y0: np.ndarray,
+    t: np.ndarray,
+    max_step: float | None,
+    generator: Callable[[], np.ndarray],
+    rhs: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """Yield y(t_1), y(t_2), ... of the constant linear system dy/dt = L y.
+
+    Exact path (no ``max_step``, at most ``EXACT_SIZE_LIMIT`` entries in
+    ``y0``): ``generator()`` returns L as a matrix on row-major
+    ``y.reshape(-1)`` and each grid step applies expm(L dt), computed once
+    per distinct spacing.  Otherwise fixed-step RK4 applies ``rhs`` (L on
+    arrays shaped like ``y0``) with substeps of at most ``max_step``
+    (default :func:`default_max_step`); an explicit ``max_step`` makes it
+    the oracle for the exact path.
+    """
+    if max_step is None and y0.size <= EXACT_SIZE_LIMIT:
+        L = generator()
+        # spacings equal to within the float resolution of the grid times
+        # share one propagator (np.linspace spacings differ in the last bits)
+        resolution = 64 * np.finfo(float).eps * float(np.max(np.abs(t)))
+        cache: dict[int, np.ndarray] = {}
+        y = y0.reshape(-1)
+        for dt in np.diff(t):
+            key = round(dt / resolution)
+            if key not in cache:
+                cache[key] = expm(L * dt)
+            y = cache[key] @ y
+            yield y.reshape(y0.shape)
+        return
+    h_max = default_max_step(me) if max_step is None else float(max_step)
+    y = y0
+    for k in range(1, len(t)):
+        y = _rk4_span(rhs, y, t[k - 1], t[k], h_max)
+        yield y
+
+
 def integrate(
     me: MasterEquation,
     rho0: DensityMatrix,
@@ -389,12 +466,16 @@ def integrate(
     max_step: float | None = None,
     hygiene_tol: float = 1e-8,
 ) -> list[DensityMatrix]:
-    """Evolve a state over an increasing time grid with fixed-step RK4.
+    """Evolve a state over an increasing time grid.
 
-    The first grid point carries the initial state.  Every output is
-    checked for trace and Hermiticity drift (tolerance ``hygiene_tol``)
-    and eigenvalue positivity (min eigenvalue > -1e-7); a violation is
-    reported as an :class:`IntegrationError` with the failing time.
+    Up to ``EXACT_SIZE_LIMIT`` entries (dim^2) the state is propagated
+    exactly with one cached expm of the Liouvillian per grid spacing;
+    above it, or with an explicit ``max_step``, with fixed-step RK4 (see
+    :func:`propagate_linear`).  The first grid point carries the initial
+    state.  Every output is checked for trace and Hermiticity drift
+    (tolerance ``hygiene_tol``) and eigenvalue positivity (min eigenvalue
+    > -1e-7); a violation is reported as an :class:`IntegrationError` with
+    the failing time.
     """
     if me.temperature_mode != "zero":
         raise ValueError("only zero-temperature evolution is implemented")
@@ -406,37 +487,22 @@ def integrate(
     if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
-    h_max = default_max_step(me) if max_step is None else float(max_step)
-    dim = me.space.total_dim
-    if dim <= SUPEROP_DIM_LIMIT:
-        lmat = liouvillian_matrix(me)
-
-        def rhs(y_flat):
-            return lmat @ y_flat
-    else:
-        hamiltonian = me.hamiltonian_matrix()
-        dissipator = build_dissipator(me)
-
-        def rhs(y_flat):
-            rho = y_flat.reshape(dim, dim)
-            out = -1j * (hamiltonian @ rho - rho @ hamiltonian) + dissipator(rho)
-            return out.reshape(-1)
-
     target_trace = rho0.trace
     out = [rho0]
-    y = np.array(rho0.matrix)
-    for k in range(1, len(t)):
-        y = _rk4_span(rhs, y.reshape(-1), t[k - 1], t[k], h_max).reshape(dim, dim)
+    steps = propagate_linear(
+        me, np.array(rho0.matrix), t, max_step, lambda: liouvillian_matrix(me), me.rhs
+    )
+    for t_k, y in zip(t[1:], steps):
         tr_err = abs(y.trace().real - target_trace) + abs(y.trace().imag)
         herm_err = float(np.max(np.abs(y - y.conj().T)))
         if tr_err > hygiene_tol or herm_err > hygiene_tol:
             raise IntegrationError(
                 f"state hygiene lost: trace drift {tr_err:.3e}, hermiticity {herm_err:.3e}",
-                float(t[k]),
+                float(t_k),
             )
         min_eig = float(np.linalg.eigvalsh((y + y.conj().T) / 2.0)[0])
         if min_eig < -1e-7:
-            raise IntegrationError(f"state positivity lost: eigenvalue {min_eig:.3e}", float(t[k]))
+            raise IntegrationError(f"state positivity lost: eigenvalue {min_eig:.3e}", float(t_k))
         out.append(
             DensityMatrix(
                 me.space,
@@ -464,29 +530,14 @@ def diagonalize_gamma(
     which stays the authority.  One operator per eigenvalue above
     ``rank_tol`` is emitted, so the count equals rank(gamma(w)).
     """
-    space = None
-    for fam in couplings:
-        for eo in fam:
-            space = eo.op.space
-            break
-        if space:
-            break
-    if space is None:
-        raise ValueError("no coupling operators given")
+    space = _coupling_space(couplings)
     dim = space.total_dim
-
-    def at(channel, w):
-        for eo in couplings[channel]:
-            if abs(eo.frequency - w) <= FREQ_MATCH_TOL:
-                return eo.op.matrix
-        return np.zeros((dim, dim), dtype=complex)
-
     out: list[tuple[float, Operator]] = []
     for w, g in zip(tensor.frequencies, tensor.gamma):
         lam, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
         if lam.size and lam[0] < -GAMMA_PSD_TOL:
             raise ValueError(f"gamma({w}) not positive semidefinite: eigenvalue {lam[0]:.3e}")
-        ops = [at(b, w) for b in range(tensor.n_channels)]
+        ops = [_coupling_at(couplings, b, w, dim) for b in range(tensor.n_channels)]
         for k in range(len(lam) - 1, -1, -1):  # largest rate first
             if lam[k] <= rank_tol:
                 continue

@@ -30,12 +30,11 @@ from scipy.linalg import expm
 from .core import DensityMatrix, HilbertSpace, KetState, Operator
 from .master_equation import (
     FREQ_MATCH_TOL,
-    SUPEROP_DIM_LIMIT,
     IntegrationError,
     MasterEquation,
-    _rk4_span,
-    default_max_step,
     jump_operators,
+    jump_superoperator,
+    propagate_linear,
 )
 
 __all__ = [
@@ -81,16 +80,7 @@ def effective_generator(me: MasterEquation) -> EffectiveGenerator:
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
-    dim = me.space.total_dim
-    hp = np.zeros((dim, dim), dtype=complex)
-    for w, g in zip(me.tensor.frequencies, me.tensor.gamma):
-        ops = [me.coupling_at(a, w) for a in range(me.tensor.n_channels)]
-        for a in range(me.tensor.n_channels):
-            for b in range(me.tensor.n_channels):
-                if g[a, b] == 0:
-                    continue
-                hp = hp + g[a, b] * (ops[a].conj().T @ ops[b])
-    hp = (hp + hp.conj().T) / 2.0
+    hp = (me.K + me.K.conj().T) / 2.0
     h0 = me.hamiltonian_matrix()
     H0 = Operator(me.space, h0, label="H0")
     Hprime = Operator(me.space, hp, label="H'")
@@ -109,21 +99,15 @@ def propagate_deterministic(gen: EffectiveGenerator, f: np.ndarray, t: float) ->
 
 
 def jump_feed(me: MasterEquation):
-    """Return the jump superoperator J as a callable on raw state matrices."""
-    terms = []
-    for w, g in zip(me.tensor.frequencies, me.tensor.gamma):
-        if w <= FREQ_MATCH_TOL:
-            continue
-        ops = [me.coupling_at(a, w) for a in range(me.tensor.n_channels)]
-        for a in range(me.tensor.n_channels):
-            for b in range(me.tensor.n_channels):
-                if g[a, b] == 0:
-                    continue
-                terms.append((complex(g[a, b]), ops[b], ops[a].conj().T))
+    """Return the jump superoperator J as a callable on raw state matrices.
+
+    A stack of matrices (leading axes) is mapped matrix by matrix.
+    """
+    terms = [term for term in me.terms if term.frequency > FREQ_MATCH_TOL]
 
     def feed(rho: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rho)
-        for rate, A_b, A_a_dag in terms:
+        for _, rate, A_b, A_a_dag in terms:
             out = out + rate * (A_b @ rho @ A_a_dag)
         return out
 
@@ -228,49 +212,30 @@ def solve_hierarchy(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    h_max = default_max_step(me) if max_step is None else float(max_step)
 
     gen = effective_generator(me)
     b_mat = gen.B.matrix
+    b_dag = b_mat.conj().T
     dim = me.space.total_dim
+    feed = jump_feed(me)
 
-    if dim <= SUPEROP_DIM_LIMIT:
+    def rhs(stack: np.ndarray) -> np.ndarray:
+        out = -1j * (b_mat @ stack - stack @ b_dag)
+        out[:-1] += feed(stack[1:])
+        return out
+
+    def generator() -> np.ndarray:
+        # block-bidiagonal: no-jump evolution on the diagonal, the jump
+        # feed from block i + 1 on the superdiagonal
         eye = np.eye(dim, dtype=complex)
         nojump = -1j * (np.kron(b_mat, eye) - np.kron(eye, b_mat.conj()))
-        feed_mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for w, g in zip(me.tensor.frequencies, me.tensor.gamma):
-            ops = [me.coupling_at(a, w) for a in range(me.tensor.n_channels)]
-            for a in range(me.tensor.n_channels):
-                for b in range(me.tensor.n_channels):
-                    if g[a, b] == 0:
-                        continue
-                    feed_mat = feed_mat + g[a, b] * np.kron(ops[b], ops[a].conj())
+        jumps = jump_superoperator(me.terms, dim)
+        return np.kron(np.eye(N + 1), nojump) + np.kron(np.eye(N + 1, k=1), jumps)
 
-        def rhs(stack_flat: np.ndarray) -> np.ndarray:
-            out = stack_flat @ nojump.T
-            out[:-1] += stack_flat[1:] @ feed_mat.T
-            return out
-    else:
-        feed = jump_feed(me)
-
-        def rhs(stack_flat: np.ndarray) -> np.ndarray:
-            out = np.empty_like(stack_flat)
-            for i in range(N + 1):
-                block = stack_flat[i].reshape(dim, dim)
-                o = -1j * (b_mat @ block - block @ b_mat.conj().T)
-                if i < N:
-                    o = o + feed(stack_flat[i + 1].reshape(dim, dim))
-                out[i] = o.reshape(-1)
-            return out
-
-    stack = np.zeros((N + 1, dim * dim), dtype=complex)
-    stack[N] = block0.reshape(-1)
-    series = [stack.reshape(N + 1, dim, dim).copy()]
-    for k in range(1, len(t)):
-        stack = _rk4_span(rhs, stack, t[k - 1], t[k], h_max)
-        series.append(stack.reshape(N + 1, dim, dim).copy())
-
-    blocks = tuple(np.array([s[i] for s in series]) for i in range(N + 1))
+    stack = np.zeros((N + 1, dim, dim), dtype=complex)
+    stack[N] = block0
+    series = np.array([stack, *propagate_linear(me, stack, t, max_step, generator, rhs)])
+    blocks = tuple(series[:, i] for i in range(N + 1))
     h = TrajectoryHierarchy(N, t, blocks)
     _check_hierarchy(h, rho0.trace)
     return h

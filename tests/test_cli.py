@@ -140,6 +140,26 @@ def test_custom_tensor_rejects_unphysical_rates():
         )
 
 
+def test_custom_tensor_rejects_rate_without_coupling_component():
+    cfg = {
+        "model": "custom-tensor",
+        "params": {
+            "omega0": 1.0,
+            "eps": 0.1,
+            "tensor": {
+                "frequencies": [1.0, 2.0],
+                "gamma": [[[0.01, 0.0], [0.0, 0.02]], [[0.01, 0.0], [0.0, 0.02]]],
+            },
+        },
+        "grid": {"t_end": 10.0, "n_steps": 11},
+    }
+    with pytest.raises(ConfigError, match=r"params\.tensor\.frequencies\[1\]"):
+        parse_config(json.dumps(cfg))
+    # absorption entries are filtered, not matched
+    cfg["params"]["tensor"]["frequencies"] = [1.0, -2.0]
+    assert parse_config(json.dumps(cfg)).tensor.frequencies == (1.0,)
+
+
 # ------------------------------------------------------------------ engines
 
 def test_engines_agree_columnwise(tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cobath.core import DensityMatrix, HilbertSpace, Operator, make_atom_ops, make_cavity_ops
 from cobath.eigenops import EigenOperator
-from cobath.jc import JCParams, build_jc, jc_initial
+from cobath.jc import JCParams, build_jc, closed_form_block, jc_initial, jc_space
 from cobath.master_equation import (
     IntegrationError,
     MasterEquation,
@@ -316,6 +317,42 @@ def test_half_step_convergence():
     half = integrate(me, rho0, t, max_step=h / 2)
     dev = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(full, half))
     assert dev < 1e-8
+
+
+def test_exact_integrate_matches_rk4_and_closed_form_at_dfs_point():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01)
+    me = build_jc(p)
+    t = np.linspace(0.0, 50.0, 26)
+    exact = integrate(me, jc_initial(p), t)
+    rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
+    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+    blk = closed_form_block(p, 1, t)
+    n_ph = jc_space(p).factor_dims[1]
+    i1, i2 = 0, n_ph + 1
+    for k, s in enumerate(exact):
+        assert abs(s.matrix[i1, i1] - blk.rho11[k]) <= 1e-9
+        assert abs(s.matrix[i1, i2] - blk.rho12[k]) <= 1e-9
+        assert abs(s.matrix[i2, i2] - blk.rho22[k]) <= 1e-9
+
+
+def test_exact_integrate_caches_one_propagator_per_spacing(monkeypatch):
+    import cobath.master_equation as me_mod
+
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(me_mod, "expm", counting_expm)
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j)
+    me = build_jc(p)
+    t = np.concatenate([np.linspace(0.0, 10.0, 11), 10.0 + 2.5 * np.arange(1, 5)])
+    exact = integrate(me, jc_initial(p), t)
+    assert len(calls) == 2  # spacings 1.0 and 2.5
+    monkeypatch.setattr(me_mod, "expm", expm)
+    rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
+    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
 
 
 def test_integrate_requires_increasing_grid():

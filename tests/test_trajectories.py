@@ -216,6 +216,33 @@ def test_reconstruct_matches_direct_integration():
         assert dev < 1e-6
 
 
+def test_exact_hierarchy_matches_rk4_with_mirror_loss():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01, k_mirror=0.05)
+    me, space = build_jc(p), jc_space(p)
+    t = np.linspace(0.0, 40.0, 21)
+    exact = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    rk4 = solve_hierarchy(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
+    for a, b in zip(exact.blocks, rk4.blocks):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_hierarchy_above_size_limit_runs_rk4(monkeypatch):
+    import cobath.master_equation as me_mod
+
+    def no_expm(a):
+        raise AssertionError(f"expm called on a {a.shape} generator")
+
+    # n_exc = 2: three blocks of dim 10, 300 entries, above the exact-path limit
+    p, me, space = jc_setup(n_exc=2)
+    t = np.linspace(0.0, 20.0, 11)
+    monkeypatch.setattr(me_mod, "expm", no_expm)
+    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    monkeypatch.undo()
+    direct = integrate(me, jc_initial(p), t)
+    rec = reconstruct(h, space=space)
+    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rec, direct)) <= 1e-8
+
+
 def test_no_jump_conditional_equals_top_block():
     p, me, space = jc_setup(g11=0.01, g22=0.01, g12=0.01)
     gen = effective_generator(me)
