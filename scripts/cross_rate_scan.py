@@ -20,6 +20,7 @@ from cobath import (
     integrate,
     jc_initial,
     jc_space,
+    sector_entries,
     two_qubit_projection,
     wootters_concurrence,
 )
@@ -41,10 +42,8 @@ def main():
         space = jc_space(p)
         final = integrate(build_jc(p), jc_initial(p), grid)[-1]
         final_env.append(wootters_concurrence(two_qubit_projection(final, space)))
-        n_ph = space.factor_dims[1]
-        final_energy.append(
-            final.matrix[0, 0].real + final.matrix[n_ph + 1, n_ph + 1].real
-        )
+        r11, _, r22 = sector_entries(final, space, 1)
+        final_energy.append(r11 + r22)
         print(f"g12/g = {frac:4.2f}: final C = {final_env[-1]:.4f}, stored energy = {final_energy[-1]:.4f}")
 
     cols = [("final_concurrence", np.array(final_env)), ("stored_energy", np.array(final_energy))]

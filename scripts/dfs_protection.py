@@ -22,6 +22,7 @@ from cobath import (
     integrate,
     jc_initial,
     jc_space,
+    sector_entries,
     two_qubit_projection,
     wootters_concurrence,
 )
@@ -34,18 +35,15 @@ OUT = Path(__file__).resolve().parents[1] / "out"
 def run_point(p: JCParams, grid: np.ndarray):
     me = build_jc(p)
     space = jc_space(p)
-    states = integrate(me, jc_initial(p), grid)
-    pop = np.array([excited_population(s, space) for s in states])
-    env = np.array([wootters_concurrence(two_qubit_projection(s, space)) for s in states])
-    n_ph = space.factor_dims[1]
-    cond = []
-    for s in states:
-        r11 = s.matrix[0, 0].real
-        r12 = s.matrix[0, n_ph + 1]
-        r22 = s.matrix[n_ph + 1, n_ph + 1].real
-        w = r11 + r22
-        cond.append(2 * abs(r12) / w if w > 1e-12 else float("nan"))
-    return pop, env, np.array(cond)
+    rho = np.array([s.matrix for s in integrate(me, jc_initial(p), grid)])
+    pop = excited_population(rho, space)
+    env = wootters_concurrence(two_qubit_projection(rho, space))
+    r11, r12, r22 = sector_entries(rho, space, 1)
+    w = r11 + r22
+    cond = np.full(len(grid), np.nan)
+    seen = w > 1e-12
+    cond[seen] = 2 * np.hypot(r12[seen].real, r12[seen].imag) / w[seen]
+    return pop, env, cond
 
 
 def main():

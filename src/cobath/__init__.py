@@ -5,6 +5,7 @@ from .core import (
     HilbertSpace,
     KetState,
     Operator,
+    basis_index,
     basis_ket,
     make_atom_ops,
     make_cavity_ops,
@@ -50,16 +51,19 @@ from .jc import (
     block_concurrence_variant,
     build_jc,
     closed_form_block,
+    closed_form_states,
     conditional_concurrence,
     conditional_concurrence_series,
     dark_state,
     excitation_number,
     excited_population,
+    ground_population,
     ground_state,
     jc_initial,
+    jc_initial_ket,
     jc_space,
     no_jump_postselect,
-    one_excitation_block,
+    sector_entries,
     solve_jc_hierarchy,
     two_qubit_projection,
     wootters_concurrence,

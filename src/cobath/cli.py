@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, McwfSpec, load_config
+from .config import ENGINES, ConfigError, McwfSpec, check_engine, load_config
 from .master_equation import IntegrationError
 from .runner import read_csv, run_to_files, sweep_to_files
 from .svgplot import emit_svg
@@ -59,16 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg, args):
     if args.engine is not None:
-        text_engine = args.engine
-        from .config import ENGINES
-
-        if text_engine not in ENGINES:
-            raise ConfigError(f"--engine: {text_engine!r} is not one of {ENGINES}")
-        cfg = dataclasses.replace(cfg, engine=text_engine)
-        if text_engine == "mcwf" and cfg.mcwf is None:
+        if args.engine not in ENGINES:
+            raise ConfigError(f"--engine: {args.engine!r} is not one of {ENGINES}")
+        cfg = dataclasses.replace(cfg, engine=args.engine)
+        if args.engine == "mcwf" and cfg.mcwf is None:
             raise ConfigError("--engine mcwf needs an mcwf section in the config")
-        if text_engine != "mcwf" and cfg.mcwf is not None:
+        if args.engine != "mcwf" and cfg.mcwf is not None:
             cfg = dataclasses.replace(cfg, mcwf=None)
+        check_engine(cfg)
     if args.seed is not None:
         if cfg.mcwf is None:
             raise ConfigError("--seed: config has no mcwf section to override")

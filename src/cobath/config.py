@@ -22,6 +22,7 @@ __all__ = [
     "SweepSpec",
     "RunConfig",
     "parse_config",
+    "check_engine",
     "load_config",
 ]
 
@@ -260,11 +261,6 @@ def parse_config(text: str) -> RunConfig:
     engine = obj.get("engine", "integrate")
     if engine not in ENGINES:
         raise ConfigError(f"engine: {engine!r} is not one of {ENGINES}")
-    if engine == "closed-form":
-        if not model.startswith("jc-"):
-            raise ConfigError("engine: closed-form requires a jc-* model")
-        if params.n_exc != 1:
-            raise ConfigError("engine: closed-form requires params.n_exc = 1")
 
     initial = obj.get("initial", "atom")
     if initial not in INITIALS:
@@ -315,7 +311,7 @@ def parse_config(text: str) -> RunConfig:
     if "conditional-state" in seen and params.n_exc < 1:
         raise ConfigError("outputs: 'conditional-state' needs params.n_exc >= 1")
 
-    return RunConfig(
+    cfg = RunConfig(
         model=model,
         params=params,
         grid=grid,
@@ -326,6 +322,17 @@ def parse_config(text: str) -> RunConfig:
         sweep=sweep,
         tensor=tensor,
     )
+    check_engine(cfg)
+    return cfg
+
+
+def check_engine(cfg: RunConfig):
+    """Reject an engine the model cannot honour; also applied after ``--engine``."""
+    if cfg.engine == "closed-form":
+        if not cfg.model.startswith("jc-"):
+            raise ConfigError("engine: closed-form requires a jc-* model")
+        if cfg.params.n_exc != 1:
+            raise ConfigError("engine: closed-form requires params.n_exc = 1")
 
 
 def load_config(path: str) -> RunConfig:

@@ -24,6 +24,7 @@ __all__ = [
     "partial_trace",
     "identity",
     "embed",
+    "basis_index",
     "basis_ket",
 ]
 
@@ -250,8 +251,8 @@ def make_cavity_ops(space: HilbertSpace, factor: int = 1) -> dict[str, Operator]
     }
 
 
-def basis_ket(space: HilbertSpace, indices: tuple[int, ...]) -> KetState:
-    """Product basis state |i_0, i_1, ...> with one index per factor."""
+def basis_index(space: HilbertSpace, indices: tuple[int, ...]) -> int:
+    """Flat index of |i_0, i_1, ...>: mixed radix, first factor slowest (np.kron order)."""
     if len(indices) != space.n_factors:
         raise ValueError(f"need {space.n_factors} indices, got {len(indices)}")
     flat = 0
@@ -259,8 +260,13 @@ def basis_ket(space: HilbertSpace, indices: tuple[int, ...]) -> KetState:
         if not 0 <= i < d:
             raise ValueError(f"index {i} out of range for factor dim {d}")
         flat = flat * d + i
+    return flat
+
+
+def basis_ket(space: HilbertSpace, indices: tuple[int, ...]) -> KetState:
+    """Product basis state |i_0, i_1, ...> with one index per factor."""
     v = np.zeros(space.total_dim, dtype=complex)
-    v[flat] = 1.0
+    v[basis_index(space, indices)] = 1.0
     return KetState(space, v)
 
 

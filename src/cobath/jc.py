@@ -32,6 +32,7 @@ from .core import (
     HilbertSpace,
     KetState,
     Operator,
+    basis_index,
     basis_ket,
     embed,
     make_atom_ops,
@@ -46,19 +47,22 @@ __all__ = [
     "BlockSolution",
     "jc_space",
     "jc_initial",
+    "jc_initial_ket",
     "build_jc",
     "excitation_number",
     "dark_state",
     "ground_state",
     "closed_form_block",
+    "closed_form_states",
     "wootters_concurrence",
     "block_concurrence_exact",
     "block_concurrence_variant",
     "conditional_concurrence",
     "conditional_concurrence_series",
     "two_qubit_projection",
-    "one_excitation_block",
+    "sector_entries",
     "excited_population",
+    "ground_population",
     "asymptotic_state",
     "no_jump_postselect",
     "solve_jc_hierarchy",
@@ -109,6 +113,8 @@ class JCParams:
 
 
 def jc_space(p: JCParams) -> HilbertSpace:
+    """|atom, photons> with atom index 0 = |+>; flat indices come from
+    ``basis_index`` on this space, taken only in this module."""
     return HilbertSpace((2, p.n_max + 1))
 
 
@@ -122,7 +128,9 @@ def _hamiltonians(p: JCParams, space: HilbertSpace):
     return atom, cav, h_bare, h_bare + h_int
 
 
-def build_jc(p: JCParams, dressed: bool = False) -> MasterEquation:
+def build_jc(
+    p: JCParams, dressed: bool = False, tensor: SpectralTensor | None = None
+) -> MasterEquation:
     """Assemble the master equation for the shared-bath model.
 
     The coupling channels are the frequency components of S_+ + S_- and
@@ -132,6 +140,8 @@ def build_jc(p: JCParams, dressed: bool = False) -> MasterEquation:
     Hamiltonian instead (sensitivity studies only).  The rate matrix is
     applied flat across all positive frequencies, the tensor is built
     already filtered for zero temperature, and no Lamb shift is included.
+    A given ``tensor`` (zero-temperature, channels atom and mode) replaces
+    that flat rate matrix; the rates in ``p`` are then unused.
     """
     space = jc_space(p)
     atom, cav, h_bare, h_full = _hamiltonians(p, space)
@@ -140,15 +150,14 @@ def build_jc(p: JCParams, dressed: bool = False) -> MasterEquation:
     fam1 = tuple(eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, source_index=0))
     fam2 = tuple(eigenoperators(cav["a"] + cav["a_dag"], decomp, source_index=1))
 
-    g = np.array(
-        [[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex
-    )
-    freqs = sorted(
-        {round(eo.frequency, 12) for fam in (fam1, fam2) for eo in fam if eo.frequency > 1e-9}
-    )
-    if not freqs:
-        freqs = [p.omega0] if p.omega0 > 0 else []
-    tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
+    if tensor is None:
+        g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
+        freqs = sorted(
+            {round(eo.frequency, 12) for fam in (fam1, fam2) for eo in fam if eo.frequency > 1e-9}
+        )
+        if not freqs:
+            freqs = [p.omega0] if p.omega0 > 0 else []
+        tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
     return MasterEquation(
         H_S=Operator(space, h_full.matrix, label="H_S"),
         couplings=(fam1, fam2),
@@ -169,27 +178,30 @@ def excitation_number(space: HilbertSpace) -> Operator:
     )
 
 
-def jc_initial(p: JCParams, kind: str = "atom") -> DensityMatrix:
-    """Canonical sector-pure initial states.
+def jc_initial_ket(p: JCParams, kind: str = "atom") -> KetState:
+    """Canonical pure initial state, one basis ket of sector n_exc.
 
     ``atom``: excitation in the atom, |n_exc - 1 photons, +>;
-    ``photon``: all excitations photonic, |n_exc photons, ->;
-    ``mix``: the even statistical mixture of the two.
-    With n_exc = 0 every kind is the ground state.
+    ``photon``: all excitations photonic, |n_exc photons, ->.
+    With n_exc = 0 both kinds are the ground state.
     """
+    if kind not in ("atom", "photon"):
+        raise ValueError(f"initial kind {kind!r} is not a pure state (atom or photon)")
     space = jc_space(p)
     if p.n_exc == 0:
-        return ground_state(space).projector()
-    atom_exc = basis_ket(space, (0, p.n_exc - 1))
-    photon = basis_ket(space, (1, p.n_exc))
-    if kind == "atom":
-        return atom_exc.projector()
-    if kind == "photon":
-        return photon.projector()
+        return ground_state(space)
+    return basis_ket(space, (0, p.n_exc - 1) if kind == "atom" else (1, p.n_exc))
+
+
+def jc_initial(p: JCParams, kind: str = "atom") -> DensityMatrix:
+    """Canonical sector-pure initial states: the projector of
+    :func:`jc_initial_ket`, or for ``mix`` the even statistical mixture of
+    the ``atom`` and ``photon`` states.
+    """
     if kind == "mix":
-        m = 0.5 * atom_exc.projector().matrix + 0.5 * photon.projector().matrix
-        return DensityMatrix(space, m)
-    raise ValueError(f"unknown initial kind {kind!r}")
+        m = 0.5 * jc_initial(p, "atom").matrix + 0.5 * jc_initial(p, "photon").matrix
+        return DensityMatrix(jc_space(p), m)
+    return jc_initial_ket(p, kind).projector()
 
 
 def ground_state(space: HilbertSpace) -> KetState:
@@ -373,21 +385,56 @@ def closed_form_block(
     )
 
 
-def wootters_concurrence(rho4: np.ndarray) -> float:
+def closed_form_states(
+    p: JCParams, grid: np.ndarray, initial: str = "atom"
+) -> list[DensityMatrix]:
+    """Complete single-excitation states from the analytic sector-1 solution.
+
+    The sector block sits on its two kets; the weight it has lost is in
+    the ground state, the only other state one excitation can decay to.
+    """
+    if p.n_exc != 1:
+        raise ValueError("closed-form states need n_exc = 1")
+    block = closed_form_block(p, 1, grid, initial=initial)
+    space = jc_space(p)
+    i1, i2 = _sector_indices(space, 1)
+    ig = basis_index(space, (1, 0))
+    r11, r22 = block.rho11.real, block.rho22.real
+    m = np.zeros((len(block.grid), space.total_dim, space.total_dim), dtype=complex)
+    m[:, i1, i1] = r11
+    m[:, i1, i2] = block.rho12
+    m[:, i2, i1] = block.rho21
+    m[:, i2, i2] = r22
+    m[:, ig, ig] = 1.0 - r11 - r22
+    return [DensityMatrix(space, mk, tolerance=1e-7) for mk in m]
+
+
+def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+
+
+def _per_state(values: np.ndarray) -> float | np.ndarray:
+    """A float for one state, the array for a stack of states."""
+    return float(values) if values.ndim == 0 else values
+
+
+def wootters_concurrence(rho4: np.ndarray) -> float | np.ndarray:
     """Two-qubit concurrence from the spin-flip eigenvalue construction.
 
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_k the
-    descending eigenvalues of rho (sy (x) sy) rho* (sy (x) sy).
+    descending eigenvalues of rho (sy (x) sy) rho* (sy (x) sy).  Takes one
+    4x4 state (returns a float) or a stack (..., 4, 4) (returns an array).
     """
     rho4 = np.asarray(rho4, dtype=complex)
-    if rho4.shape != (4, 4):
+    if rho4.shape[-2:] != (4, 4):
         raise ValueError("need a 4x4 two-qubit state")
     sy = np.array([[0.0, -1j], [1j, 0.0]])
     flip = np.kron(sy, sy)
     m = rho4 @ flip @ rho4.conj() @ flip
-    evals = np.sort(np.abs(np.real(np.linalg.eigvals(m))))[::-1]
+    evals = np.sort(np.abs(np.real(np.linalg.eigvals(m))), axis=-1)[..., ::-1]
     roots = np.sqrt(evals)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    c = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    return _per_state(np.maximum(0.0, c))
 
 
 def block_concurrence_exact(r11: float, r12: complex, r22: float) -> float:
@@ -426,8 +473,8 @@ def _conditional_two_qubit(r11: float, r12: complex, r22: float) -> np.ndarray:
     if tr <= 1e-12:
         raise ValueError("conditional block has vanishing weight")
     rho = np.zeros((4, 4), dtype=complex)
-    # basis |+,0>, |+,1>, |-,0>, |-,1>: the excitation lives on
-    # |+,0> (index 0) and |-,1> (index 3)
+    # basis of two_qubit_projection, |+,0>, |+,1>, |-,0>, |-,1>: the
+    # excitation lives on |+,0> (index 0) and |-,1> (index 3)
     rho[0, 0] = r11 / tr
     rho[0, 3] = r12 / tr
     rho[3, 0] = np.conj(r12) / tr
@@ -435,9 +482,7 @@ def _conditional_two_qubit(r11: float, r12: complex, r22: float) -> np.ndarray:
     return rho
 
 
-def conditional_concurrence(block: BlockSolution, t: float) -> float:
-    """No-emission conditional concurrence at a grid time (spin-flip value)."""
-    k = block.index_of(t)
+def _conditional_at(block: BlockSolution, k: int) -> float:
     return wootters_concurrence(
         _conditional_two_qubit(
             float(block.rho11[k].real), complex(block.rho12[k]), float(block.rho22[k].real)
@@ -445,15 +490,13 @@ def conditional_concurrence(block: BlockSolution, t: float) -> float:
     )
 
 
+def conditional_concurrence(block: BlockSolution, t: float) -> float:
+    """No-emission conditional concurrence at a grid time (spin-flip value)."""
+    return _conditional_at(block, block.index_of(t))
+
+
 def conditional_concurrence_series(block: BlockSolution) -> np.ndarray:
-    out = np.empty(len(block.grid))
-    for k in range(len(block.grid)):
-        out[k] = wootters_concurrence(
-            _conditional_two_qubit(
-                float(block.rho11[k].real), complex(block.rho12[k]), float(block.rho22[k].real)
-            )
-        )
-    return out
+    return np.array([_conditional_at(block, k) for k in range(len(block.grid))])
 
 
 def two_qubit_projection(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> np.ndarray:
@@ -461,28 +504,40 @@ def two_qubit_projection(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -
 
     The block is taken as-is (not renormalized); for dynamics that never
     populate two or more photons it carries essentially all the weight.
+    Takes one state (returns 4x4) or a stack (..., d, d) (returns (..., 4, 4)).
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    n_ph = space.factor_dims[1]
-    idx = [0, 1, n_ph, n_ph + 1]  # |+,0>, |+,1>, |-,0>, |-,1>
-    return m[np.ix_(idx, idx)]
+    idx = [basis_index(space, (a, n)) for a in (0, 1) for n in (0, 1)]
+    return _matrix(rho)[(..., *np.ix_(idx, idx))]
 
 
-def one_excitation_block(
-    rho: DensityMatrix | np.ndarray, space: HilbertSpace
-) -> tuple[float, complex, float]:
-    """Matrix elements (r11, r12, r22) on span{|0 photons,+>, |1 photon,->}."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    n_ph = space.factor_dims[1]
-    i1, i2 = 0, n_ph + 1
-    return float(m[i1, i1].real), complex(m[i1, i2]), float(m[i2, i2].real)
+def _sector_indices(space: HilbertSpace, n: int) -> tuple[int, int]:
+    """Flat indices of the sector-n kets |n-1 photons, +> and |n photons, ->."""
+    return basis_index(space, (0, n - 1)), basis_index(space, (1, n))
 
 
-def excited_population(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> float:
-    """Probability of finding the atom excited."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+def sector_entries(rho: DensityMatrix | np.ndarray, space: HilbertSpace, n: int):
+    """Matrix elements (r11, r12, r22) on span{|n-1 photons, +>, |n photons, ->}.
+
+    The unnormalized no-jump block of sector n >= 1: scalars for one
+    state, arrays over the leading axes for a stack (..., d, d).
+    """
+    a, b = _sector_indices(space, n)
+    m = _matrix(rho)
+    return m[..., a, a].real, m[..., a, b], m[..., b, b].real
+
+
+def excited_population(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> float | np.ndarray:
+    """Probability of finding the atom excited: a float for one state, an
+    array for a stack (..., d, d)."""
     proj = embed(np.diag([1.0, 0.0]), space, 0).matrix
-    return float(np.real(np.trace(proj @ m)))
+    return _per_state(np.real(np.trace(proj @ _matrix(rho), axis1=-2, axis2=-1)))
+
+
+def ground_population(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> float | np.ndarray:
+    """Probability of the ground state |0 photons, ->, all of sector 0: a
+    float for one state, an array for a stack (..., d, d)."""
+    g = basis_index(space, (1, 0))
+    return _per_state(_matrix(rho)[..., g, g].real)
 
 
 def _is_dfs(p: JCParams, tol: float = 1e-9) -> bool:
@@ -524,7 +579,7 @@ def asymptotic_state(
     if p.g11 + p.g22 <= 0:
         raise ValueError("no decay channel: asymptotic state undefined")
     space = jc_space(p)
-    psi0 = basis_ket(space, (0, 0)) if initial is None else initial
+    psi0 = jc_initial_ket(p) if initial is None else initial
     if psi0.space != space:
         raise ValueError("initial ket lives on the wrong space")
 

@@ -402,6 +402,9 @@ MAX_SUBSTEPS = 10_000_000
 # problem.
 EXACT_SIZE_LIMIT = 256
 
+# Largest trace drift and Hermiticity defect a propagated state may show
+HYGIENE_TOL = 1e-8
+
 
 def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndarray:
     span = t1 - t0
@@ -464,7 +467,6 @@ def integrate(
     rho0: DensityMatrix,
     t_grid: np.ndarray,
     max_step: float | None = None,
-    hygiene_tol: float = 1e-8,
 ) -> list[DensityMatrix]:
     """Evolve a state over an increasing time grid.
 
@@ -473,7 +475,7 @@ def integrate(
     above it, or with an explicit ``max_step``, with fixed-step RK4 (see
     :func:`propagate_linear`).  The first grid point carries the initial
     state.  Every output is checked for trace and Hermiticity drift
-    (tolerance ``hygiene_tol``) and eigenvalue positivity (min eigenvalue
+    (tolerance ``HYGIENE_TOL``) and eigenvalue positivity (min eigenvalue
     > -1e-7); a violation is reported as an :class:`IntegrationError` with
     the failing time.
     """
@@ -495,7 +497,7 @@ def integrate(
     for t_k, y in zip(t[1:], steps):
         tr_err = abs(y.trace().real - target_trace) + abs(y.trace().imag)
         herm_err = float(np.max(np.abs(y - y.conj().T)))
-        if tr_err > hygiene_tol or herm_err > hygiene_tol:
+        if tr_err > HYGIENE_TOL or herm_err > HYGIENE_TOL:
             raise IntegrationError(
                 f"state hygiene lost: trace drift {tr_err:.3e}, hermiticity {herm_err:.3e}",
                 float(t_k),
@@ -507,7 +509,7 @@ def integrate(
             DensityMatrix(
                 me.space,
                 (y + y.conj().T) / 2.0,
-                tolerance=max(1e-7, hygiene_tol),
+                tolerance=1e-7,
                 trace_target=None if rho0.trace_target is None else target_trace,
             )
         )

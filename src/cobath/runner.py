@@ -14,14 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .core import DensityMatrix, basis_ket
+from .core import DensityMatrix
 from .jc import (
     build_jc,
-    closed_form_block,
+    closed_form_states,
     excitation_number,
     excited_population,
+    ground_population,
     jc_initial,
+    jc_initial_ket,
     jc_space,
+    sector_entries,
     two_qubit_projection,
     wootters_concurrence,
 )
@@ -43,154 +46,69 @@ CONDITIONAL_FLOOR = 1e-12
 
 
 def build_model(cfg: RunConfig) -> MasterEquation:
-    me = build_jc(cfg.params)
-    if cfg.model == "custom-tensor":
-        me = MasterEquation(
-            H_S=me.H_S,
-            couplings=me.couplings,
-            tensor=cfg.tensor,
-            H_LS=me.H_LS,
-            temperature_mode="zero",
-        )
-    return me
-
-
-def _initial_ket(cfg: RunConfig):
-    p = cfg.params
-    space = jc_space(p)
-    if p.n_exc == 0:
-        return basis_ket(space, (1, 0))
-    if cfg.initial == "atom":
-        return basis_ket(space, (0, p.n_exc - 1))
-    if cfg.initial == "photon":
-        return basis_ket(space, (1, p.n_exc))
-    raise ConfigError("initial: mcwf needs a pure initial state (atom or photon)")
-
-
-def _closed_form_states(cfg: RunConfig, grid: np.ndarray) -> list[DensityMatrix]:
-    p = cfg.params
-    space = jc_space(p)
-    if p.n_exc == 0:
-        g = basis_ket(space, (1, 0)).projector()
-        return [g for _ in grid]
-    block = closed_form_block(p, 1, grid, initial=cfg.initial)
-    n_ph = space.factor_dims[1]
-    i1, i2, ig = 0, n_ph + 1, n_ph  # |+,0>, |-,1>, |-,0>
-    out = []
-    for k in range(len(grid)):
-        m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        r11 = block.rho11[k].real
-        r22 = block.rho22[k].real
-        m[i1, i1] = r11
-        m[i1, i2] = block.rho12[k]
-        m[i2, i1] = np.conj(block.rho12[k])
-        m[i2, i2] = r22
-        m[ig, ig] = 1.0 - r11 - r22
-        out.append(DensityMatrix(space, m, tolerance=1e-7))
-    return out
+    return build_jc(cfg.params, tensor=cfg.tensor)
 
 
 def simulate_config(cfg: RunConfig) -> list[DensityMatrix]:
     """Produce the state series for a config with the selected engine."""
-    grid = cfg.grid.times()
+    p, grid = cfg.params, cfg.grid.times()
     if cfg.engine == "closed-form":
-        return _closed_form_states(cfg, grid)
+        return closed_form_states(p, grid, cfg.initial)
     me = build_model(cfg)
+    space = jc_space(p)
     if cfg.engine == "integrate":
-        return integrate(me, jc_initial(cfg.params, cfg.initial), grid)
+        return integrate(me, jc_initial(p, cfg.initial), grid)
     if cfg.engine == "hierarchy":
-        space = jc_space(cfg.params)
-        h = solve_hierarchy(
-            me, jc_initial(cfg.params, cfg.initial), grid, excitation_number(space)
-        )
+        h = solve_hierarchy(me, jc_initial(p, cfg.initial), grid, excitation_number(space))
         return reconstruct(h, space=space)
     if cfg.engine == "mcwf":
-        res = mcwf_unravel(
-            me,
-            _initial_ket(cfg),
-            grid,
-            n_traj=cfg.mcwf.n_traj,
-            seed=cfg.mcwf.seed,
-        )
-        return res.states(jc_space(cfg.params))
+        ket = jc_initial_ket(p, cfg.initial)
+        res = mcwf_unravel(me, ket, grid, n_traj=cfg.mcwf.n_traj, seed=cfg.mcwf.seed)
+        return res.states(space)
     raise ConfigError(f"engine: unhandled engine {cfg.engine!r}")
 
 
-def _sector_kets(space, i: int) -> tuple[int, int]:
-    n_ph = space.factor_dims[1]
-    return i - 1, n_ph + i  # flat indices of |i-1 photons, +> and |i photons, ->
+def _block_columns(prefix: str, r11, r12, r22) -> list[tuple[str, np.ndarray]]:
+    return [(prefix + "p11", r11), (prefix + "re_p12", r12.real),
+            (prefix + "im_p12", r12.imag), (prefix + "p22", r22)]
 
 
-def _block_entries(m: np.ndarray, space, i: int) -> tuple[float, complex, float]:
-    a, b = _sector_kets(space, i)
-    return float(m[a, a].real), complex(m[a, b]), float(m[b, b].real)
+def _conditional(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x / w where the no-emission weight w exceeds CONDITIONAL_FLOOR, else NaN."""
+    out = np.full(w.shape, np.nan)
+    keep = w > CONDITIONAL_FLOOR
+    out[keep] = x[keep] / w[keep]
+    return out
 
 
 def observable_columns(
     cfg: RunConfig, states: list[DensityMatrix]
 ) -> list[tuple[str, np.ndarray]]:
-    """Expand the requested observables into named columns."""
+    """Expand the requested observables into named columns, each over the whole stack."""
     p = cfg.params
     space = jc_space(p)
-    n_t = len(states)
+    rho = np.array([s.matrix for s in states])
     cols: list[tuple[str, np.ndarray]] = []
     for name in cfg.outputs:
         if name == "population":
-            cols.append(
-                ("population", np.array([excited_population(s, space) for s in states]))
-            )
+            cols.append(("population", excited_population(rho, space)))
         elif name == "trace":
-            cols.append(("trace", np.array([s.trace for s in states])))
+            cols.append(("trace", np.trace(rho, axis1=1, axis2=2).real))
         elif name == "purity":
-            cols.append(("purity", np.array([s.purity() for s in states])))
+            cols.append(("purity", np.trace(rho @ rho, axis1=1, axis2=2).real))
         elif name == "concurrence":
-            full = np.empty(n_t)
-            cond = np.empty(n_t)
-            for k, s in enumerate(states):
-                two = two_qubit_projection(s, space)
-                full[k] = wootters_concurrence(two)
-                r11, r12, r22 = _block_entries(s.matrix, space, 1)
-                w = r11 + r22
-                if w > CONDITIONAL_FLOOR:
-                    cond[k] = 2.0 * abs(r12) / w
-                else:
-                    cond[k] = float("nan")
-            cols.append(("concurrence", full))
-            cols.append(("concurrence_conditional", cond))
+            r11, r12, r22 = sector_entries(rho, space, 1)
+            envelope = wootters_concurrence(two_qubit_projection(rho, space))
+            conditional = _conditional(2.0 * np.hypot(r12.real, r12.imag), r11 + r22)
+            cols += [("concurrence", envelope), ("concurrence_conditional", conditional)]
         elif name == "blocks":
-            cols.append(
-                (
-                    "block0_p00",
-                    np.array(
-                        [float(s.matrix[space.factor_dims[1], space.factor_dims[1]].real)
-                         for s in states]
-                    ),
-                )
-            )
+            cols.append(("block0_p00", ground_population(rho, space)))
             for i in range(1, p.n_exc + 1):
-                entries = [_block_entries(s.matrix, space, i) for s in states]
-                cols.append((f"block{i}_p11", np.array([e[0] for e in entries])))
-                cols.append((f"block{i}_re_p12", np.array([e[1].real for e in entries])))
-                cols.append((f"block{i}_im_p12", np.array([e[1].imag for e in entries])))
-                cols.append((f"block{i}_p22", np.array([e[2] for e in entries])))
+                cols += _block_columns(f"block{i}_", *sector_entries(rho, space, i))
         elif name == "conditional-state":
-            top = p.n_exc
-            p11 = np.empty(n_t)
-            re12 = np.empty(n_t)
-            im12 = np.empty(n_t)
-            p22 = np.empty(n_t)
-            for k, s in enumerate(states):
-                r11, r12, r22 = _block_entries(s.matrix, space, top)
-                w = r11 + r22
-                if w > CONDITIONAL_FLOOR:
-                    p11[k], p22[k] = r11 / w, r22 / w
-                    re12[k], im12[k] = (r12 / w).real, (r12 / w).imag
-                else:
-                    p11[k] = re12[k] = im12[k] = p22[k] = float("nan")
-            cols.append(("cond_p11", p11))
-            cols.append(("cond_re_p12", re12))
-            cols.append(("cond_im_p12", im12))
-            cols.append(("cond_p22", p22))
+            r11, r12, r22 = sector_entries(rho, space, p.n_exc)
+            w = r11 + r22
+            cols += [(c, _conditional(x, w)) for c, x in _block_columns("cond_", r11, r12, r22)]
         else:
             raise ConfigError(f"outputs: unhandled observable {name!r}")
     return cols

@@ -30,6 +30,7 @@ from scipy.linalg import expm
 from .core import DensityMatrix, HilbertSpace, KetState, Operator
 from .master_equation import (
     FREQ_MATCH_TOL,
+    HYGIENE_TOL,
     IntegrationError,
     MasterEquation,
     jump_operators,
@@ -241,14 +242,14 @@ def solve_hierarchy(
     return h
 
 
-def _check_hierarchy(h: TrajectoryHierarchy, target_trace: float, tol: float = 1e-8):
+def _check_hierarchy(h: TrajectoryHierarchy, target_trace: float):
     for k in range(len(h.grid)):
         total = h.total(k)
-        if abs(np.trace(total).real - target_trace) > tol:
+        if abs(np.trace(total).real - target_trace) > HYGIENE_TOL:
             raise IntegrationError("hierarchy lost trace", float(h.grid[k]))
         for i, b in enumerate(h.blocks):
             m = (b[k] + b[k].conj().T) / 2.0
-            if float(np.max(np.abs(b[k] - m))) > tol:
+            if float(np.max(np.abs(b[k] - m))) > HYGIENE_TOL:
                 raise IntegrationError(f"block {i} lost Hermiticity", float(h.grid[k]))
             if m.size and float(np.linalg.eigvalsh(m)[0]) < -1e-7:
                 raise IntegrationError(f"block {i} lost positivity", float(h.grid[k]))

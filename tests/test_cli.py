@@ -7,11 +7,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cobath.config import ConfigError, parse_config
-from cobath.runner import read_csv, run_to_files, sweep_to_files
+from cobath.cli import main
+from cobath.config import ConfigError, load_config, parse_config
+from cobath.jc import (
+    excited_population,
+    ground_population,
+    jc_space,
+    sector_entries,
+    two_qubit_projection,
+    wootters_concurrence,
+)
+from cobath.runner import (
+    observable_columns,
+    read_csv,
+    run_to_files,
+    simulate_config,
+    sweep_to_files,
+)
 from cobath.svgplot import emit_svg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_config(**overrides):
@@ -97,6 +113,35 @@ def test_closed_form_needs_single_excitation():
     cfg["outputs"] = ["population"]
     with pytest.raises(ConfigError, match="closed-form"):
         parse_config(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_runs_with_its_subcommand(path, tmp_path):
+    cfg = load_config(str(path))
+    if cfg.sweep is not None:
+        command = "sweep"
+    elif cfg.engine == "mcwf":
+        command = "trajectories"
+    else:
+        command = "simulate"
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert any(tmp_path.glob("*.csv")) and any(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("name", ["custom_tensor", "two_excitations"])
+def test_engine_override_applies_engine_checks(name, tmp_path, capsys):
+    if name == "custom_tensor":
+        cfg_path = CONFIGS / "custom_tensor.json"
+    else:
+        cfg = base_config(outputs=["population", "blocks"])
+        cfg["params"]["n_exc"] = 2
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(out), "--engine", "closed-form"]
+    assert main(argv) == 2
+    assert "engine: closed-form requires" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_custom_tensor_roundtrip():
@@ -245,6 +290,63 @@ def test_custom_tensor_matches_equivalent_jc_model(tmp_path):
 
 
 # ---------------------------------------------------------------- round trip
+
+def columns_state_by_state(cfg, states) -> dict:
+    """The observable columns, built one state at a time from the single-state functions."""
+    p = cfg.params
+    space = jc_space(p)
+
+    def over(x, w):
+        return x / w if w > 1e-12 else float("nan")
+
+    rows = []
+    for s in states:
+        row = {"population": excited_population(s, space), "trace": s.trace,
+               "purity": s.purity(), "block0_p00": ground_population(s, space)}
+        if p.n_exc == 1:
+            r11, r12, r22 = sector_entries(s, space, 1)
+            row["concurrence"] = wootters_concurrence(two_qubit_projection(s, space))
+            row["concurrence_conditional"] = over(2.0 * abs(r12), r11 + r22)
+        for i in range(1, p.n_exc + 1):
+            r11, r12, r22 = sector_entries(s, space, i)
+            row.update({f"block{i}_p11": r11, f"block{i}_re_p12": r12.real,
+                        f"block{i}_im_p12": r12.imag, f"block{i}_p22": r22})
+        r11, r12, r22 = sector_entries(s, space, p.n_exc)
+        w = r11 + r22
+        row.update({"cond_p11": over(r11, w), "cond_re_p12": over(r12.real, w),
+                    "cond_im_p12": over(r12.imag, w), "cond_p22": over(r22, w)})
+        rows.append(row)
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+@pytest.mark.parametrize(
+    "n_exc, engine, initial, outputs, t_end",
+    [
+        (2, "hierarchy", "atom",
+         ["population", "trace", "purity", "blocks", "conditional-state"], 200.0),
+        (1, "integrate", "mix", ["concurrence"], 2000.0),
+    ],
+)
+def test_observable_columns_match_state_by_state(n_exc, engine, initial, outputs, t_end):
+    # strong rates drain the no-emission weight below the floor: NaNs at late times
+    cfg = parse_config(json.dumps(base_config(
+        model="jc-mirror",
+        params={"omega0": 1.0, "eps": 0.1, "g11": 0.1, "g22": 0.1, "g12": 0.1,
+                "k_mirror": 0.1, "n_exc": n_exc},
+        grid={"t_end": t_end, "n_steps": 41},
+        outputs=outputs, engine=engine, initial=initial,
+    )))
+    states = simulate_config(cfg)
+    cols = observable_columns(cfg, states)
+    ref = columns_state_by_state(cfg, states)
+    nan_rows = 0
+    for name, col in cols:
+        assert col.shape == (len(states),)
+        np.testing.assert_array_equal(np.isnan(col), np.isnan(ref[name]), err_msg=name)
+        assert np.nanmax(np.abs(col - ref[name])) <= 1e-14, name
+        nan_rows = max(nan_rows, int(np.isnan(col).sum()))
+    assert 0 < nan_rows < len(states)
+
 
 def test_csv_roundtrip_full_precision(tmp_path):
     cfg = parse_config(json.dumps(base_config()))

@@ -14,15 +14,19 @@ from cobath.jc import (
     block_concurrence_variant,
     build_jc,
     closed_form_block,
+    closed_form_states,
     conditional_concurrence,
     conditional_concurrence_series,
     dark_state,
     excitation_number,
     excited_population,
+    ground_population,
     ground_state,
     jc_initial,
+    jc_initial_ket,
     jc_space,
     no_jump_postselect,
+    sector_entries,
     solve_jc_hierarchy,
     two_qubit_projection,
     wootters_concurrence,
@@ -423,6 +427,55 @@ def test_sector_block_diagonality():
             for j in range(space.total_dim):
                 if sectors[i] != sectors[j]:
                     assert abs(m[i, j]) < 1e-10
+
+
+def test_sector_entries_sit_on_the_sector_kets():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.0, g22=0.0, n_exc=3)
+    space = jc_space(p)
+    n_op = excitation_number(space)
+    for n in range(1, 4):
+        upper = basis_ket(space, (0, n - 1))
+        lower = basis_ket(space, (1, n))
+        for ket in (upper, lower):
+            assert np.vdot(ket.amplitudes, n_op.matrix @ ket.amplitudes).real == pytest.approx(n)
+        both = (upper.amplitudes + 1j * lower.amplitudes) / math.sqrt(2.0)
+        r11, r12, r22 = sector_entries(np.outer(both, both.conj()), space, n)
+        assert (r11, r12, r22) == pytest.approx((0.5, -0.5j, 0.5), abs=1e-15)
+    assert ground_population(ground_state(space).projector(), space) == 1.0
+    for kind, ket in (("atom", basis_ket(space, (0, 2))), ("photon", basis_ket(space, (1, 3)))):
+        np.testing.assert_array_equal(jc_initial_ket(p, kind).amplitudes, ket.amplitudes)
+    with pytest.raises(ValueError, match="pure"):
+        jc_initial_ket(p, "mix")
+
+
+def test_observables_on_a_stack_match_one_state_at_a_time(rng):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, n_exc=2)
+    space = jc_space(p)
+    kets = rng.normal(size=(6, space.total_dim)) + 1j * rng.normal(size=(6, space.total_dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    stack = np.einsum("ki,kj->kij", kets, kets.conj())
+    pop = excited_population(stack, space)
+    two = two_qubit_projection(stack, space)
+    conc = wootters_concurrence(two)
+    entries = [sector_entries(stack, space, n) for n in (1, 2)]
+    assert pop.shape == conc.shape == (6,) and two.shape == (6, 4, 4)
+    assert np.all(conc > 0)
+    for k, rho in enumerate(stack):
+        one_pop = excited_population(rho, space)
+        one_two = two_qubit_projection(rho, space)
+        one_conc = wootters_concurrence(one_two)
+        assert type(one_pop) is float and type(one_conc) is float
+        assert pop[k] == one_pop
+        np.testing.assert_array_equal(two[k], one_two)
+        assert conc[k] == one_conc
+        for n, stacked in zip((1, 2), entries):
+            assert tuple(e[k] for e in stacked) == sector_entries(rho, space, n)
+
+
+def test_closed_form_states_need_one_excitation():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, n_exc=2)
+    with pytest.raises(ValueError, match="n_exc = 1"):
+        closed_form_states(p, np.linspace(0.0, 1.0, 3))
 
 
 # -------------------------------------------------------------- asymptotics
