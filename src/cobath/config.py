@@ -8,6 +8,7 @@ docs/config.md for the full schema and one annotated example per model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,21 +81,32 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
             raise ConfigError(f"{path}{key}: missing required key")
 
 
+def _finite(value: int | float, path: str) -> float:
+    # json reads NaN and Infinity as numbers
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: must be a finite number")
+    return x
+
+
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    return _finite(value, path)
 
 
 def _complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_finite(value, path))
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
+        return complex(_finite(value[0], f"{path}[0]"), _finite(value[1], f"{path}[1]"))
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
 

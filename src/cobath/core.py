@@ -17,6 +17,9 @@ __all__ = [
     "HilbertSpace",
     "Operator",
     "DensityMatrix",
+    "StateError",
+    "check_states",
+    "hermiticity_defect",
     "KetState",
     "tensor_product",
     "make_atom_ops",
@@ -86,9 +89,6 @@ class Operator:
         """Frobenius norm."""
         return float(np.linalg.norm(self.matrix))
 
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_space(other)
         return Operator(self.space, self.matrix @ other.matrix)
@@ -114,9 +114,70 @@ class Operator:
             raise ValueError("operators live on different spaces")
 
 
+class StateError(ValueError):
+    """A stack of states failed :func:`check_states`; ``index`` is the first failing state."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def hermiticity_defect(m: np.ndarray) -> np.ndarray:
+    """max |m - m^dag| of each matrix of a stack; not finite where an entry is not."""
+    re, im = m.real, m.imag
+    out = re - re.swapaxes(-1, -2)
+    np.hypot(out, im + im.swapaxes(-1, -2), out=out)
+    return out.max(axis=(-2, -1))
+
+
+def check_states(
+    m: np.ndarray, tolerance: float = DEFAULT_TOL, trace_target: float | None = 1.0
+) -> np.ndarray:
+    """The one state check, made over a whole ``(n, d, d)`` stack at once.
+
+    Each state must be finite and Hermitian, have a real trace equal to
+    ``trace_target`` (in [0, 1] when None) and no eigenvalue of its
+    Hermitian part below ``-tolerance``, all within ``tolerance``.  Raises
+    :class:`StateError` for the first failing state; returns the Hermitian
+    parts (m + m^dag) / 2.
+    """
+    tol = float(tolerance)
+    if tol < 0:
+        raise ValueError("tolerance must be non-negative")
+    m = np.asarray(m, dtype=complex)
+    herm = hermiticity_defect(m)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if trace_target is None:
+        trace_ok = (tr.real <= 1.0 + tol) & (tr.real >= -tol)
+    else:
+        trace_ok = np.abs(tr.real - trace_target) <= tol
+    # every comparison with NaN is False, so a non-finite state fails here
+    ok = (herm <= tol) & (np.abs(tr.imag) <= tol) & trace_ok
+    k = len(ok) if ok.all() else int(np.argmin(ok))
+    h = np.conj(m.swapaxes(-1, -2), order="C")
+    h += m
+    h /= 2.0
+    # the eigensolver sees only the states before the first failure, all finite
+    evals = np.linalg.eigvalsh(h[:k])[:, 0]
+    if np.any(evals < -tol):
+        j = int(np.argmax(evals < -tol))
+        raise StateError(f"density matrix has negative eigenvalue {evals[j]:.3e}", j)
+    if k == len(ok):
+        return h
+    t_k = complex(tr[k])
+    reasons = (
+        (not np.isfinite(m[k]).all(), "density matrix has non-finite entries"),
+        (not herm[k] <= tol, f"density matrix not Hermitian: max |rho - rho^dag| = {herm[k]:.3e}"),
+        (not abs(t_k.imag) <= tol, f"density matrix trace has imaginary part {t_k.imag:.3e}"),
+        (trace_target is None, f"sub-normalized block must have trace in [0, 1], got {t_k.real!r}"),
+        (True, f"trace {t_k.real!r} differs from declared trace {trace_target!r}"),
+    )
+    raise StateError(next(reason for failed, reason in reasons if failed), k)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """State matrix with hygiene checks at construction.
+    """State matrix with hygiene checks (:func:`check_states`) at construction.
 
     ``trace_target=1.0`` is a full state; ``trace_target=None`` admits
     sub-normalized conditional blocks (trace <= 1).
@@ -132,26 +193,34 @@ class DensityMatrix:
         d = self.space.total_dim
         if m.shape != (d, d):
             raise ValueError(f"density matrix shape {m.shape} does not match space dim {d}")
-        tol = float(self.tolerance)
-        if tol < 0:
-            raise ValueError("tolerance must be non-negative")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > tol:
-            raise ValueError(f"density matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = m.trace()
-        if abs(tr.imag) > tol:
-            raise ValueError(f"density matrix trace has imaginary part {tr.imag:.3e}")
-        if self.trace_target is not None:
-            if abs(tr.real - self.trace_target) > tol:
-                raise ValueError(
-                    f"trace {tr.real!r} differs from declared trace {self.trace_target!r}"
-                )
-        elif tr.real > 1.0 + tol or tr.real < -tol:
-            raise ValueError(f"sub-normalized block must have trace in [0, 1], got {tr.real!r}")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if evals.size and evals[0] < -tol:
-            raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
+        check_states(m[None], self.tolerance, self.trace_target)
         object.__setattr__(self, "matrix", _freeze(m))
+
+    @classmethod
+    def stack(
+        cls,
+        space: HilbertSpace,
+        m: np.ndarray,
+        tolerance: float = DEFAULT_TOL,
+        trace_target: float | None = 1.0,
+    ) -> list["DensityMatrix"]:
+        """One state per entry of an ``(n, d, d)`` stack, checked in one pass.
+
+        Raises :class:`StateError` naming the first failing entry.  The
+        states hold the Hermitian parts of the entries (identical for an
+        exactly Hermitian entry), read-only views of one frozen array.
+        """
+        m = np.asarray(m, dtype=complex)
+        d = space.total_dim
+        if m.ndim != 3 or m.shape[1:] != (d, d):
+            raise ValueError(f"state stack shape {m.shape} does not match space dim {d}")
+        h = check_states(m, tolerance, trace_target)
+        h.setflags(write=False)
+        fields = {"space": space, "tolerance": tolerance, "trace_target": trace_target}
+        states = [object.__new__(cls) for _ in h]
+        for rho, hk in zip(states, h):  # checked above: __post_init__ is not run again
+            rho.__dict__.update(fields, matrix=hk)
+        return states
 
     @property
     def trace(self) -> float:

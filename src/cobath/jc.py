@@ -406,7 +406,7 @@ def closed_form_states(
     m[:, i2, i1] = block.rho21
     m[:, i2, i2] = r22
     m[:, ig, ig] = 1.0 - r11 - r22
-    return [DensityMatrix(space, mk, tolerance=1e-7) for mk in m]
+    return DensityMatrix.stack(space, m, 1e-7)
 
 
 def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:

@@ -122,23 +122,17 @@ def emit_svg(
     for idx, (label, y) in enumerate(curves):
         y = np.asarray(y, dtype=float)
         color = PALETTE[idx % len(PALETTE)]
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for xv, yv in zip(t, y):
-            if math.isfinite(yv):
-                segment.append(f"{_fmt(sx(xv))},{_fmt(sy(yv))}")
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
-        for seg in segments:
-            if len(seg) == 1:
-                x0, y0 = seg[0].split(",")
-                parts.append(f'<circle cx="{x0}" cy="{y0}" r="1.5" fill="{color}"/>')
+        xy = np.column_stack([sx(t), sy(y)])
+        # each finite run starts and ends where isfinite flips
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], np.isfinite(y), [False]))))
+        for a, b in zip(edges[::2], edges[1::2]):
+            values = tuple(xy[a:b].ravel().tolist())
+            if b - a == 1:
+                parts.append(f'<circle cx="%.3f" cy="%.3f" r="1.5" fill="{color}"/>' % values)
             else:
+                points = " ".join(["%.3f,%.3f"] * (b - a)) % values
                 parts.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" stroke="{color}" '
+                    f'<polyline points="{points}" fill="none" stroke="{color}" '
                     'stroke-width="1.5"/>'
                 )
         ly = MARGIN_T + 16 + 18 * idx

@@ -30,9 +30,9 @@ from scipy.linalg import expm
 from .core import DensityMatrix, HilbertSpace, KetState, Operator
 from .master_equation import (
     FREQ_MATCH_TOL,
-    HYGIENE_TOL,
     IntegrationError,
     MasterEquation,
+    check_propagated,
     jump_operators,
     jump_superoperator,
     propagate_linear,
@@ -148,7 +148,8 @@ class TrajectoryHierarchy:
             raise ValueError(f"time {t!r} is not on the hierarchy grid")
         return k
 
-    def total(self, k: int) -> np.ndarray:
+    def total(self, k: int | slice = slice(None)) -> np.ndarray:
+        """Sum of the blocks at grid index k (default: the whole grid)."""
         out = np.zeros_like(self.blocks[0][k])
         for b in self.blocks:
             out = out + b[k]
@@ -236,36 +237,20 @@ def solve_hierarchy(
     stack = np.zeros((N + 1, dim, dim), dtype=complex)
     stack[N] = block0
     series = np.array([stack, *propagate_linear(me, stack, t, max_step, generator, rhs)])
-    blocks = tuple(series[:, i] for i in range(N + 1))
-    h = TrajectoryHierarchy(N, t, blocks)
-    _check_hierarchy(h, rho0.trace)
-    return h
+    check_propagated(series, t, me.space, rho0.trace, None)
+    return TrajectoryHierarchy(N, t, tuple(series[:, i] for i in range(N + 1)))
 
 
-def _check_hierarchy(h: TrajectoryHierarchy, target_trace: float):
-    for k in range(len(h.grid)):
-        total = h.total(k)
-        if abs(np.trace(total).real - target_trace) > HYGIENE_TOL:
-            raise IntegrationError("hierarchy lost trace", float(h.grid[k]))
-        for i, b in enumerate(h.blocks):
-            m = (b[k] + b[k].conj().T) / 2.0
-            if float(np.max(np.abs(b[k] - m))) > HYGIENE_TOL:
-                raise IntegrationError(f"block {i} lost Hermiticity", float(h.grid[k]))
-            if m.size and float(np.linalg.eigvalsh(m)[0]) < -1e-7:
-                raise IntegrationError(f"block {i} lost positivity", float(h.grid[k]))
+def reconstruct(h: TrajectoryHierarchy, space=None) -> list[DensityMatrix]:
+    """Sum the blocks at every grid point back into full states.
 
-
-def reconstruct(h: TrajectoryHierarchy, space=None, tolerance: float = 1e-7) -> list[DensityMatrix]:
-    """Sum the blocks at every grid point back into full states."""
+    The states are the Hermitian parts of the sums, checked as one stack
+    (tolerance 1e-7, trace in [0, 1]).
+    """
     dim = h.blocks[0].shape[-1]
     if space is None:
         space = HilbertSpace((dim,))
-    out = []
-    for k in range(len(h.grid)):
-        m = h.total(k)
-        m = (m + m.conj().T) / 2.0
-        out.append(DensityMatrix(space, m, tolerance=tolerance, trace_target=None))
-    return out
+    return DensityMatrix.stack(space, h.total(), 1e-7, None)
 
 
 @dataclass(frozen=True)
@@ -283,12 +268,8 @@ class McwfResult:
     jump_records: tuple[tuple[tuple[float, int], ...], ...]
 
     def states(self, space) -> list[DensityMatrix]:
-        """Full-ensemble averages as density matrices."""
-        out = []
-        for k in range(len(self.grid)):
-            m = self.averages[-1][k]
-            out.append(DensityMatrix(space, (m + m.conj().T) / 2.0, tolerance=1e-7))
-        return out
+        """Hermitian parts of the full-ensemble averages, checked as one stack."""
+        return DensityMatrix.stack(space, self.averages[-1], 1e-7)
 
 
 def _mcwf_dt(jump_ops: list[np.ndarray], max_jump_prob: float) -> float:

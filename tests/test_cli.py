@@ -376,6 +376,17 @@ def test_svg_constant_series_is_horizontal_line():
     assert len(ys) == 1
 
 
+def test_svg_non_finite_samples_split_the_curve():
+    t = np.arange(5.0)
+    svg = emit_svg(t, [("y", np.array([0.0, 1.0, np.nan, 0.5, np.inf]))])
+    marks = [ln for ln in svg.splitlines() if ln.startswith(("<polyline", "<circle"))]
+    assert marks == [
+        '<polyline points="70.000,412.273 212.500,57.727" fill="none" stroke="#1f77b4" '
+        'stroke-width="1.5"/>',
+        '<circle cx="497.500" cy="235.000" r="1.5" fill="#1f77b4"/>',
+    ]
+
+
 def test_svg_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         emit_svg(np.array([]), [("x", np.array([]))])
@@ -480,6 +491,51 @@ def test_cli_exit_code_config_error(tmp_path):
     r = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path))
     assert r.returncode == 2
     assert "params.g11" in r.stderr
+
+
+def _custom_tensor_config():
+    return base_config(
+        model="custom-tensor",
+        params={
+            "omega0": 1.0,
+            "eps": 0.1,
+            "tensor": {"frequencies": [1.0], "gamma": [[[0.01, 0.0], [0.0, 0.02]]]},
+        },
+        outputs=["population"],
+    )
+
+
+def _set(cfg, path, value):
+    keys = path.replace("[", ".").replace("]", "").split(".")
+    node = cfg
+    for key in keys[:-1]:
+        node = node[int(key) if key.isdigit() else key]
+    last = keys[-1]
+    node[int(last) if last.isdigit() else last] = value
+
+
+NON_FINITE = [
+    ("params.g11", float("nan")),
+    ("params.eps", [0.1, float("nan")]),
+    ("grid.t_end", float("inf")),
+    ("sweep.values[1]", float("-inf")),
+    ("params.tensor.frequencies[0]", float("nan")),
+    ("params.tensor.gamma[0][0][1]", float("nan")),
+]
+
+
+@pytest.mark.parametrize("path, value", NON_FINITE, ids=[path for path, _ in NON_FINITE])
+def test_cli_rejects_non_finite_numbers(path, value, tmp_path, capsys):
+    cfg = _custom_tensor_config() if path.startswith("params.tensor") else base_config()
+    if path.startswith("sweep"):
+        cfg["sweep"] = {"param": "g12", "values": [0.0, 0.005]}
+    _set(cfg, path, value)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))  # json writes NaN / Infinity
+    command = "sweep" if path.startswith("sweep") else "simulate"
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "must be a finite number" in err
 
 
 def test_cli_exit_code_io_error(tmp_path):

@@ -8,7 +8,9 @@ from cobath.core import (
     HilbertSpace,
     KetState,
     Operator,
+    StateError,
     basis_ket,
+    check_states,
     identity,
     make_atom_ops,
     make_cavity_ops,
@@ -110,7 +112,65 @@ def test_density_matrix_validation(rng):
         DensityMatrix(sp, np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValueError):
         DensityMatrix(sp, np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(sp, np.diag([np.nan, np.nan]))
     DensityMatrix(sp, np.diag([0.25, 0.25]), trace_target=None)  # conditional block
+
+
+def _break_state(kind, rho, rng):
+    """A copy of a valid state broken in one way."""
+    m = rho.copy()
+    if kind == "not Hermitian":
+        m[0, 1] += 1e-6
+    elif kind == "differs from declared trace":
+        m *= 1.01
+    elif kind == "imaginary part":
+        # Hermiticity defect 0.8e-9 passes the 1e-9 tolerance, the trace's 1.6e-9 does not
+        m[np.diag_indices(4)] += 0.4e-9j
+    elif kind == "negative eigenvalue":
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        m = u @ np.diag([0.7, 0.4, -0.1, 0.0]) @ u.conj().T
+    else:
+        m[1, 2] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["not Hermitian", "differs from declared trace", "imaginary part", "negative eigenvalue",
+     "non-finite"],
+)
+def test_check_states_reports_first_broken_state(kind, rng):
+    sp = HilbertSpace((4,))
+    stack = np.array([random_density(rng, 4) for _ in range(9)])
+    np.testing.assert_array_equal(check_states(stack), (stack + stack.conj().swapaxes(1, 2)) / 2)
+    for k in (0, 4, 8):
+        bad = stack.copy()
+        bad[k] = _break_state(kind, stack[k], rng)
+        with pytest.raises(StateError, match=kind) as err:
+            check_states(bad)
+        assert err.value.index == k
+        with pytest.raises(StateError, match=kind) as err:
+            DensityMatrix.stack(sp, bad)
+        assert err.value.index == k
+        with pytest.raises(ValueError, match=kind):
+            DensityMatrix(sp, bad[k])
+
+
+def test_state_stack_is_read_only_views_of_hermitian_parts(rng):
+    sp = HilbertSpace((3,))
+    stack = np.array([random_density(rng, 3) for _ in range(4)])
+    stack[:, 0, 1] += 1e-12j  # within tolerance of Hermitian
+    states = DensityMatrix.stack(sp, stack, tolerance=1e-7, trace_target=None)
+    np.testing.assert_array_equal(
+        [s.matrix for s in states], (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    )
+    base = states[0].matrix.base
+    assert base is not None and all(s.matrix.base is base for s in states)
+    assert not base.flags.writeable and not np.shares_memory(base, stack)
+    assert all(s.tolerance == 1e-7 and s.trace_target is None and s.space == sp for s in states)
+    with pytest.raises(ValueError, match="space dim"):
+        DensityMatrix.stack(HilbertSpace((2,)), stack)
 
 
 def test_ket_norm_bound():

@@ -370,6 +370,24 @@ def test_integrate_reports_failure_time():
     assert err.value.t in (40.0, 80.0)
 
 
+def test_integrate_reports_exact_first_failing_time():
+    # two short stable RK4 steps, then one step far beyond the stable size
+    me, space = cavity_only_me(omega0=5.0, gamma=0.5)
+    rho0 = DensityMatrix(space, np.diag([0.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(IntegrationError) as err:
+        integrate(me, rho0, np.array([0.0, 0.1, 0.2, 40.0, 80.0]), max_step=40.0)
+    assert err.value.t == 40.0
+
+
+def test_integrate_reports_non_finite_state_at_its_time():
+    # one RK4 step of size 1e80 / gamma overflows to inf and NaN
+    me, space = cavity_only_me(omega0=1.0, gamma=1e80)
+    rho0 = DensityMatrix(space, np.diag([0.0, 1.0, 0.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+        integrate(me, rho0, np.array([0.0, 1e-82, 1.0]), max_step=1.0)
+    assert err.value.t == 1.0
+
+
 def test_integrate_rejects_finite_temperature_mode():
     me, space = cavity_only_me()
     me_ft = MasterEquation(me.H_S, me.couplings, me.tensor, temperature_mode="validated-finite")

@@ -7,7 +7,13 @@ from scipy.linalg import expm
 from cobath.core import DensityMatrix, HilbertSpace, KetState, Operator, basis_ket, make_atom_ops, make_cavity_ops
 from cobath.eigenops import EigenOperator
 from cobath.jc import JCParams, build_jc, excitation_number, jc_initial, jc_space
-from cobath.master_equation import MasterEquation, SpectralTensor, integrate
+from cobath.master_equation import (
+    IntegrationError,
+    MasterEquation,
+    SpectralTensor,
+    check_propagated,
+    integrate,
+)
 from cobath.trajectories import (
     effective_generator,
     jump_feed,
@@ -172,6 +178,31 @@ def test_hierarchy_blocks_stay_psd():
         for k in range(len(t)):
             m = (block[k] + block[k].conj().T) / 2
             assert np.linalg.eigvalsh(m)[0] > -1e-7
+
+
+def test_hierarchy_check_reports_first_time_then_first_block():
+    me, space, number = cavity_only_me(n_max=2)
+    rho0 = basis_ket(space, (2,)).projector()
+    t = np.linspace(0.0, 20.0, 8)
+    h = solve_hierarchy(me, rho0, t, number)
+    series = np.stack(h.blocks, axis=1)
+    assert len(check_propagated(series, t, space, 1.0, None)) == len(t) * 3
+    bad = series.copy()
+    bad[3, 1] += np.diag([-1e-3, 1e-3, 0.0])  # block 1: negative eigenvalue, trace kept
+    bad[3, 2, 0, 1] += 1e-6  # block 2 at the same time: not Hermitian
+    bad[5, 0, 0, 0] = np.nan  # block 0 later: non-finite
+    with pytest.raises(IntegrationError, match="block 1") as err:
+        check_propagated(bad, t, space, 1.0, None)
+    assert err.value.t == t[3]
+    bad[2, 2, 1, 0] += 1e-6  # an earlier time wins over any block
+    with pytest.raises(IntegrationError, match="block 2") as err:
+        check_propagated(bad, t, space, 1.0, None)
+    assert err.value.t == t[2]
+    bad[2, 1] += np.diag([-1e-3, 1e-3, 0.0])
+    bad[2, 2, 2, 2] += 0.1  # the trace of that time is checked before any of its blocks
+    with pytest.raises(IntegrationError, match="trace drift") as err:
+        check_propagated(bad, t, space, 1.0, None)
+    assert err.value.t == t[2]
 
 
 def test_first_shell_matches_nested_quadrature():
