@@ -423,6 +423,23 @@ def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndar
     return y
 
 
+def time_grid(t_grid) -> np.ndarray:
+    """The grid as a float array; it must be 1-D, non-empty, strictly increasing."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    return t
+
+
+def grid_resolution(t: np.ndarray) -> float:
+    """Float resolution of the grid times: 64 ulp of the largest |t|.
+
+    Spacings equal to within it share one cached propagator
+    (np.linspace spacings differ in the last bits).
+    """
+    return 64 * np.finfo(float).eps * float(np.max(np.abs(t)))
+
+
 def propagate_linear(
     me: MasterEquation,
     y0: np.ndarray,
@@ -443,9 +460,7 @@ def propagate_linear(
     """
     if max_step is None and y0.size <= EXACT_SIZE_LIMIT:
         L = generator()
-        # spacings equal to within the float resolution of the grid times
-        # share one propagator (np.linspace spacings differ in the last bits)
-        resolution = 64 * np.finfo(float).eps * float(np.max(np.abs(t)))
+        resolution = grid_resolution(t)
         cache: dict[int, np.ndarray] = {}
         y = y0.reshape(-1)
         for dt in np.diff(t):
@@ -524,9 +539,7 @@ def integrate(
         raise ValueError("tensor contains non-positive frequencies; filter it first")
     if rho0.space != me.space:
         raise ValueError("initial state lives on the wrong space")
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    t = time_grid(t_grid)
 
     steps = propagate_linear(
         me, np.array(rho0.matrix), t, max_step, lambda: liouvillian_matrix(me), me.rhs

@@ -115,11 +115,10 @@ def observable_columns(
 
 
 def write_csv(path: Path, t: np.ndarray, cols: list[tuple[str, np.ndarray]]):
+    # one conversion per column: Python floats, so integer columns print as 1.0
+    values = [np.asarray(c, dtype=float).tolist() for c in (t, *(col for _, col in cols))]
     lines = ["t," + ",".join(name for name, _ in cols)]
-    for k in range(len(t)):
-        row = [repr(float(t[k]))]
-        row.extend(repr(float(col[k])) for _, col in cols)
-        lines.append(",".join(row))
+    lines.extend(",".join(map(repr, row)) for row in zip(*values, strict=True))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -30,12 +30,13 @@ from scipy.linalg import expm
 from .core import DensityMatrix, HilbertSpace, KetState, Operator
 from .master_equation import (
     FREQ_MATCH_TOL,
-    IntegrationError,
     MasterEquation,
     check_propagated,
+    grid_resolution,
     jump_operators,
     jump_superoperator,
     propagate_linear,
+    time_grid,
 )
 
 __all__ = [
@@ -211,9 +212,7 @@ def solve_hierarchy(
     if float(np.max(np.abs(block0 - rho0.matrix))) > SECTOR_TOL:
         raise ValueError("initial state has coherence between excitation sectors")
 
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    t = time_grid(t_grid)
 
     gen = effective_generator(me)
     b_mat = gen.B.matrix
@@ -258,13 +257,16 @@ class McwfResult:
     """Ensemble-averaged states plus per-trajectory jump records.
 
     ``averages[c]`` is the running ensemble average over the first
-    ``counts[c]`` trajectories (the last entry is the full ensemble), and
-    ``jump_records[j]`` lists the (time, channel) events of trajectory j.
+    ``counts[c]`` trajectories (the last entry is the full ensemble),
+    ``stderr[k]`` is the entrywise standard error of the full-ensemble mean
+    at t_k, sqrt((E|x|^2 - |E x|^2) / (n - 1)) (NaN for one trajectory),
+    and ``jump_records[j]`` lists the (time, channel) events of trajectory j.
     """
 
     grid: np.ndarray
     counts: tuple[int, ...]
     averages: tuple[np.ndarray, ...]  # averages[c][k] = mean state at t_k
+    stderr: np.ndarray
     jump_records: tuple[tuple[tuple[float, int], ...], ...]
 
     def states(self, space) -> list[DensityMatrix]:
@@ -272,12 +274,15 @@ class McwfResult:
         return DensityMatrix.stack(space, self.averages[-1], 1e-7)
 
 
-def _mcwf_dt(jump_ops: list[np.ndarray], max_jump_prob: float) -> float:
-    # the no-jump propagator is an exact exponential, so only the jump
-    # channel constrains the step: worst-case per-step jump probability
-    # ~ dt * sum_k ||L_k||^2 (spectral norms)
-    gamma_tot = sum(float(np.linalg.norm(L, ord=2)) ** 2 for L in jump_ops)
-    return max_jump_prob / gamma_tot if gamma_tot > 0 else math.inf
+def _rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # one vector-matrix product per row: a row's bits must not depend on
+    # which rows share the batch, as they would under one gemm
+    return np.matmul(x[:, None, :], m)[:, 0]
+
+
+def _norm2(x: np.ndarray) -> np.ndarray:
+    xf = x.view(float)  # |x|^2 as one real dot product per row
+    return np.matmul(xf[:, None, :], xf[:, :, None])[:, 0, 0]
 
 
 def mcwf_unravel(
@@ -286,107 +291,101 @@ def mcwf_unravel(
     t_grid: np.ndarray,
     n_traj: int,
     seed: int,
-    max_jump_prob: float = 0.01,
     snapshot_counts: tuple[int, ...] = (),
     chunk_size: int = 1000,
 ) -> McwfResult:
-    """First-order jump/no-jump unraveling of the diagonalized dissipator.
+    """Waiting-time (integrated-norm) unraveling of the diagonalized dissipator.
 
-    Between jumps every trajectory evolves under exp(-iB dt) with
-    norm-loss-based jump probability; on a jump, channel k is selected
-    with probability proportional to ||L_k psi||^2.  Trajectory j draws
-    from an RNG stream seeded by (seed, j) and the ensemble average is a
-    deterministic ordered sum, so results do not depend on scheduling.
-    The ensemble average converges to the direct integration at the usual
-    1/sqrt(n_traj) statistical rate.
+    Between jumps a trajectory carries the unnormalized no-jump state phi,
+    whose norm^2 is its survival probability since the last jump; it jumps
+    when norm^2 falls below a threshold r uniform in [0, 1) (Dalibard,
+    Castin & Molmer 1992; Plenio & Knight 1998).  A grid interval D is one
+    cached exp(-iBD); a trajectory that crosses r in it finds the jump time
+    by binary lifting on the cached ladder exp(-iBD 2^-j), j = 1..J, with
+    D 2^-J at most the grid-time resolution (``grid_resolution``): it jumps
+    at the last ladder point with norm^2 >= r, less than D 2^-J before the
+    exact crossing.  Channel k is picked with weight ||L_k phi||^2, phi
+    becomes L_k phi / ||L_k phi||, a new r is drawn and the lifting goes on
+    to the end of the interval.  Trajectory j draws from the stream seeded
+    by (seed, j): first r, then per jump the channel draw and the next r.
+    Products are row by row and the ensemble average is an ordered sum, so
+    results do not depend on ``chunk_size`` or scheduling.
     """
-    if isinstance(psi0, KetState):
-        if abs(psi0.norm() - 1.0) > 1e-9:
-            raise ValueError("initial ket must be normalized")
-        v0 = np.array(psi0.amplitudes)
-    else:
-        v0 = np.asarray(psi0, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v0) - 1.0) > 1e-9:
-            raise ValueError("initial ket must be normalized")
+    v0 = np.array(psi0.amplitudes if isinstance(psi0, KetState) else psi0, dtype=complex).ravel()
+    if abs(np.linalg.norm(v0) - 1.0) > 1e-9:
+        raise ValueError("initial ket must be normalized")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
 
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-
-    L_ops = [op.matrix for op in jump_operators(me)]
-    gen = effective_generator(me)
-    dt_max = _mcwf_dt(L_ops, max_jump_prob)
-
-    # each grid interval is subdivided to respect dt_max; the no-jump
-    # propagator is cached per distinct substep size (one entry on a
-    # uniform grid)
-    spans = np.diff(t)
-    n_sub_per = np.maximum(1, np.ceil(spans / dt_max).astype(int)) if len(spans) else np.array([], int)
-    prop_cache: dict[float, np.ndarray] = {}
-
-    def propagator(dt: float) -> np.ndarray:
-        key = round(dt, 15)
-        if key not in prop_cache:
-            prop_cache[key] = expm(-1j * gen.B.matrix * dt)
-        return prop_cache[key]
+    t = time_grid(t_grid)
+    jumps_T = [op.matrix.T for op in jump_operators(me)]
+    b = effective_generator(me).B.matrix
+    resolution = grid_resolution(t)
+    ladders: dict[int, list[np.ndarray]] = {}  # exp(-iB dt 2^-j)^T, j = 0..J
 
     counts = tuple(sorted(set(int(c) for c in snapshot_counts if 0 < int(c) < n_traj))) + (n_traj,)
     # chunk boundaries adapt to the requested snapshot counts so running
     # means can be captured exactly there
     boundaries = sorted(set(range(0, n_traj, chunk_size)) | set(counts) | {n_traj})
-    dim = v0.size
-    n_t = len(t)
-    sums = np.zeros((n_t, dim, dim), dtype=complex)
+    sums = np.zeros((len(t), v0.size, v0.size), dtype=complex)
+    squares = np.zeros(sums.shape)
     snapshots: list[np.ndarray] = []
     records: list[tuple[tuple[float, int], ...]] = []
 
+    def accumulate(k: int, phi: np.ndarray):
+        psi = phi / np.sqrt(_norm2(phi))[:, None]
+        p = psi.real**2 + psi.imag**2
+        sums[k] += psi.T @ psi.conj()
+        squares[k] += p.T @ p
+
     for start, stop in zip(boundaries, boundaries[1:]):
         m = stop - start
-        # persistent per-trajectory RNG streams: two uniforms per substep
-        # (jump decision, channel selection), drawn interval by interval
         streams = [np.random.default_rng([seed, start + j]) for j in range(m)]
-
-        psi = np.tile(v0, (m, 1))
+        r = np.array([s.random() for s in streams])
+        phi = np.tile(v0, (m, 1))
         chunk_records: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-        sums[0] += np.einsum("ti,tj->tij", psi, psi.conj()).sum(axis=0)
-        for k in range(1, n_t):
-            n_sub = int(n_sub_per[k - 1])
-            dt = float(spans[k - 1]) / n_sub
-            E = propagator(dt)
-            u = np.stack([s.random((2, n_sub)) for s in streams])  # (m, 2, n_sub)
-            for s in range(n_sub):
-                t_now = t[k - 1] + (s + 1) * dt
-                evolved = psi @ E.T
-                surv = np.einsum("ti,ti->t", evolved.conj(), evolved).real
-                p_jump = 1.0 - surv
-                if np.any(p_jump > 0.1):
-                    raise IntegrationError(
-                        f"per-step jump probability {p_jump.max():.3f} exceeds 0.1; "
-                        "reduce the step size",
-                        t_now,
-                    )
-                jumping = u[:, 0, s] < p_jump
-                if L_ops and np.any(jumping):
-                    idx = np.nonzero(jumping)[0]
-                    targets = np.stack([psi[idx] @ L.T for L in L_ops], axis=1)
-                    weights = np.einsum("tki,tki->tk", targets.conj(), targets).real
-                    cdf = np.cumsum(weights, axis=1)
-                    tot = cdf[:, -1]
-                    pick = (u[idx, 1, s][:, None] * tot[:, None] > cdf).sum(axis=1)
-                    pick = np.minimum(pick, len(L_ops) - 1)
-                    for row, (jt, ch) in enumerate(zip(idx, pick)):
-                        if tot[row] <= 0.0:
-                            continue  # roundoff-level trigger with no jump weight
-                        chunk_records[jt].append((t_now, int(ch)))
-                        evolved[jt] = targets[row, ch]
-                norms = np.linalg.norm(evolved, axis=1)
-                psi = evolved / norms[:, None]
-            sums[k] += np.einsum("ti,tj->tij", psi, psi.conj()).sum(axis=0)
+        accumulate(0, phi)
+        for k in range(1, len(t)):
+            dt = t[k] - t[k - 1]
+            key = round(dt / resolution)  # spacings within the resolution share a ladder
+            if key not in ladders:
+                levels = max(0, math.ceil(math.log2(dt / resolution)))
+                ladders[key] = [expm(-1j * b * (dt / 2**j)).T for j in range(levels + 1)]
+            steps = ladders[key]
+            full = 1 << (len(steps) - 1)
+            cand = _rowwise(phi, steps[0])
+            keep = _norm2(cand) >= r
+            phi[keep] = cand[keep]
+            # rows that cross r lift as a compact set: state x at pos (units of dt 2^-J)
+            active = np.flatnonzero(~keep)
+            x, pos = phi[active], np.zeros(active.size, dtype=np.int64)
+            while active.size:
+                for j, E in enumerate(steps):
+                    cand = _rowwise(x, E)
+                    keep = (pos + (full >> j) <= full) & (_norm2(cand) >= r[active])
+                    x[keep] = cand[keep]
+                    pos[keep] += full >> j
+                done = pos == full
+                phi[active[done]] = x[done]
+                active, x, pos = active[~done], x[~done], pos[~done]
+                targets = [_rowwise(x, L) for L in jumps_T]
+                cdf = np.cumsum([_norm2(y) for y in targets] or [np.zeros(active.size)], axis=0)
+                u = [streams[j].random() for j in active]
+                r[active] = [streams[j].random() for j in active]
+                for row, j in enumerate(active):
+                    y = x[row : row + 1]  # no jump weight: a roundoff-level crossing
+                    if cdf[-1, row] > 0.0:
+                        ch = min(int(np.sum(u[row] * cdf[-1, row] > cdf[:, row])), len(targets) - 1)
+                        chunk_records[j].append((float(t[k - 1] + pos[row] * (dt / full)), ch))
+                        y = targets[ch][row : row + 1]
+                    x[row] = y[0] / math.sqrt(_norm2(y)[0])
+            accumulate(k, phi)
 
-        records.extend(tuple(r) for r in chunk_records)
+        records.extend(tuple(rec) for rec in chunk_records)
         if stop in counts:
             snapshots.append(sums / stop)
 
-    return McwfResult(t, counts, tuple(snapshots), tuple(records))
+    mean = snapshots[-1]
+    var = np.maximum(squares / n_traj - (mean.real**2 + mean.imag**2), 0.0)
+    stderr = np.sqrt(var / (n_traj - 1)) if n_traj > 1 else np.full(var.shape, np.nan)
+    return McwfResult(t, counts, tuple(snapshots), stderr, tuple(records))

@@ -348,6 +348,32 @@ def test_observable_columns_match_state_by_state(n_exc, engine, initial, outputs
     assert 0 < nan_rows < len(states)
 
 
+def test_write_csv_matches_per_cell_repr(tmp_path):
+    from cobath.runner import write_csv
+
+    def per_cell(path, t, cols):
+        # the reference layout: repr(float(.)) of every cell, row by row
+        lines = ["t," + ",".join(name for name, _ in cols)]
+        for k in range(len(t)):
+            lines.append(",".join([repr(float(t[k]))] + [repr(float(c[k])) for _, c in cols]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    t = np.linspace(0.0, 1.0, 8)
+    cols = [
+        ("special", np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e308])),
+        ("integer", np.arange(-3, 5)),
+        ("mixed", np.array([0.1, 1 / 3, -1e-17, 123456789.0, np.nan, 2.5, -np.inf, 7.0])),
+    ]
+    write_csv(tmp_path / "new.csv", t, cols)
+    per_cell(tmp_path / "ref.csv", t, cols)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    rows = (tmp_path / "new.csv").read_text().splitlines()
+    assert rows[2] == "0.14285714285714285,inf,-2.0,0.3333333333333333"
+    assert [r.split(",")[1] for r in rows[4:7]] == ["-0.0", "0.0", "5e-324"]
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "short.csv", t, [("short", np.zeros(3))])
+
+
 def test_csv_roundtrip_full_precision(tmp_path):
     cfg = parse_config(json.dumps(base_config()))
     from cobath.runner import observable_columns, simulate_config, write_csv

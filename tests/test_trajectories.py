@@ -6,7 +6,15 @@ from scipy.linalg import expm
 
 from cobath.core import DensityMatrix, HilbertSpace, KetState, Operator, basis_ket, make_atom_ops, make_cavity_ops
 from cobath.eigenops import EigenOperator
-from cobath.jc import JCParams, build_jc, excitation_number, jc_initial, jc_space
+from cobath.jc import (
+    JCParams,
+    build_jc,
+    excitation_number,
+    excited_population,
+    jc_initial,
+    jc_initial_ket,
+    jc_space,
+)
 from cobath.master_equation import (
     IntegrationError,
     MasterEquation,
@@ -361,3 +369,74 @@ def test_mcwf_is_seed_deterministic():
     c = mcwf_unravel(me, psi0, t, n_traj=40, seed=9, chunk_size=7)
     np.testing.assert_allclose(c.averages[-1], a.averages[-1], atol=1e-13)
     assert c.jump_records == a.jump_records
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+def test_mcwf_jump_times_match_threshold_oracle(n0):
+    # |n> decays at rate n gamma, so with the documented draw order
+    # (r_1, then per jump the channel draw and the next threshold) the jumps
+    # of trajectory j fall at t_1 = -ln(r_1) / (n0 gamma) and, from |1>,
+    # t_2 = t_1 - ln(r_3) / gamma
+    gamma, seed, t_end = 0.08, 31, 100.0
+    me, space, _ = cavity_only_me(gamma=gamma, n_max=2)
+    psi0 = basis_ket(space, (n0,))
+    res = mcwf_unravel(me, psi0, np.linspace(0.0, t_end, 11), n_traj=200, seed=seed)
+    n_checked = 0
+    for j, rec in enumerate(res.jump_records):
+        draws = np.random.default_rng([seed, j]).random(3)
+        expected = [-math.log(draws[0]) / (n0 * gamma)]
+        if n0 == 2:
+            expected.append(expected[0] - math.log(draws[2]) / gamma)
+        expected = [x for x in expected if x < t_end]
+        assert len(rec) == len(expected)
+        for (tj, ch), x in zip(rec, expected):
+            assert ch == 0
+            assert tj == pytest.approx(x, rel=1e-9)
+            n_checked += 1
+    assert n_checked > 150 * n0
+
+
+def test_mcwf_several_jumps_per_interval_match_integration():
+    # the excited population stays above 0.02, so 400 trajectories sample it
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01, k_mirror=0.1, n_exc=2)
+    me, space = build_jc(p), jc_space(p)
+    grid = np.linspace(0.0, 60.0, 7)
+    res = mcwf_unravel(me, jc_initial_ket(p, "atom"), grid, n_traj=400, seed=8)
+    interval = [np.searchsorted(grid, [tj for tj, _ in rec], side="right") for rec in res.jump_records]
+    assert sum(np.any(np.diff(k) == 0) for k in interval) >= 10  # two jumps inside one interval
+    assert {ch for rec in res.jump_records for _, ch in rec} == {0, 1}
+    direct = np.array([s.matrix for s in integrate(me, jc_initial(p), grid)])
+    dev = np.abs(excited_population(res.averages[-1], space) - excited_population(direct, space))
+    # the summed entry errors bound the error of the population (a sum of entries)
+    bound = excited_population(res.stderr, space)
+    assert np.all(dev <= 5 * bound + 1e-12)
+    assert np.all(bound[1:] > 0)
+
+
+def test_mcwf_stderr_matches_per_trajectory_stack():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.02, g22=0.01, g12=0.01, k_mirror=0.02)
+    me, space = build_jc(p), jc_space(p)
+    n = 12
+    res = mcwf_unravel(me, jc_initial_ket(p), np.linspace(0.0, 100.0, 11), n_traj=n, seed=4,
+                       snapshot_counts=tuple(range(1, n)))
+    # running means over 1..n trajectories give back each trajectory's state
+    sums = np.array([c * avg for c, avg in zip(res.counts, res.averages)])
+    stack = np.diff(sums, axis=0, prepend=0.0)
+    np.testing.assert_allclose(stack.mean(axis=0), res.averages[-1], atol=1e-14)
+    oracle = np.std(stack, axis=0, ddof=1) / math.sqrt(n)
+    assert np.max(oracle) > 0.05
+    np.testing.assert_allclose(res.stderr, oracle, rtol=1e-6, atol=1e-7)
+    one = mcwf_unravel(me, jc_initial_ket(p), np.linspace(0.0, 100.0, 11), n_traj=1, seed=4)
+    assert np.all(np.isnan(one.stderr))
+
+
+def test_mcwf_one_trajectory_chunks_match_default():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.03, n_exc=2)
+    me, space = build_jc(p), jc_space(p)
+    t = np.linspace(0.0, 150.0, 16)
+    a = mcwf_unravel(me, jc_initial_ket(p, "photon"), t, n_traj=60, seed=21)
+    b = mcwf_unravel(me, jc_initial_ket(p, "photon"), t, n_traj=60, seed=21, chunk_size=1)
+    assert sum(len(r) for r in a.jump_records) > 60
+    assert b.jump_records == a.jump_records
+    np.testing.assert_allclose(b.averages[-1], a.averages[-1], atol=1e-13)
+    np.testing.assert_allclose(b.stderr**2, a.stderr**2, atol=1e-14)
