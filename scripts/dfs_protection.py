@@ -18,11 +18,11 @@ from cobath import (
     JCParams,
     asymptotic_state,
     build_jc,
+    conditional_state,
     excited_population,
     integrate,
     jc_initial,
     jc_space,
-    sector_entries,
     two_qubit_projection,
     wootters_concurrence,
 )
@@ -38,11 +38,7 @@ def run_point(p: JCParams, grid: np.ndarray):
     rho = np.array([s.matrix for s in integrate(me, jc_initial(p), grid)])
     pop = excited_population(rho, space)
     env = wootters_concurrence(two_qubit_projection(rho, space))
-    r11, r12, r22 = sector_entries(rho, space, 1)
-    w = r11 + r22
-    cond = np.full(len(grid), np.nan)
-    seen = w > 1e-12
-    cond[seen] = 2 * np.hypot(r12[seen].real, r12[seen].imag) / w[seen]
+    cond = conditional_state(rho, space, 1).concurrence
     return pop, env, cond
 
 

@@ -52,8 +52,7 @@ from .jc import (
     build_jc,
     closed_form_block,
     closed_form_states,
-    conditional_concurrence,
-    conditional_concurrence_series,
+    conditional_state,
     dark_state,
     excitation_number,
     excited_population,

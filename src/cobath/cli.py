@@ -108,9 +108,11 @@ def _cmd_plot(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dst = out_dir / f"{src.stem}.svg"
-    dst.write_text(
-        emit_svg(t, curves, title=src.stem, xlabel="t"), encoding="utf-8", newline="\n"
-    )
+    try:
+        svg = emit_svg(t, curves, title=src.stem, xlabel="t")
+    except ValueError as exc:  # every input comes from the file
+        raise ConfigError(f"{src}: {exc}") from exc
+    dst.write_text(svg, encoding="utf-8", newline="\n")
     print(dst)
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,9 @@ __all__ = [
     "wootters_concurrence",
     "block_concurrence_exact",
     "block_concurrence_variant",
-    "conditional_concurrence",
-    "conditional_concurrence_series",
+    "CONDITIONAL_FLOOR",
+    "ConditionalState",
+    "conditional_state",
     "two_qubit_projection",
     "sector_entries",
     "excited_population",
@@ -69,6 +71,8 @@ __all__ = [
 ]
 
 PSD_SLACK = 1e-12
+# no-emission weight at or below which the conditional state is undefined
+CONDITIONAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -276,12 +280,6 @@ class BlockSolution:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t!r} is not on the solution grid")
-        return k
-
     def survival(self) -> np.ndarray:
         """Probability that no quantum has been lost: rho11 + rho22."""
         return self.rho11.real + self.rho22.real
@@ -445,7 +443,7 @@ def block_concurrence_exact(r11: float, r12: complex, r22: float) -> float:
     cross-check of the eigenvalue route.
     """
     tr = r11 + r22
-    if tr <= 1e-12:
+    if tr <= CONDITIONAL_FLOOR:
         raise ValueError("conditional block has vanishing weight")
     return float(2.0 * abs(r12) / tr)
 
@@ -459,7 +457,7 @@ def block_concurrence_variant(r11: float, r12: complex, r22: float) -> float:
     use :func:`wootters_concurrence` / :func:`block_concurrence_exact`.
     """
     tr = r11 + r22
-    if tr <= 1e-12:
+    if tr <= CONDITIONAL_FLOOR:
         raise ValueError("conditional block has vanishing weight")
     core = 2.0 * (r11 * r22 + abs(r12) ** 2)
     cross = 4.0 * r22 * abs(r12)
@@ -470,7 +468,7 @@ def block_concurrence_variant(r11: float, r12: complex, r22: float) -> float:
 
 def _conditional_two_qubit(r11: float, r12: complex, r22: float) -> np.ndarray:
     tr = r11 + r22
-    if tr <= 1e-12:
+    if tr <= CONDITIONAL_FLOOR:
         raise ValueError("conditional block has vanishing weight")
     rho = np.zeros((4, 4), dtype=complex)
     # basis of two_qubit_projection, |+,0>, |+,1>, |-,0>, |-,1>: the
@@ -480,23 +478,6 @@ def _conditional_two_qubit(r11: float, r12: complex, r22: float) -> np.ndarray:
     rho[3, 0] = np.conj(r12) / tr
     rho[3, 3] = r22 / tr
     return rho
-
-
-def _conditional_at(block: BlockSolution, k: int) -> float:
-    return wootters_concurrence(
-        _conditional_two_qubit(
-            float(block.rho11[k].real), complex(block.rho12[k]), float(block.rho22[k].real)
-        )
-    )
-
-
-def conditional_concurrence(block: BlockSolution, t: float) -> float:
-    """No-emission conditional concurrence at a grid time (spin-flip value)."""
-    return _conditional_at(block, block.index_of(t))
-
-
-def conditional_concurrence_series(block: BlockSolution) -> np.ndarray:
-    return np.array([_conditional_at(block, k) for k in range(len(block.grid))])
 
 
 def two_qubit_projection(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> np.ndarray:
@@ -524,6 +505,41 @@ def sector_entries(rho: DensityMatrix | np.ndarray, space: HilbertSpace, n: int)
     a, b = _sector_indices(space, n)
     m = _matrix(rho)
     return m[..., a, a].real, m[..., a, b], m[..., b, b].real
+
+
+class ConditionalState(NamedTuple):
+    """The no-emission state of one sector, see :func:`conditional_state`."""
+
+    weight: np.ndarray
+    p11: np.ndarray
+    re_p12: np.ndarray
+    im_p12: np.ndarray
+    p22: np.ndarray
+    concurrence: np.ndarray
+
+
+def conditional_state(
+    rho: DensityMatrix | np.ndarray, space: HilbertSpace, n: int
+) -> ConditionalState:
+    """State postselected on zero emissions, read from the sector-n block.
+
+    ``weight`` is the no-emission probability w = r11 + r22; the entries
+    of the normalized block and its concurrence 2 |r12| / w (the exact
+    value for a block on two kets) are NaN where w <= CONDITIONAL_FLOOR.
+    Arrays over the leading axes of a stack (..., d, d).
+    """
+    r11, r12, r22 = sector_entries(rho, space, n)
+    w = r11 + r22
+    keep = w > CONDITIONAL_FLOOR
+
+    def normalized(x: np.ndarray) -> np.ndarray:
+        out = np.full(w.shape, np.nan)
+        out[keep] = x[keep] / w[keep]
+        return out
+
+    return ConditionalState(
+        w, *map(normalized, (r11, r12.real, r12.imag, r22, 2.0 * np.hypot(r12.real, r12.imag)))
+    )
 
 
 def excited_population(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> float | np.ndarray:
@@ -614,7 +630,7 @@ def no_jump_postselect(h: TrajectoryHierarchy, t: float, space: HilbertSpace) ->
     """
     block = h.block_at(h.n_max_exc, t)
     tr = float(np.trace(block).real)
-    if tr <= 1e-12:
+    if tr <= CONDITIONAL_FLOOR:
         raise ValueError(f"no-jump probability vanished at t = {t!r}")
     m = (block + block.conj().T) / 2.0 / tr
     return DensityMatrix(space, m, tolerance=1e-7)

@@ -18,6 +18,7 @@ from .core import DensityMatrix
 from .jc import (
     build_jc,
     closed_form_states,
+    conditional_state,
     excitation_number,
     excited_population,
     ground_population,
@@ -41,8 +42,6 @@ __all__ = [
     "run_to_files",
     "sweep_to_files",
 ]
-
-CONDITIONAL_FLOOR = 1e-12
 
 
 def build_model(cfg: RunConfig) -> MasterEquation:
@@ -68,19 +67,6 @@ def simulate_config(cfg: RunConfig) -> list[DensityMatrix]:
     raise ConfigError(f"engine: unhandled engine {cfg.engine!r}")
 
 
-def _block_columns(prefix: str, r11, r12, r22) -> list[tuple[str, np.ndarray]]:
-    return [(prefix + "p11", r11), (prefix + "re_p12", r12.real),
-            (prefix + "im_p12", r12.imag), (prefix + "p22", r22)]
-
-
-def _conditional(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x / w where the no-emission weight w exceeds CONDITIONAL_FLOOR, else NaN."""
-    out = np.full(w.shape, np.nan)
-    keep = w > CONDITIONAL_FLOOR
-    out[keep] = x[keep] / w[keep]
-    return out
-
-
 def observable_columns(
     cfg: RunConfig, states: list[DensityMatrix]
 ) -> list[tuple[str, np.ndarray]]:
@@ -97,18 +83,19 @@ def observable_columns(
         elif name == "purity":
             cols.append(("purity", np.trace(rho @ rho, axis1=1, axis2=2).real))
         elif name == "concurrence":
-            r11, r12, r22 = sector_entries(rho, space, 1)
             envelope = wootters_concurrence(two_qubit_projection(rho, space))
-            conditional = _conditional(2.0 * np.hypot(r12.real, r12.imag), r11 + r22)
+            conditional = conditional_state(rho, space, 1).concurrence
             cols += [("concurrence", envelope), ("concurrence_conditional", conditional)]
         elif name == "blocks":
             cols.append(("block0_p00", ground_population(rho, space)))
             for i in range(1, p.n_exc + 1):
-                cols += _block_columns(f"block{i}_", *sector_entries(rho, space, i))
+                r11, r12, r22 = sector_entries(rho, space, i)
+                cols += [(f"block{i}_p11", r11), (f"block{i}_re_p12", r12.real),
+                         (f"block{i}_im_p12", r12.imag), (f"block{i}_p22", r22)]
         elif name == "conditional-state":
-            r11, r12, r22 = sector_entries(rho, space, p.n_exc)
-            w = r11 + r22
-            cols += [(c, _conditional(x, w)) for c, x in _block_columns("cond_", r11, r12, r22)]
+            c = conditional_state(rho, space, p.n_exc)
+            cols += [("cond_p11", c.p11), ("cond_re_p12", c.re_p12),
+                     ("cond_im_p12", c.im_p12), ("cond_p22", c.p22)]
         else:
             raise ConfigError(f"outputs: unhandled observable {name!r}")
     return cols
@@ -123,12 +110,26 @@ def write_csv(path: Path, t: np.ndarray, cols: list[tuple[str, np.ndarray]]):
 
 
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Parse an emitted CSV back into (header, columns-as-rows array)."""
+    """Parse an emitted CSV back into (header, columns-as-rows array).
+
+    An empty file, a row not as wide as the header or a cell that is not a
+    number raises ConfigError naming the file (and the line).
+    """
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return header, data
+    lines = [(k, ln) for k, ln in enumerate(text.split("\n"), start=1) if ln]
+    if not lines:
+        raise ConfigError(f"{path}: empty file")
+    header = lines[0][1].split(",")
+    rows = []
+    for k, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}, line {k}: {len(cells)} cells, header has {len(header)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {k}: {exc}") from exc
+    return header, np.array(rows)
 
 
 def _emit(

@@ -509,6 +509,27 @@ def test_cli_plot_subcommand(tmp_path):
     assert (tmp_path / "plots" / "p.svg").exists()
 
 
+MALFORMED_CSV = [
+    ("non_numeric_cell", "t,a\n0.0,1.0\n1.0,x\n", [], "line 3: could not convert"),
+    ("ragged_row", "t,a\n0.0,1.0\n1.0\n", [], "line 3: 1 cells, header has 2"),
+    ("no_column_named", "t,a\n0.0,1.0\n1.0,2.0\n", ["--columns", ","], "nothing to plot"),
+    ("empty_file", "", [], "empty file"),
+    ("no_finite_sample", "t,a\n0.0,nan\n1.0,nan\n", [], "no finite samples"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, flags, message", [case[1:] for case in MALFORMED_CSV], ids=[c[0] for c in MALFORMED_CSV]
+)
+def test_cli_plot_malformed_csv_is_config_error(text, flags, message, tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    assert main(["plot", str(src), "--out", str(tmp_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(src) in err and message in err
+    assert not (tmp_path / "in.svg").exists()
+
+
 def test_cli_exit_code_config_error(tmp_path):
     cfg_path = tmp_path / "bad.json"
     bad = base_config()

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobath.config import parse_config
 from cobath.core import basis_ket, make_atom_ops, make_cavity_ops, partial_trace
 from cobath.jc import (
+    CONDITIONAL_FLOOR,
     JCParams,
     asymptotic_state,
     block_concurrence_exact,
@@ -15,8 +18,7 @@ from cobath.jc import (
     build_jc,
     closed_form_block,
     closed_form_states,
-    conditional_concurrence,
-    conditional_concurrence_series,
+    conditional_state,
     dark_state,
     excitation_number,
     excited_population,
@@ -31,7 +33,9 @@ from cobath.jc import (
     two_qubit_projection,
     wootters_concurrence,
 )
+from cobath.jc import _sector_matrix
 from cobath.master_equation import SpectralTensor, build_dissipator, integrate
+from cobath.runner import read_csv, run_to_files
 from cobath.trajectories import effective_generator, propagate_deterministic
 from conftest import random_hermitian
 
@@ -331,28 +335,85 @@ def test_concurrence_bounds(r11, frac, mag, phase):
 
 
 def test_conditional_concurrence_series_matches_pointwise():
+    # the stack-wide series against the spin-flip route, one state at a time
+    from cobath.jc import _conditional_two_qubit
+
     p = JCParams(**DFS)
-    t = np.linspace(0.0, 100.0, 26)
-    blk = closed_form_block(p, 1, t)
-    series = conditional_concurrence_series(blk)
-    for k in (0, 7, 25):
-        assert series[k] == pytest.approx(conditional_concurrence(blk, t[k]), abs=1e-12)
+    space = jc_space(p)
+    stack = np.array([s.matrix for s in closed_form_states(p, np.linspace(0.0, 100.0, 26))])
+    series = conditional_state(stack, space, 1).concurrence
+    for k, rho in enumerate(stack):
+        spin_flip = wootters_concurrence(_conditional_two_qubit(*sector_entries(rho, space, 1)))
+        assert series[k] == pytest.approx(spin_flip, abs=1e-7)
     assert np.all(series >= -1e-12)
     assert np.all(series <= 1 + 1e-9)
 
 
 def test_variant_recorded_at_transient_point():
-    # the shipped value is the eigenvalue-oracle one; the variant's gap at
-    # this point is what the generated report documents
+    # the shipped value agrees with the spin-flip oracle; the variant's gap
+    # at this point is what the generated report documents
+    from cobath.jc import _conditional_two_qubit
+
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01)
-    blk = closed_form_block(p, 1, np.array([0.0, 5.0]))
-    shipped = conditional_concurrence(blk, 5.0)
-    exact = block_concurrence_exact(blk.rho11[1].real, complex(blk.rho12[1]), blk.rho22[1].real)
-    variant = block_concurrence_variant(
-        blk.rho11[1].real, complex(blk.rho12[1]), blk.rho22[1].real
-    )
-    assert shipped == pytest.approx(exact, abs=1e-7)
+    space = jc_space(p)
+    rho = closed_form_states(p, np.array([0.0, 5.0]))[1]
+    entries = sector_entries(rho, space, 1)
+    shipped = conditional_state(rho, space, 1).concurrence
+    spin_flip = wootters_concurrence(_conditional_two_qubit(*entries))
+    exact = block_concurrence_exact(*entries)
+    variant = block_concurrence_variant(*entries)
+    assert spin_flip == pytest.approx(exact, abs=1e-7)
+    assert shipped == pytest.approx(spin_flip, abs=1e-7)
+    assert abs(spin_flip - variant) > 1e-3
     assert abs(shipped - variant) > 1e-3
+
+
+def stationary_conditional_concurrence(p, n):
+    """Long-time no-emission concurrence of sector n, in closed form.
+
+    The normalized sector block tends to the projector on v, the right
+    eigenvector of the no-jump matrix whose eigenvalue has the largest
+    imaginary part (the slowest decay), so C = 2 |v1 v2*| / (|v1|^2 + |v2|^2).
+    None when both eigenvalues decay equally fast: then no stationary
+    conditional state exists.
+    """
+    evals, vecs = np.linalg.eig(_sector_matrix(p, n))
+    rates = evals.imag
+    if abs(rates[0] - rates[1]) <= 1e-9 * np.max(np.abs(rates)):
+        return None
+    v = vecs[:, np.argmax(rates)]
+    return 2.0 * abs(v[0] * np.conj(v[1])) / (abs(v[0]) ** 2 + abs(v[1]) ** 2)
+
+
+@pytest.mark.parametrize("g12, k_mirror", [(0.005, 0.0), (0.009, 0.01)])
+def test_conditional_state_tends_to_stationary_oracle(g12, k_mirror):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=g12, k_mirror=k_mirror)
+    rho = closed_form_states(p, np.array([0.0, 3000.0]))[1]
+    cond = conditional_state(rho, jc_space(p), 1)
+    assert cond.weight > CONDITIONAL_FLOOR
+    assert cond.concurrence == pytest.approx(stationary_conditional_concurrence(p, 1), abs=1e-11)
+
+
+def test_conditional_column_tends_to_stationary_oracle(tmp_path):
+    cfg = parse_config(json.dumps({
+        "model": "jc-mirror",
+        "params": {"omega0": 1.0, "eps": 0.1, "g11": 0.01, "g22": 0.01, "g12": 0.01,
+                   "k_mirror": 0.05},
+        "grid": {"t_end": 1000.0, "n_steps": 201},
+        "outputs": ["concurrence"],
+        "engine": "hierarchy",
+    }))
+    header, data = read_csv(run_to_files(cfg, tmp_path, "mirror", fmt="csv")[0])
+    late = data[data[:, 0] >= 900.0, header.index("concurrence_conditional")]
+    # finite: the no-emission weight is still above the floor at t_end
+    assert len(late) == 21 and np.all(np.isfinite(late))
+    # the transient that is left decays as exp(-0.0101 t): 1.2e-6 at t = 900
+    np.testing.assert_allclose(late, stationary_conditional_concurrence(cfg.params, 1), atol=2e-6)
+
+
+def test_stationary_oracle_undefined_for_degenerate_decay():
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.0)
+    assert stationary_conditional_concurrence(p, 1) is None
 
 
 def test_mixture_initial_evolves_by_linearity():

@@ -371,6 +371,21 @@ def test_mcwf_is_seed_deterministic():
     assert c.jump_records == a.jump_records
 
 
+@pytest.mark.parametrize("d", [6, 8, 16, 32, 66])
+def test_rowwise_product_bits_do_not_depend_on_the_batch(d):
+    # one gemm over the batch can give a row other bits than the same row
+    # alone; jump records would then depend on chunk_size
+    from cobath.trajectories import _rowwise
+
+    rng = np.random.default_rng(d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for rows in (2, 7, 100, 1000):
+        x = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+        batch = _rowwise(x, m)
+        for i in range(rows):
+            np.testing.assert_array_equal(batch[i], _rowwise(x[i : i + 1], m)[0])
+
+
 @pytest.mark.parametrize("n0", [1, 2])
 def test_mcwf_jump_times_match_threshold_oracle(n0):
     # |n> decays at rate n gamma, so with the documented draw order
