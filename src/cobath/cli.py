@@ -70,6 +70,8 @@ def _apply_overrides(cfg, args):
     if args.seed is not None:
         if cfg.mcwf is None:
             raise ConfigError("--seed: config has no mcwf section to override")
+        if args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
         cfg = dataclasses.replace(cfg, mcwf=McwfSpec(cfg.mcwf.n_traj, args.seed))
     return cfg
 

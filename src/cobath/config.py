@@ -168,6 +168,8 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
     _require_keys(obj, _PARAM_KEYS[model], _PARAM_REQUIRED[model], f"{path}.")
 
     omega0 = _real(obj["omega0"], f"{path}.omega0")
+    if omega0 <= 0:
+        raise ConfigError(f"{path}.omega0: must be > 0")
     eps = _complex(obj["eps"], f"{path}.eps")
     n_exc = _int(obj.get("n_exc", 1), f"{path}.n_exc")
     if n_exc < 0:
@@ -186,10 +188,10 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
         # the bare split puts every coupling component at +-omega0; a rate
         # anywhere else would act on no operator and silently vanish
         for i, w in enumerate(obj["tensor"]["frequencies"]):
-            if w > FREQ_MATCH_TOL and abs(w - abs(omega0)) > FREQ_MATCH_TOL:
+            if w > FREQ_MATCH_TOL and abs(w - omega0) > FREQ_MATCH_TOL:
                 raise ConfigError(
                     f"{path}.tensor.frequencies[{i}]: no coupling component at "
-                    f"frequency {w!r} (the channels act at omega0 = {abs(omega0)!r})"
+                    f"frequency {w!r} (the channels act at omega0 = {omega0!r})"
                 )
         g11 = g22 = 0.0
         g12 = 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertSpace, Operator, tensor_product, identity
+from .core import HilbertSpace, Operator, _freeze, identity, tensor_product
 
 __all__ = [
     "SpectralDecomposition",
@@ -32,20 +32,28 @@ BLOCK_DROP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered eigenvalues with their eigenspace projectors."""
+    """Clustered eigenvalues and the read-only eigenvector columns they came
+    from; cluster k spans the columns from ``starts[k]`` to the next start."""
 
     space: HilbertSpace
     eigenvalues: tuple[float, ...]
-    projectors: tuple[Operator, ...]
+    vectors: np.ndarray
+    starts: tuple[int, ...]
     degeneracy_tol: float
 
     def __post_init__(self):
-        if len(self.eigenvalues) != len(self.projectors):
-            raise ValueError("eigenvalue/projector count mismatch")
+        if len(self.eigenvalues) != len(self.starts):
+            raise ValueError("eigenvalue/cluster count mismatch")
         evs = sorted(self.eigenvalues)
         for i in range(len(evs) - 1):
             if evs[i + 1] - evs[i] <= self.degeneracy_tol:
                 raise ValueError("clustered eigenvalues are not separated beyond degeneracy_tol")
+
+    @property
+    def projectors(self) -> tuple[Operator, ...]:
+        """Eigenspace projector of each cluster, in eigenvalue order."""
+        runs = np.split(self.vectors, self.starts[1:], axis=1)
+        return tuple(Operator(self.space, v @ v.conj().T) for v in runs)
 
 
 @dataclass(frozen=True)
@@ -73,19 +81,10 @@ def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecom
         raise ValueError(f"Hamiltonian not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
     evals, vecs = np.linalg.eigh((H.matrix + H.matrix.conj().T) / 2.0)
     tol = _default_tol(evals) if degeneracy_tol is None else float(degeneracy_tol)
-
-    clustered: list[float] = []
-    projectors: list[Operator] = []
-    i = 0
-    while i < len(evals):
-        j = i + 1
-        while j < len(evals) and evals[j] - evals[j - 1] <= tol:
-            j += 1
-        group = vecs[:, i:j]
-        clustered.append(float(np.mean(evals[i:j])))
-        projectors.append(Operator(H.space, group @ group.conj().T))
-        i = j
-    return SpectralDecomposition(H.space, tuple(clustered), tuple(projectors), tol)
+    # eigh sorts ascending, so each cluster is a contiguous run of columns
+    starts = np.flatnonzero(np.diff(evals) > tol) + 1
+    clustered = tuple(float(np.mean(run)) for run in np.split(evals, starts))
+    return SpectralDecomposition(H.space, clustered, _freeze(vecs), (0, *starts.tolist()), tol)
 
 
 def eigenoperators(
@@ -96,38 +95,33 @@ def eigenoperators(
 ) -> list[EigenOperator]:
     """Split a coupling operator into its energy-lowering/raising components.
 
-    Returns one component per distinct frequency difference w = eps' - eps
-    with non-negligible block norm; frequencies within the decomposition's
-    tolerance are merged.  The components sum back to A.
+    One basis change, A~ = V^dag A V.  Each cluster pair (i, j) whose A~
+    block has an entry of modulus >= ``drop_tol`` sits at w = eps_j - eps_i
+    and joins the first frequency (row-major) within the decomposition's
+    tolerance.  A(w) = V (mask_w o A~) V^dag; components with Frobenius norm
+    below ``drop_tol`` are dropped.  Ascending in w; they sum back to A.
     """
     if A.space != decomp.space:
         raise ValueError("coupling operator and decomposition live on different spaces")
-    evs = decomp.eigenvalues
-    projs = [p.matrix for p in decomp.projectors]
+    V = decomp.vectors
+    a = V.conj().T @ A.matrix @ V
+    starts = np.asarray(decomp.starts)
+    peak = np.maximum.reduceat(np.maximum.reduceat(np.abs(a), starts, axis=0), starts, axis=1)
+    cluster = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(V)))
 
-    by_freq: dict[int, tuple[float, np.ndarray]] = {}
     freqs: list[float] = []
-    for i, eps in enumerate(evs):
-        for j, eps_p in enumerate(evs):
-            w = eps_p - eps
-            block = projs[i] @ A.matrix @ projs[j]
-            if np.max(np.abs(block)) < drop_tol:
-                continue
-            key = None
-            for k, f in enumerate(freqs):
-                if abs(f - w) <= decomp.degeneracy_tol:
-                    key = k
-                    break
-            if key is None:
-                freqs.append(w)
-                key = len(freqs) - 1
-                by_freq[key] = (w, np.zeros_like(A.matrix))
-            f0, acc = by_freq[key]
-            by_freq[key] = (f0, acc + block)
+    group = np.full(peak.shape, -1)  # frequency index of each kept cluster pair
+    for i, j in zip(*np.nonzero(peak >= drop_tol)):
+        w = decomp.eigenvalues[j] - decomp.eigenvalues[i]
+        near = (k for k, f in enumerate(freqs) if abs(f - w) <= decomp.degeneracy_tol)
+        group[i, j] = next(near, len(freqs))
+        if group[i, j] == len(freqs):
+            freqs.append(w)
+    group = group[np.ix_(cluster, cluster)]  # now per entry of A~
 
     out = []
-    for key in sorted(by_freq, key=lambda k: by_freq[k][0]):
-        w, m = by_freq[key]
+    for key, w in sorted(enumerate(freqs), key=lambda kw: kw[1]):
+        m = V @ np.where(group == key, a, 0.0) @ V.conj().T
         if float(np.linalg.norm(m)) < drop_tol:
             continue
         out.append(

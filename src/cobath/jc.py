@@ -95,6 +95,8 @@ class JCParams:
     n_max: int | None = None
 
     def __post_init__(self):
+        if self.omega0 <= 0:
+            raise ValueError("omega0 must be > 0")
         if self.g11 < 0 or self.g22 < 0 or self.k_mirror < 0:
             raise ValueError("decay rates must be non-negative")
         if self.n_exc < 0:
@@ -159,8 +161,6 @@ def build_jc(
         freqs = sorted(
             {round(eo.frequency, 12) for fam in (fam1, fam2) for eo in fam if eo.frequency > 1e-9}
         )
-        if not freqs:
-            freqs = [p.omega0] if p.omega0 > 0 else []
         tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
     return MasterEquation(
         H_S=Operator(space, h_full.matrix, label="H_S"),

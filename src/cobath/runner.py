@@ -170,11 +170,13 @@ def sweep_to_files(cfg: RunConfig, out_dir: Path, base: str, fmt: str = "both") 
     if cfg.sweep is None:
         raise ConfigError("sweep: config declares no sweep")
     written = []
-    for value in cfg.sweep.values:
+    for i, value in enumerate(cfg.sweep.values):
         try:
             params = dataclasses.replace(cfg.params, **{cfg.sweep.param: value})
         except ValueError as exc:
-            raise ConfigError(f"sweep.values: params.{cfg.sweep.param} = {value!r}: {exc}") from exc
+            raise ConfigError(
+                f"sweep.values[{i}]: params.{cfg.sweep.param} = {value!r}: {exc}"
+            ) from exc
         point = dataclasses.replace(cfg, params=params, sweep=None)
         written.extend(_emit(point, out_dir, f"{base}_{cfg.sweep.param}_{value!r}", fmt))
     return written

@@ -585,6 +585,43 @@ def test_cli_rejects_non_finite_numbers(path, value, tmp_path, capsys):
     assert path in err and "must be a finite number" in err
 
 
+NON_POSITIVE_OMEGA0 = [
+    ("simulate", {"omega0": -1.0}, "params.omega0"),
+    ("simulate", {"omega0": 0}, "params.omega0"),
+    ("sweep", {"sweep": {"param": "omega0", "values": [1.0, 0.0]}}, "sweep.values[1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, change, path",
+    NON_POSITIVE_OMEGA0,
+    ids=["negative", "zero", "sweep_through_zero"],
+)
+def test_cli_rejects_non_positive_omega0(command, change, path, tmp_path, capsys):
+    # a negative omega0 used to run, pumping quanta into the truncated mode
+    cfg = base_config(outputs=["population"])
+    if "omega0" in change:
+        cfg["params"]["omega0"] = change["omega0"]
+    else:
+        cfg.update(change)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = [command, "--config", str(cfg_path), "--out", str(tmp_path), "--format", "csv"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert path in err and "must be > 0" in err
+
+
+def test_cli_rejects_negative_seed_override(tmp_path, capsys):
+    cfg = base_config(engine="mcwf", mcwf={"n_traj": 4, "seed": 1}, outputs=["population"])
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = ["trajectories", "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "-1"]
+    assert main(args) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_cli_exit_code_io_error(tmp_path):
     cfg_path = tmp_path / "ok.json"
     cfg_path.write_text(json.dumps(base_config(outputs=["population"])))

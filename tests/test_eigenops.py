@@ -3,7 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from cobath.core import HilbertSpace, Operator, make_atom_ops, make_cavity_ops
-from cobath.eigenops import decompose, eigenoperators, verify_rwa_conservation
+from cobath.eigenops import BLOCK_DROP_TOL, decompose, eigenoperators, verify_rwa_conservation
+from cobath.jc import JCParams, _hamiltonians, jc_space
+from conftest import random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -202,3 +204,102 @@ def test_rwa_dimension_mismatch():
     h_b = Operator(sp_b, b.conj().T @ b)
     with pytest.raises(ValueError):
         verify_rwa_conservation(h_s, h_b, [(Operator(sp_b, b), Operator(sp_b, b))])
+
+
+# ------------------------------------------------- pairwise-projector oracle
+
+def pairwise_eigenoperators(A, decomp, drop_tol=BLOCK_DROP_TOL):
+    """Reference split: P_i A P_j for every cluster pair (i, j).
+
+    Same rules as ``eigenoperators``: a pair is skipped when its block has
+    no entry of modulus >= drop_tol, pairs are visited in row-major order
+    and join the first frequency within the decomposition's tolerance, and
+    sums with Frobenius norm below drop_tol are dropped.
+    """
+    projs = [p.matrix for p in decomp.projectors]
+    freqs, sums = [], []
+    for i, eps in enumerate(decomp.eigenvalues):
+        for j, eps_p in enumerate(decomp.eigenvalues):
+            block = projs[i] @ A.matrix @ projs[j]
+            if np.max(np.abs(block)) < drop_tol:
+                continue
+            w = eps_p - eps
+            key = next(
+                (k for k, f in enumerate(freqs) if abs(f - w) <= decomp.degeneracy_tol), None
+            )
+            if key is None:
+                freqs.append(w)
+                sums.append(np.zeros_like(A.matrix))
+                key = -1
+            sums[key] = sums[key] + block
+    order = sorted(range(len(freqs)), key=freqs.__getitem__)
+    return [(freqs[k], sums[k]) for k in order if np.linalg.norm(sums[k]) >= drop_tol]
+
+
+def _assert_matches_oracle(a, d, atol=1e-14):
+    parts, want = eigenoperators(a, d), pairwise_eigenoperators(a, d)
+    assert [e.frequency for e in parts] == [w for w, _ in want]
+    for e, (_, m) in zip(parts, want):
+        np.testing.assert_allclose(e.op.matrix, m, rtol=0.0, atol=atol)
+
+
+def _assert_jc_split_matches_oracle(p, dressed, atol):
+    atom, cav, h_bare, h_full = _hamiltonians(p, jc_space(p))
+    d = decompose(h_full if dressed else h_bare)
+    for a in (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"]):
+        _assert_matches_oracle(a, d, atol)
+
+
+@pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3])
+@pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
+def test_bare_jc_split_matches_pairwise_oracle_bitwise(n_exc, omega0):
+    p = JCParams(omega0=omega0, eps=0.1, g11=0.01, g22=0.01, n_exc=n_exc)
+    _assert_jc_split_matches_oracle(p, dressed=False, atol=0.0)
+
+
+@pytest.mark.parametrize("n_exc", [13, 30])
+def test_dressed_jc_split_matches_pairwise_oracle(n_exc):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, n_exc=n_exc)
+    _assert_jc_split_matches_oracle(p, dressed=True, atol=1e-14)
+
+
+def _rotated(rng, spectrum):
+    # the given spectrum in a random unitary basis
+    q, _ = np.linalg.qr(random_hermitian(rng, len(spectrum)))
+    return Operator(HilbertSpace((len(spectrum),)), q @ np.diag(spectrum) @ q.conj().T)
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_random_split_matches_pairwise_oracle(dim, rng):
+    h = Operator(HilbertSpace((dim,)), random_hermitian(rng, dim))
+    _assert_matches_oracle(Operator(h.space, random_hermitian(rng, dim)), decompose(h))
+
+
+def test_degenerate_cluster_split_matches_pairwise_oracle(rng):
+    # a threefold cluster and equal spacings, so several pairs share a frequency
+    h = _rotated(rng, [0.0, 1.0, 1.0, 1.0, 2.0, 3.5])
+    d = decompose(h)
+    assert len(d.eigenvalues) == 4
+    _assert_matches_oracle(Operator(h.space, random_hermitian(rng, 6)), d)
+
+
+def test_frequency_joins_the_first_match_not_the_nearest(rng):
+    # with tol 0.1: pair (1, 2) opens 1.16 after (0, 1) opened 1.0; pair
+    # (2, 3) at 1.09 is within tol of both and must join 1.0
+    h = _rotated(rng, [0.0, 1.0, 2.16, 3.25])
+    d = decompose(h, degeneracy_tol=0.1)
+    a = Operator(h.space, random_hermitian(rng, 4))
+    parts = eigenoperators(a, d)
+    assert [round(e.frequency, 9) for e in parts if e.frequency > 0] == [1.0, 1.16, 2.16, 3.25]
+    _assert_matches_oracle(a, d)
+
+
+def test_block_below_drop_tol_is_dropped_before_summing():
+    # each entry of the (0, 1) block is under drop_tol, their Frobenius sum is not
+    h = Operator(HilbertSpace((4,)), np.diag([0.0, 0.0, 1.0, 1.0]))
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, 2:] = 0.9 * BLOCK_DROP_TOL
+    a = Operator(h.space, a + a.conj().T)
+    d = decompose(h)
+    assert eigenoperators(a, d) == []
+    _assert_matches_oracle(a, d)
