@@ -7,6 +7,7 @@ docs/config.md for the full schema and one annotated example per model.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "check_engine",
+    "sweep_points",
     "load_config",
 ]
 
@@ -168,8 +170,10 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
     _require_keys(obj, _PARAM_KEYS[model], _PARAM_REQUIRED[model], f"{path}.")
 
     omega0 = _real(obj["omega0"], f"{path}.omega0")
-    if omega0 <= 0:
-        raise ConfigError(f"{path}.omega0: must be > 0")
+    if omega0 <= FREQ_MATCH_TOL:
+        raise ConfigError(
+            f"{path}.omega0: must be > 0 (above the frequency resolution {FREQ_MATCH_TOL!r})"
+        )
     eps = _complex(obj["eps"], f"{path}.eps")
     n_exc = _int(obj.get("n_exc", 1), f"{path}.n_exc")
     if n_exc < 0:
@@ -338,6 +342,25 @@ def parse_config(text: str) -> RunConfig:
     )
     check_engine(cfg)
     return cfg
+
+
+def sweep_points(cfg: RunConfig) -> list[tuple[float, RunConfig]]:
+    """(value, single-run config) for each sweep value, in order.
+
+    Every point is built before the list is returned, so a value the model
+    cannot take raises ConfigError naming ``sweep.values[i]`` before any
+    point has run.
+    """
+    points = []
+    for i, value in enumerate(cfg.sweep.values):
+        try:
+            params = dataclasses.replace(cfg.params, **{cfg.sweep.param: value})
+        except ValueError as exc:
+            raise ConfigError(
+                f"sweep.values[{i}]: params.{cfg.sweep.param} = {value!r}: {exc}"
+            ) from exc
+        points.append((value, dataclasses.replace(cfg, params=params, sweep=None)))
+    return points
 
 
 def check_engine(cfg: RunConfig):

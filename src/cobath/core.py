@@ -215,6 +215,18 @@ class DensityMatrix:
         if m.ndim != 3 or m.shape[1:] != (d, d):
             raise ValueError(f"state stack shape {m.shape} does not match space dim {d}")
         h = check_states(m, tolerance, trace_target)
+        return cls.from_checked(space, h, tolerance, trace_target)
+
+    @classmethod
+    def from_checked(
+        cls,
+        space: HilbertSpace,
+        h: np.ndarray,
+        tolerance: float,
+        trace_target: float | None,
+    ) -> list["DensityMatrix"]:
+        """States over the Hermitian parts that :func:`check_states` returned
+        for the same tolerance and trace target; the check is not repeated."""
         h.setflags(write=False)
         fields = {"space": space, "tolerance": tolerance, "trace_target": trace_target}
         states = [object.__new__(cls) for _ in h]

@@ -40,7 +40,7 @@ from .core import (
     make_cavity_ops,
 )
 from .eigenops import decompose, eigenoperators
-from .master_equation import MasterEquation, SpectralTensor, integrate
+from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor, integrate
 from .trajectories import TrajectoryHierarchy, solve_hierarchy
 
 __all__ = [
@@ -95,8 +95,11 @@ class JCParams:
     n_max: int | None = None
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be > 0")
+        # a frequency at or below FREQ_MATCH_TOL counts as 0: no coupling splits there
+        if self.omega0 <= FREQ_MATCH_TOL:
+            raise ValueError(
+                f"omega0 must be > 0 (above the frequency resolution {FREQ_MATCH_TOL!r})"
+            )
         if self.g11 < 0 or self.g22 < 0 or self.k_mirror < 0:
             raise ValueError("decay rates must be non-negative")
         if self.n_exc < 0:
@@ -159,7 +162,12 @@ def build_jc(
     if tensor is None:
         g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
         freqs = sorted(
-            {round(eo.frequency, 12) for fam in (fam1, fam2) for eo in fam if eo.frequency > 1e-9}
+            {
+                round(eo.frequency, 12)
+                for fam in (fam1, fam2)
+                for eo in fam
+                if eo.frequency > FREQ_MATCH_TOL
+            }
         )
         tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
     return MasterEquation(

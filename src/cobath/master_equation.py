@@ -25,7 +25,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .core import DensityMatrix, HilbertSpace, Operator, StateError, hermiticity_defect
+from .core import (
+    DensityMatrix,
+    HilbertSpace,
+    Operator,
+    StateError,
+    check_states,
+    hermiticity_defect,
+)
 from .eigenops import EigenOperator
 
 __all__ = [
@@ -356,30 +363,86 @@ def validate_detailed_balance(
     return DetailedBalanceReport(worst <= tol, worst)
 
 
-def jump_superoperator(terms: tuple[ChannelTerm, ...], dim: int) -> np.ndarray:
-    """rho -> sum_terms gamma_ab A_b rho A_a^dag as a matrix on row-major vec(rho)."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+def kron_on(dim: int, idx: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(X, Y) -> kron(X, Y)[ix(idx, idx)] for flat row-major indices of a dim x dim matrix.
+
+    Entry for entry the same products as ``np.kron``, without building it.
+    """
+    i, j = np.divmod(idx, dim)
+    rows, cols = np.ix_(i, i), np.ix_(j, j)
+    return lambda x, y: x[rows] * y[cols]
+
+
+def jump_superoperator(terms: tuple[ChannelTerm, ...], kron) -> np.ndarray:
+    """rho -> sum_terms gamma_ab A_b rho A_a^dag as a matrix on row-major vec(rho).
+
+    ``kron`` is ``np.kron`` or a restriction from :func:`kron_on`; with no
+    terms the result is the scalar 0.0.
+    """
+    out = 0.0
     for term in terms:
-        out = out + term.rate * np.kron(term.A_b, term.A_a_dag.T)
+        out = out + term.rate * kron(term.A_b, term.A_a_dag.T)
     return out
 
 
-def liouvillian_matrix(me: MasterEquation) -> np.ndarray:
-    """Full generator as a dim^2 x dim^2 matrix acting on row-major vec(rho).
+def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) -> np.ndarray:
+    """Generator as a matrix acting on row-major vec(rho).
 
     Built from the same channel-term list as :func:`build_dissipator` plus
-    the commutator.  Memory grows as dim^4, so :func:`integrate` builds it
-    only for states of at most ``EXACT_SIZE_LIMIT`` entries.
+    the commutator.  With ``support`` (flat indices of rho) only the rows
+    and columns of those entries are built, with the same products as the
+    full dim^2 x dim^2 matrix; :func:`integrate` passes the state's
+    invariant support (:func:`invariant_support`).
     """
     d = me.space.total_dim
+    kron = np.kron if support is None else kron_on(d, support)
     eye = np.eye(d, dtype=complex)
     h = me.hamiltonian_matrix()
     K = me.K
     return (
-        -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        + jump_superoperator(me.terms, d)
-        - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T))
+        -1j * (kron(h, eye) - kron(eye, h.T))
+        + jump_superoperator(me.terms, kron)
+        - 0.5 * (kron(K, eye) + kron(eye, K.T))
     )
+
+
+def liouvillian_structure(me: MasterEquation) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The terms of :func:`liouvillian_matrix` as rho -> X rho Y, for :func:`invariant_support`."""
+    eye = np.eye(me.space.total_dim)
+    mix = (me.hamiltonian_matrix() != 0) | (me.K != 0)
+    jumps = [(0, term.A_b, term.A_a_dag) for term in me.terms]
+    return [(0, mix, eye), (0, eye, mix), *jumps]
+
+
+def invariant_support(
+    y0: np.ndarray, structure: list[tuple[int, np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Flat indices of the smallest coordinate subspace that holds ``y0`` and
+    that the generator maps into itself.
+
+    ``y0`` is one d x d block or a stack of them.  ``structure`` lists the
+    generator's terms as (shift, X, Y): block b feeds X rho_b Y into block
+    b + shift.  Only exact zeros of X and Y are read, so an entry at
+    roundoff level counts.  On an invariant subspace S,
+    expm(L)[S, S] = expm(L[S, S]) and entries outside S stay exactly 0.
+    """
+    d = y0.shape[-1]
+    reached = (y0 != 0).reshape(-1, d, d)
+    pats = [(s, (x != 0).astype(float), (y != 0).astype(float)) for s, x, y in structure]
+    frontier = reached
+    while frontier.any():
+        image = np.zeros(reached.shape)
+        for b in np.flatnonzero(frontier.any(axis=(1, 2))):
+            # only the rows and columns the new entries occupy enter the products
+            rows = np.flatnonzero(frontier[b].any(axis=1))
+            cols = np.flatnonzero(frontier[b].any(axis=0))
+            f = frontier[b][np.ix_(rows, cols)].astype(float)
+            for shift, x, y in pats:
+                if 0 <= b + shift < len(image):
+                    image[b + shift] += x[:, rows] @ f @ y[cols]
+        frontier = (image > 0) & ~reached
+        reached = reached | frontier
+    return np.flatnonzero(reached)
 
 
 def default_max_step(me: MasterEquation) -> float:
@@ -396,10 +459,10 @@ def default_max_step(me: MasterEquation) -> float:
 
 MAX_SUBSTEPS = 10_000_000
 
-# Largest vectorized state propagated with a dense matrix exponential.  One
-# expm of the n x n generator costs about n^3: at 256 entries that is tens of
-# milliseconds, at 1024 more than a whole fixed-step RK4 run of the same
-# problem.
+# Largest support (see invariant_support) propagated with a dense matrix
+# exponential.  One expm of the n x n generator costs about n^3: at 256
+# entries that is tens of milliseconds, at 1024 more than a whole fixed-step
+# RK4 run of the same problem.
 EXACT_SIZE_LIMIT = 256
 
 # Largest trace drift and Hermiticity defect a propagated state may show
@@ -445,30 +508,38 @@ def propagate_linear(
     y0: np.ndarray,
     t: np.ndarray,
     max_step: float | None,
-    generator: Callable[[], np.ndarray],
+    generator: Callable[[np.ndarray], np.ndarray],
     rhs: Callable[[np.ndarray], np.ndarray],
+    structure: list[tuple[int, np.ndarray, np.ndarray]],
 ) -> Iterator[np.ndarray]:
     """Yield y(t_1), y(t_2), ... of the constant linear system dy/dt = L y.
 
-    Exact path (no ``max_step``, at most ``EXACT_SIZE_LIMIT`` entries in
-    ``y0``): ``generator()`` returns L as a matrix on row-major
-    ``y.reshape(-1)`` and each grid step applies expm(L dt), computed once
-    per distinct spacing.  Otherwise fixed-step RK4 applies ``rhs`` (L on
-    arrays shaped like ``y0``) with substeps of at most ``max_step``
-    (default :func:`default_max_step`); an explicit ``max_step`` makes it
-    the oracle for the exact path.
+    Without ``max_step`` the state's support S (:func:`invariant_support`
+    of ``y0`` under ``structure``) is found first.  Exact path (S of at
+    most ``EXACT_SIZE_LIMIT`` entries): ``generator(S)`` returns L[S, S]
+    on the entries S of row-major ``y.reshape(-1)``, each grid step
+    applies expm(L[S, S] dt), computed once per distinct spacing, and the
+    result is scattered into zeros shaped like ``y0``.  Since S is
+    invariant this is exact, not an approximation.  Otherwise fixed-step
+    RK4 applies ``rhs`` (L on arrays shaped like ``y0``) to the full state
+    with substeps of at most ``max_step`` (default
+    :func:`default_max_step`); an explicit ``max_step`` makes it the
+    oracle for the exact path.
     """
-    if max_step is None and y0.size <= EXACT_SIZE_LIMIT:
-        L = generator()
+    support = invariant_support(y0, structure) if max_step is None else None
+    if support is not None and support.size <= EXACT_SIZE_LIMIT:
+        L = generator(support)
         resolution = grid_resolution(t)
         cache: dict[int, np.ndarray] = {}
-        y = y0.reshape(-1)
+        y = y0.reshape(-1)[support]
         for dt in np.diff(t):
             key = round(dt / resolution)
             if key not in cache:
                 cache[key] = expm(L * dt)
             y = cache[key] @ y
-            yield y.reshape(y0.shape)
+            out = np.zeros(y0.size, dtype=y.dtype)
+            out[support] = y
+            yield out.reshape(y0.shape)
         return
     h_max = default_max_step(me) if max_step is None else float(max_step)
     y = y0
@@ -477,20 +548,20 @@ def propagate_linear(
         yield y
 
 
-def check_propagated(
+def check_hygiene(
     series: np.ndarray,
     t: np.ndarray,
-    space: HilbertSpace,
     target_trace: float,
     trace_target: float | None,
-) -> list[DensityMatrix]:
+) -> np.ndarray:
     """Hygiene of propagated states: ``series[k, i]`` is block i at time ``t[k]``.
 
     The summed trace at each time must stay within ``HYGIENE_TOL`` of
     ``target_trace`` and each block within ``HYGIENE_TOL`` of Hermitian;
     the blocks must then pass :func:`check_states` at 1e-7 with
     ``trace_target``.  The first failure in time order, then block order,
-    raises :class:`IntegrationError`.  Returns the checked Hermitian parts.
+    raises :class:`IntegrationError`.  Returns the checked Hermitian parts
+    as one ``(n_t * n_b, d, d)`` stack; no state object is built.
     """
     _, n_b, d, _ = series.shape
     defect = hermiticity_defect(series)
@@ -501,12 +572,12 @@ def check_propagated(
     bad[:, 0] |= ~(drift <= HYGIENE_TOL)
     first = int(np.argmax(bad)) if bad.any() else bad.size
     try:
-        states = DensityMatrix.stack(space, series.reshape(-1, d, d)[:first], 1e-7, trace_target)
+        parts = check_states(series.reshape(-1, d, d)[:first], 1e-7, trace_target)
     except StateError as exc:
         first, reason = exc.index, str(exc)
     else:
         if first == bad.size:
-            return states
+            return parts
         k, i = divmod(first, n_b)
         if not drift[k] <= HYGIENE_TOL:
             raise IntegrationError(f"state hygiene lost: trace drift {drift[k]:.3e}", float(t[k]))
@@ -514,6 +585,18 @@ def check_propagated(
     k, i = divmod(first, n_b)
     where = f" in block {i}" if n_b > 1 else ""
     raise IntegrationError(f"state hygiene lost{where}: {reason}", float(t[k]))
+
+
+def check_propagated(
+    series: np.ndarray,
+    t: np.ndarray,
+    space: HilbertSpace,
+    target_trace: float,
+    trace_target: float | None,
+) -> list[DensityMatrix]:
+    """:func:`check_hygiene`, then one state per (time, block) over the checked parts."""
+    parts = check_hygiene(series, t, target_trace, trace_target)
+    return DensityMatrix.from_checked(space, parts, 1e-7, trace_target)
 
 
 def integrate(
@@ -524,14 +607,17 @@ def integrate(
 ) -> list[DensityMatrix]:
     """Evolve a state over an increasing time grid.
 
-    Up to ``EXACT_SIZE_LIMIT`` entries (dim^2) the state is propagated
-    exactly with one cached expm of the Liouvillian per grid spacing;
-    above it, or with an explicit ``max_step``, with fixed-step RK4 (see
-    :func:`propagate_linear`).  The first grid point carries the initial
-    state, the others the Hermitian parts of the propagated states, checked
-    as one stack by :func:`check_propagated` (trace target as for
-    ``rho0``); a violation is reported as an :class:`IntegrationError`
-    with the failing time.
+    Without ``max_step`` the state is propagated on its invariant support
+    (the entries ``rho0`` reaches under the Liouvillian's exact nonzeros,
+    see :func:`invariant_support`): up to ``EXACT_SIZE_LIMIT`` entries
+    exactly, with one cached expm of the restricted Liouvillian per grid
+    spacing.  A sector-pure JC state has 1 + 4 n_exc such entries.  Above
+    the limit, or with an explicit ``max_step``, fixed-step RK4 runs on
+    the full state (see :func:`propagate_linear`).  The first grid point
+    carries the initial state, the others the Hermitian parts of the
+    propagated states, checked as one stack by :func:`check_propagated`
+    (trace target as for ``rho0``); a violation is reported as an
+    :class:`IntegrationError` with the failing time.
     """
     if me.temperature_mode != "zero":
         raise ValueError("only zero-temperature evolution is implemented")
@@ -542,7 +628,13 @@ def integrate(
     t = time_grid(t_grid)
 
     steps = propagate_linear(
-        me, np.array(rho0.matrix), t, max_step, lambda: liouvillian_matrix(me), me.rhs
+        me,
+        np.array(rho0.matrix),
+        t,
+        max_step,
+        lambda support: liouvillian_matrix(me, support),
+        me.rhs,
+        liouvillian_structure(me),
     )
     series = np.array(list(steps)).reshape(len(t) - 1, 1, *rho0.matrix.shape)
     target = None if rho0.trace_target is None else rho0.trace

@@ -8,12 +8,11 @@ series exactly and reruns are byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, sweep_points
 from .core import DensityMatrix
 from .jc import (
     build_jc,
@@ -170,13 +169,6 @@ def sweep_to_files(cfg: RunConfig, out_dir: Path, base: str, fmt: str = "both") 
     if cfg.sweep is None:
         raise ConfigError("sweep: config declares no sweep")
     written = []
-    for i, value in enumerate(cfg.sweep.values):
-        try:
-            params = dataclasses.replace(cfg.params, **{cfg.sweep.param: value})
-        except ValueError as exc:
-            raise ConfigError(
-                f"sweep.values[{i}]: params.{cfg.sweep.param} = {value!r}: {exc}"
-            ) from exc
-        point = dataclasses.replace(cfg, params=params, sweep=None)
+    for value, point in sweep_points(cfg):
         written.extend(_emit(point, out_dir, f"{base}_{cfg.sweep.param}_{value!r}", fmt))
     return written

@@ -31,10 +31,11 @@ from .core import DensityMatrix, HilbertSpace, KetState, Operator
 from .master_equation import (
     FREQ_MATCH_TOL,
     MasterEquation,
-    check_propagated,
+    check_hygiene,
     grid_resolution,
     jump_operators,
     jump_superoperator,
+    kron_on,
     propagate_linear,
     time_grid,
 )
@@ -166,6 +167,40 @@ def _sector_projectors(number_op: Operator, n_max: int) -> list[np.ndarray]:
     return projs
 
 
+def _block_system(me: MasterEquation):
+    """The block-bidiagonal system as ``propagate_linear`` takes it.
+
+    No-jump evolution -i (B rho_i - rho_i B^dag) inside each block, the
+    jump feed from block i + 1 into block i.  Returns ``rhs`` on a block
+    stack, ``generator(support)`` (the matrix on those flat stack entries)
+    and the ``structure`` that
+    :func:`~cobath.master_equation.invariant_support` reads.
+    """
+    b_mat = effective_generator(me).B.matrix
+    b_dag = b_mat.conj().T
+    dim = me.space.total_dim
+    feed = jump_feed(me)
+
+    def rhs(stack: np.ndarray) -> np.ndarray:
+        out = -1j * (b_mat @ stack - stack @ b_dag)
+        out[:-1] += feed(stack[1:])
+        return out
+
+    def generator(support: np.ndarray) -> np.ndarray:
+        block, entry = np.divmod(support, dim * dim)
+        kron = kron_on(dim, entry)
+        eye = np.eye(dim, dtype=complex)
+        nojump = -1j * (kron(b_mat, eye) - kron(eye, b_mat.conj()))
+        jumps = jump_superoperator(me.terms, kron)
+        return np.where(block[:, None] == block, nojump, 0) + np.where(
+            block[:, None] + 1 == block, jumps, 0
+        )
+
+    eye = np.eye(dim)
+    jumps = [(-1, term.A_b, term.A_a_dag) for term in me.terms]
+    return rhs, generator, [(0, b_mat, eye), (0, eye, b_dag), *jumps]
+
+
 def solve_hierarchy(
     me: MasterEquation,
     rho0: DensityMatrix,
@@ -180,6 +215,17 @@ def solve_hierarchy(
     linearity before calling).  Every coupling component at positive
     frequency must lower the count by exactly one, which makes the number
     of jumps and the number of lost excitations interchangeable labels.
+    ``number_op`` serves only these checks and the block count N + 1.
+
+    Without ``max_step`` the stack of blocks is propagated on its
+    invariant support (:func:`~cobath.master_equation.invariant_support`):
+    the entries the top block reaches by no-jump mixing inside a block and
+    by the jump feed from block i + 1 into block i, read from the exact
+    zeros of B and of the coupling components.  For a sector-pure JC state
+    that is 1 + 4 N entries, not (N + 1) dim^2; the restricted
+    block-bidiagonal generator is built directly and propagated exactly
+    up to ``EXACT_SIZE_LIMIT`` entries.  Above it, or with an explicit
+    ``max_step``, fixed-step RK4 runs on the full stack.
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
@@ -214,29 +260,13 @@ def solve_hierarchy(
 
     t = time_grid(t_grid)
 
-    gen = effective_generator(me)
-    b_mat = gen.B.matrix
-    b_dag = b_mat.conj().T
     dim = me.space.total_dim
-    feed = jump_feed(me)
-
-    def rhs(stack: np.ndarray) -> np.ndarray:
-        out = -1j * (b_mat @ stack - stack @ b_dag)
-        out[:-1] += feed(stack[1:])
-        return out
-
-    def generator() -> np.ndarray:
-        # block-bidiagonal: no-jump evolution on the diagonal, the jump
-        # feed from block i + 1 on the superdiagonal
-        eye = np.eye(dim, dtype=complex)
-        nojump = -1j * (np.kron(b_mat, eye) - np.kron(eye, b_mat.conj()))
-        jumps = jump_superoperator(me.terms, dim)
-        return np.kron(np.eye(N + 1), nojump) + np.kron(np.eye(N + 1, k=1), jumps)
-
+    rhs, generator, structure = _block_system(me)
     stack = np.zeros((N + 1, dim, dim), dtype=complex)
     stack[N] = block0
-    series = np.array([stack, *propagate_linear(me, stack, t, max_step, generator, rhs)])
-    check_propagated(series, t, me.space, rho0.trace, None)
+    steps = propagate_linear(me, stack, t, max_step, generator, rhs, structure)
+    series = np.array([stack, *steps])
+    check_hygiene(series, t, rho0.trace, None)
     return TrajectoryHierarchy(N, t, tuple(series[:, i] for i in range(N + 1)))
 
 

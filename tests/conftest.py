@@ -23,3 +23,28 @@ def random_density(rng, dim):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotate_model(me, u):
+    """The same master equation in the basis u: every matrix becomes u X u^dag.
+
+    The physics is unchanged, but no entry is an exact zero any more, so
+    the invariant support of any state is the whole space.
+    """
+    from cobath.core import Operator
+    from cobath.eigenops import EigenOperator
+    from cobath.master_equation import MasterEquation
+
+    def rot(op):
+        return Operator(op.space, u @ op.matrix @ u.conj().T, label=op.label)
+
+    fams = tuple(
+        tuple(EigenOperator(eo.frequency, rot(eo.op), eo.source_index) for eo in fam)
+        for fam in me.couplings
+    )
+    return MasterEquation(rot(me.H_S), fams, me.tensor)

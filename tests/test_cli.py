@@ -612,6 +612,45 @@ def test_cli_rejects_non_positive_omega0(command, change, path, tmp_path, capsys
     assert path in err and "must be > 0" in err
 
 
+BAD_SWEEP_POINTS = [
+    ("omega0", [1.0, 0.0]),
+    ("g12", [0.005, 0.011]),  # sqrt(g11 g22) = 0.01
+]
+
+
+@pytest.mark.parametrize("param, values", BAD_SWEEP_POINTS, ids=["omega0", "g12"])
+def test_cli_sweep_checks_every_point_before_running(param, values, tmp_path, capsys):
+    # the good first value must not run and write its CSV before the bad one fails
+    cfg = base_config(outputs=["population"], sweep={"param": param, "values": values})
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = ["sweep", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"sweep.values[1]: params.{param} = {values[1]!r}" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("where", ["params", "sweep"])
+def test_cli_rejects_omega0_below_frequency_resolution(where, tmp_path, capsys):
+    # at or below FREQ_MATCH_TOL the split yields no tensor frequency at all
+    cfg = base_config(outputs=["population"])
+    if where == "params":
+        cfg["params"]["omega0"] = 1e-10
+        command, path = "simulate", "params.omega0"
+    else:
+        cfg["sweep"] = {"param": "omega0", "values": [1.0, 1e-10]}
+        command, path = "sweep", "sweep.values[1]: params.omega0 = 1e-10"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert path in err and "must be > 0 (above the frequency resolution 1e-09)" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_cli_rejects_negative_seed_override(tmp_path, capsys):
     cfg = base_config(engine="mcwf", mcwf={"n_traj": 4, "seed": 1}, outputs=["population"])
     cfg_path = tmp_path / "run.json"

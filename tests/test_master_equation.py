@@ -6,9 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cobath.core import DensityMatrix, HilbertSpace, Operator, make_atom_ops, make_cavity_ops
+from cobath.core import (
+    DensityMatrix,
+    HilbertSpace,
+    Operator,
+    basis_ket,
+    make_atom_ops,
+    make_cavity_ops,
+)
 from cobath.eigenops import EigenOperator
-from cobath.jc import JCParams, build_jc, closed_form_block, jc_initial, jc_space
+from cobath.jc import (
+    JCParams,
+    build_jc,
+    closed_form_block,
+    jc_initial,
+    jc_space,
+    sector_entries,
+)
 from cobath.master_equation import (
     IntegrationError,
     MasterEquation,
@@ -18,10 +32,12 @@ from cobath.master_equation import (
     build_lamb_shift,
     diagonalize_gamma,
     integrate,
+    invariant_support,
     liouvillian_matrix,
+    liouvillian_structure,
     validate_detailed_balance,
 )
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary, rotate_model
 
 
 # ---------------------------------------------------------------- tensors
@@ -353,6 +369,138 @@ def test_exact_integrate_caches_one_propagator_per_spacing(monkeypatch):
     monkeypatch.setattr(me_mod, "expm", expm)
     rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
     assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+
+
+# ------------------------------------------------------ invariant support
+
+SUPPORT_CASES = {
+    "common_n1": (dict(g12=0.006 + 0.004j, n_exc=1), "atom", False),
+    "common_n2_photon": (dict(g12=0.008, n_exc=2), "photon", False),
+    "mirror_n3_mix": (dict(g12=0.01, k_mirror=0.05, n_exc=3), "mix", False),
+    "two_bath_n13": (dict(g12=0.0, n_exc=13), "atom", False),
+    "common_n13": (dict(g12=0.007j, n_exc=13), "atom", False),
+    "dressed_n2": (dict(g12=0.008, n_exc=2), "atom", True),
+}
+
+
+def support_case(name):
+    rates, initial, dressed = SUPPORT_CASES[name]
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, **rates)
+    return p, build_jc(p, dressed=dressed), jc_initial(p, initial)
+
+
+@pytest.mark.parametrize("name", SUPPORT_CASES)
+def test_support_is_invariant_under_the_full_rhs(name, rng):
+    p, me, rho0 = support_case(name)
+    d = me.space.total_dim
+    support = invariant_support(rho0.matrix, liouvillian_structure(me))
+    # sector 0 holds one state and every other sector two
+    assert support.size == 1 + 4 * p.n_exc
+    y = np.zeros(d * d, dtype=complex)
+    y[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+    out = me.rhs(y.reshape(d, d)).reshape(-1)
+    outside = np.ones(d * d, dtype=bool)
+    outside[support] = False
+    assert np.all(out[outside] == 0)
+    assert np.any(out[support] != 0)
+
+
+def test_support_of_a_single_coherence_is_invariant(rng):
+    # a lone off-diagonal entry: the pattern is not symmetric, so the rows
+    # and the columns the closure tracks differ
+    _, me, _ = support_case("mirror_n3_mix")
+    d = me.space.total_dim
+    y0 = np.zeros((d, d), dtype=complex)
+    y0[0, d - 1] = 1.0
+    support = invariant_support(y0, liouvillian_structure(me))
+    y = np.zeros(d * d, dtype=complex)
+    y[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+    out = me.rhs(y.reshape(d, d)).reshape(-1)
+    outside = np.ones(d * d, dtype=bool)
+    outside[support] = False
+    assert support.size < d * d
+    assert np.all(out[outside] == 0)
+
+
+def test_restricted_liouvillian_is_the_full_one_restricted():
+    _, me, rho0 = support_case("mirror_n3_mix")
+    support = invariant_support(rho0.matrix, liouvillian_structure(me))
+    full = liouvillian_matrix(me)
+    np.testing.assert_array_equal(liouvillian_matrix(me, support), full[np.ix_(support, support)])
+    everything = np.arange(me.space.total_dim**2)
+    np.testing.assert_array_equal(liouvillian_matrix(me, everything), full)
+
+
+def counting_expm(monkeypatch):
+    import cobath.master_equation as me_mod
+
+    shapes = []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(me_mod, "expm", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("n_exc", [13, 30])
+def test_support_path_matches_full_state_rk4_and_closed_form(n_exc, monkeypatch):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, n_exc=n_exc)
+    me, space = build_jc(p), jc_space(p)
+    t = np.linspace(0.0, 2.0, 5)
+    shapes = counting_expm(monkeypatch)
+    exact = integrate(me, jc_initial(p), t)
+    n = 1 + 4 * n_exc
+    assert shapes == [(n, n)]  # far below dim^2 = 4 (n_exc + 3)^2 entries
+    monkeypatch.undo()
+    rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
+    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+    # outside the support both paths hold exact zeros
+    outside = np.ones(space.total_dim**2, dtype=bool)
+    outside[invariant_support(jc_initial(p).matrix, liouvillian_structure(me))] = False
+    for a, b in zip(exact, rk4):
+        assert np.all(a.matrix.reshape(-1)[outside] == 0)
+        assert np.all(b.matrix.reshape(-1)[outside] == 0)
+    blk = closed_form_block(p, n_exc, t)
+    r11, r12, r22 = sector_entries(np.array([s.matrix for s in exact]), space, n_exc)
+    for got, want in ((r11, blk.rho11), (r12, blk.rho12), (r22, blk.rho22)):
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_coherence_between_sectors_matches_full_liouvillian_expm(monkeypatch):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j, n_exc=2)
+    me, space = build_jc(p), jc_space(p)
+    # |+, 1 photon> (sector 2) in superposition with the ground state (sector 0)
+    psi = (basis_ket(space, (0, 1)).amplitudes + basis_ket(space, (1, 0)).amplitudes) / math.sqrt(2)
+    rho0 = DensityMatrix(space, np.outer(psi, psi.conj()))
+    t = np.array([0.0, 1.0, 2.0, 4.5, 7.0, 20.0])
+    shapes = counting_expm(monkeypatch)
+    states = integrate(me, rho0, t)
+    assert all(shape[0] < space.total_dim**2 for shape in shapes)
+    monkeypatch.undo()
+    L = liouvillian_matrix(me)
+    for tk, s in zip(t, states):
+        want = (expm(L * tk) @ rho0.matrix.reshape(-1)).reshape(rho0.matrix.shape)
+        assert np.max(np.abs(s.matrix - want)) <= 1e-12
+    assert abs(states[-1].matrix[1, space.factor_dims[1]]) > 1e-3  # the coherence survives
+
+
+def test_full_support_is_bitwise_the_full_liouvillian_expm(rng):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j)
+    u = random_unitary(rng, jc_space(p).total_dim)
+    me = rotate_model(build_jc(p), u)
+    rho0 = DensityMatrix(me.space, u @ jc_initial(p).matrix @ u.conj().T)
+    d = me.space.total_dim
+    assert invariant_support(rho0.matrix, liouvillian_structure(me)).size == d * d
+    t = 2.0 * np.arange(8)  # one exact spacing, so one propagator
+    states = integrate(me, rho0, t)
+    step = expm(liouvillian_matrix(me) * 2.0)
+    y = rho0.matrix.reshape(-1)
+    for s in states[1:]:
+        y = step @ y
+        m = y.reshape(d, d)
+        np.testing.assert_array_equal(s.matrix, (m + m.conj().T) / 2.0)
 
 
 def test_integrate_requires_increasing_grid():

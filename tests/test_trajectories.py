@@ -9,11 +9,13 @@ from cobath.eigenops import EigenOperator
 from cobath.jc import (
     JCParams,
     build_jc,
+    closed_form_block,
     excitation_number,
     excited_population,
     jc_initial,
     jc_initial_ket,
     jc_space,
+    sector_entries,
 )
 from cobath.master_equation import (
     IntegrationError,
@@ -21,8 +23,11 @@ from cobath.master_equation import (
     SpectralTensor,
     check_propagated,
     integrate,
+    invariant_support,
+    jump_superoperator,
 )
 from cobath.trajectories import (
+    _block_system,
     effective_generator,
     jump_feed,
     mcwf_unravel,
@@ -30,6 +35,7 @@ from cobath.trajectories import (
     reconstruct,
     solve_hierarchy,
 )
+from conftest import random_unitary, rotate_model
 
 
 def cavity_only_me(omega0=1.0, gamma=0.08, n_max=2):
@@ -271,15 +277,84 @@ def test_hierarchy_above_size_limit_runs_rk4(monkeypatch):
     def no_expm(a):
         raise AssertionError(f"expm called on a {a.shape} generator")
 
-    # n_exc = 2: three blocks of dim 10, 300 entries, above the exact-path limit
+    # n_exc = 2 in a random basis: no exact zeros, so the support is all
+    # three blocks of dim 10, 300 entries, above the exact-path limit
     p, me, space = jc_setup(n_exc=2)
+    u = random_unitary(np.random.default_rng(20240817), space.total_dim)
+    me = rotate_model(me, u)
+    rho0 = DensityMatrix(space, u @ jc_initial(p).matrix @ u.conj().T)
+    number = Operator(space, u @ excitation_number(space).matrix @ u.conj().T)
     t = np.linspace(0.0, 20.0, 11)
     monkeypatch.setattr(me_mod, "expm", no_expm)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    h = solve_hierarchy(me, rho0, t, number)
     monkeypatch.undo()
-    direct = integrate(me, jc_initial(p), t)
+    direct = integrate(me, rho0, t)
     rec = reconstruct(h, space=space)
     assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rec, direct)) <= 1e-8
+
+
+def block_case(n_exc, k_mirror=0.0):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, k_mirror=k_mirror,
+                 n_exc=n_exc)
+    me, space = build_jc(p), jc_space(p)
+    stack = np.zeros((n_exc + 1, space.total_dim, space.total_dim), dtype=complex)
+    stack[n_exc] = jc_initial(p).matrix
+    return p, me, space, stack
+
+
+@pytest.mark.parametrize("n_exc, k_mirror", [(1, 0.0), (2, 0.05), (13, 0.0)])
+def test_block_support_is_invariant_under_the_full_rhs(n_exc, k_mirror, rng):
+    _, me, _, stack = block_case(n_exc, k_mirror)
+    rhs, _, structure = _block_system(me)
+    support = invariant_support(stack, structure)
+    assert support.size == 1 + 4 * n_exc  # block i holds sector i only
+    y = np.zeros(stack.size, dtype=complex)
+    y[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+    out = rhs(y.reshape(stack.shape)).reshape(-1)
+    outside = np.ones(stack.size, dtype=bool)
+    outside[support] = False
+    assert np.all(out[outside] == 0)
+    assert np.any(out[support] != 0)
+
+
+def test_block_generator_is_the_kron_assembly_restricted():
+    # the full (N + 1) dim^2 block-bidiagonal matrix, built as before
+    _, me, _, stack = block_case(2, 0.05)
+    _, generator, structure = _block_system(me)
+    b = effective_generator(me).B.matrix
+    eye = np.eye(me.space.total_dim, dtype=complex)
+    nojump = -1j * (np.kron(b, eye) - np.kron(eye, b.conj()))
+    jumps = jump_superoperator(me.terms, np.kron)
+    full = np.kron(np.eye(3), nojump) + np.kron(np.eye(3, k=1), jumps)
+    support = invariant_support(stack, structure)
+    np.testing.assert_array_equal(generator(support), full[np.ix_(support, support)])
+    np.testing.assert_array_equal(generator(np.arange(stack.size)), full)
+
+
+def test_block_support_path_matches_full_stack_rk4_and_closed_form(monkeypatch):
+    import cobath.master_equation as me_mod
+
+    shapes = []
+
+    def counting_expm(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    n_exc = 13
+    p, me, space, _ = block_case(n_exc)
+    t = np.linspace(0.0, 2.0, 5)
+    monkeypatch.setattr(me_mod, "expm", counting_expm)
+    exact = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    n = 1 + 4 * n_exc
+    assert shapes == [(n, n)]  # not (n_exc + 1) dim^2
+    monkeypatch.undo()
+    rk4 = solve_hierarchy(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
+    for a, b in zip(exact.blocks, rk4.blocks):
+        assert np.max(np.abs(a - b)) <= 1e-9
+    blk = closed_form_block(p, n_exc, t)
+    r11, r12, r22 = sector_entries(exact.blocks[n_exc], space, n_exc)
+    for got, want in ((r11, blk.rho11), (r12, blk.rho12), (r22, blk.rho22)):
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_no_jump_conditional_equals_top_block():
