@@ -181,6 +181,8 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
     n_max = obj.get("n_max")
     if n_max is not None:
         n_max = _int(n_max, f"{path}.n_max")
+        if n_max < n_exc + 2:
+            raise ConfigError(f"{path}.n_max: must be at least n_exc + 2 = {n_exc + 2}")
 
     tensor = None
     if model == "custom-tensor":

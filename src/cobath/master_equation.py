@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     DensityMatrix,
@@ -467,6 +466,18 @@ EXACT_SIZE_LIMIT = 256
 
 # Largest trace drift and Hermiticity defect a propagated state may show
 HYGIENE_TOL = 1e-8
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(a)``, with scipy imported at the first call.
+
+    The matrix exponential is all this package needs from scipy, and
+    importing it costs more than the rest of start-up together, so the
+    closed-form engine, plotting and config validation never load it.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndarray:

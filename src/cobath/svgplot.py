@@ -20,17 +20,36 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 50
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return []
+def _tick_step(lo: float, hi: float, target: int) -> float | None:
+    """The 1-2-5 step giving about ``target`` ticks on [lo, hi].
+
+    None when the range is empty or narrower than float resolution.  A step
+    of at least 4 ulps of the endpoints is what keeps ``v += step`` in the
+    tick loop advancing up to ``hi + 1.5 * step``.
+    """
     if hi <= lo:
-        hi = lo + 1.0
+        return None
     raw = (hi - lo) / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
+    if step < 4 * math.ulp(max(abs(lo), abs(hi))):
+        return None
+    return step
+
+
+def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return []
+    step = _tick_step(lo, hi, target)
+    if step is None:
+        # a flat range (or one a few ulps wide) is ticked as [lo, lo + 1]
+        hi = lo + 1.0
+        step = _tick_step(lo, hi, target)
+        if step is None:
+            raise ValueError(f"axis range at {lo!r} is below float resolution")
     first = math.ceil(lo / step) * step
     ticks = []
     v = first

@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import DensityMatrix, HilbertSpace, KetState, Operator
 from .master_equation import (
     FREQ_MATCH_TOL,
     MasterEquation,
     check_hygiene,
+    expm,
     grid_resolution,
     jump_operators,
     jump_superoperator,

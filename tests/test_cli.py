@@ -42,16 +42,21 @@ def base_config(**overrides):
     return cfg
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "cobath", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=cwd,
+        timeout=timeout,
     )
+
+
+def run_cli(*args, cwd=None, timeout=None):
+    return run_python("-m", "cobath", *args, cwd=cwd, timeout=timeout)
 
 
 # ----------------------------------------------------------------- parsing
@@ -413,6 +418,34 @@ def test_svg_non_finite_samples_split_the_curve():
     ]
 
 
+def test_svg_range_below_float_resolution_terminates():
+    # a range a few ulps wide used to stall the tick loop (v += step == v)
+    code = (
+        "import numpy as np\n"
+        "from cobath.svgplot import emit_svg\n"
+        "ulps = np.array([1.0, 1.0000000000000002])\n"
+        "print(emit_svg(ulps, [('y', ulps)]).count('text-anchor=\"end\"'))\n"
+    )
+    r = run_python("-c", code, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["1"]  # the y axis gets a single tick label
+
+
+def test_cli_trace_only_plot_terminates(tmp_path):
+    # the closed-form trace is 1.0 or 1.0000000000000002 at every point
+    cfg = base_config(model="jc-mirror", engine="closed-form", outputs=["trace"])
+    cfg["params"]["k_mirror"] = 0.05
+    cfg_path = tmp_path / "trace.json"
+    cfg_path.write_text(json.dumps(cfg))
+    r = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path), timeout=60)
+    assert r.returncode == 0, r.stderr
+    header, data = read_csv(tmp_path / "trace.csv")
+    assert len(set(data[header.index("trace")].tolist())) > 1
+    r = run_cli("plot", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "plots"), timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "plots" / "trace.svg").read_bytes() == (tmp_path / "trace.svg").read_bytes()
+
+
 def test_svg_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
         emit_svg(np.array([]), [("x", np.array([]))])
@@ -515,6 +548,7 @@ MALFORMED_CSV = [
     ("no_column_named", "t,a\n0.0,1.0\n1.0,2.0\n", ["--columns", ","], "nothing to plot"),
     ("empty_file", "", [], "empty file"),
     ("no_finite_sample", "t,a\n0.0,nan\n1.0,nan\n", [], "no finite samples"),
+    ("flat_beyond_resolution", "t,a\n0.0,1e16\n1.0,1e16\n", [], "below float resolution"),
 ]
 
 
@@ -649,6 +683,57 @@ def test_cli_rejects_omega0_below_frequency_resolution(where, tmp_path, capsys):
     err = capsys.readouterr().err
     assert path in err and "must be > 0 (above the frequency resolution 1e-09)" in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_cli_rejects_n_max_below_guard_levels(tmp_path, capsys):
+    cfg = base_config(outputs=["population"])
+    cfg["params"]["n_max"] = 2
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "params.n_max: must be at least n_exc + 2 = 3" in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+COLD_PATH = """
+import json, sys
+seen = {}
+import cobath
+seen["import cobath"] = "scipy" in sys.modules
+from cobath.cli import main
+seen["import cobath.cli"] = "scipy" in sys.modules
+cfg, bad, out = sys.argv[1:]
+runs = {
+    "closed-form": ["simulate", "--config", cfg, "--out", out, "--engine", "closed-form"],
+    "plot": ["plot", out + "/run.csv", "--out", out + "/plots"],
+    "config error": ["simulate", "--config", bad, "--out", out],
+    "integrate": ["simulate", "--config", cfg, "--out", out],
+}
+for name, args in runs.items():
+    seen[name] = [main(args), "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_imported_at_the_first_matrix_exponential(tmp_path):
+    # a subprocess, since this test process has scipy loaded already
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(base_config(outputs=["population"])))
+    bad = base_config()
+    bad["params"]["g11"] = -1.0
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad))
+    r = run_python("-c", COLD_PATH, str(cfg_path), str(bad_path), str(tmp_path), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == {
+        "import cobath": False,
+        "import cobath.cli": False,
+        "closed-form": [0, False],
+        "plot": [0, False],
+        "config error": [2, False],
+        "integrate": [0, True],
+    }
 
 
 def test_cli_rejects_negative_seed_override(tmp_path, capsys):
