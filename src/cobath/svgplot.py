@@ -17,6 +17,8 @@ WIDTH = 800
 HEIGHT = 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 50
 
+TICK_TARGET = 6  # about this many ticks per axis
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
@@ -40,7 +42,7 @@ def _tick_step(lo: float, hi: float, target: int) -> float | None:
     return step
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float, target: int = TICK_TARGET) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return []
     step = _tick_step(lo, hi, target)
@@ -91,7 +93,7 @@ def emit_svg(
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     y_lo, y_hi = float(np.min(finite_vals)), float(np.max(finite_vals))
-    if y_hi <= y_lo:
+    if _tick_step(y_lo, y_hi, TICK_TARGET) is None:  # flat, or flat to within float resolution
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

@@ -22,6 +22,7 @@ is what a perfect photodetector that has registered nothing prepares.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +316,93 @@ def _norm2(x: np.ndarray) -> np.ndarray:
     return np.matmul(xf[:, None, :], xf[:, :, None])[:, 0, 0]
 
 
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants and the PCG64 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MUL_HI, _MUL_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MUL_LO0, _MUL_LO1 = np.uint64(_PCG_MULT & _M32), np.uint64(_PCG_MULT >> 32 & _M32)
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    # SeedSequence's hashmix; the hash constant moves on at every call
+    value = value ^ np.uint32(const)
+    const = const * mult & _M32
+    value = value * np.uint32(const)
+    return value ^ value >> 16, const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ out >> 16
+
+
+class _Streams:
+    """The PCG64 streams of ``numpy.random.default_rng([seed, j])``, one row per j.
+
+    Seeding is numpy's ``SeedSequence``: the entropy is the little-endian
+    uint32 words of ``seed`` followed by those of ``j`` (one word for
+    j < 2^32), hashed into a pool of four words, of which
+    ``generate_state(4, uint64)`` gives the PCG64 initial state and
+    increment.  The 128-bit LCG runs as uint64 hi/lo pairs with XSL-RR
+    output.  ``random(rows)`` is ``Generator.random()`` on each row named,
+    so every row draws the doubles its own generator would, whichever rows
+    draw with it.
+    """
+
+    def __init__(self, seed: int, js: np.ndarray):
+        js = np.asarray(js, dtype=np.uint64)
+        zero = np.zeros(js.shape, dtype=np.uint32)
+        entropy = [zero + np.uint32(seed >> s & _M32) for s in range(0, max(seed.bit_length(), 1), 32)]
+        entropy += [(js & _M32).astype(np.uint32), (js >> 32).astype(np.uint32)]
+        const, pool = _INIT_A, []
+        for i in range(4):  # a word past the entropy hashes as 0, like j's absent high word
+            value, const = _hash(entropy[i] if i < len(entropy) else zero, const, _MULT_A)
+            pool.append(value)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    value, const = _hash(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], value)
+        for src in range(4, len(entropy)):
+            # the last word, j's high word, is entropy only from j = 2^32 on
+            present = js >= 1 << 32 if src == len(entropy) - 1 else True
+            for dst in range(4):
+                value, const = _hash(entropy[src], const, _MULT_A)
+                pool[dst] = np.where(present, _mix(pool[dst], value), pool[dst])
+        const, words = _INIT_B, []
+        for i in range(8):
+            value, const = _hash(pool[i % 4], const, _MULT_B)
+            words.append(value.astype(np.uint64))
+        s_hi, s_lo, i_hi, i_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+        self.inc_hi, self.inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+        # pcg64_srandom: state 0, step, add the seed, step
+        self.lo = self.inc_lo + s_lo
+        self.hi = self.inc_hi + s_hi + (self.lo < s_lo)
+        self._step(slice(None))
+
+    def _step(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """state <- state * _PCG_MULT + inc (mod 2^128) on ``rows``; returns the new (hi, lo)."""
+        hi, lo = self.hi[rows], self.lo[rows]
+        a0, a1 = lo & _M32, lo >> 32
+        p00, p01, p10 = a0 * _MUL_LO0, a0 * _MUL_LO1, a1 * _MUL_LO0
+        carry = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        hi = a1 * _MUL_LO1 + (p01 >> 32) + (p10 >> 32) + (carry >> 32) + lo * _MUL_HI + hi * _MUL_LO
+        lo = lo * _MUL_LO
+        new_lo = lo + self.inc_lo[rows]
+        hi = hi + self.inc_hi[rows] + (new_lo < lo)
+        self.hi[rows], self.lo[rows] = hi, new_lo
+        return hi, new_lo
+
+    def random(self, rows) -> np.ndarray:
+        """One uniform double in [0, 1) per row of ``rows``: (XSL-RR output >> 11) 2^-53."""
+        hi, lo = self._step(rows)
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << (64 - rot & 63)
+        return (x >> 11) * 2.0**-53
+
+
 def mcwf_unravel(
     me: MasterEquation,
     psi0,
@@ -336,16 +424,23 @@ def mcwf_unravel(
     at the last ladder point with norm^2 >= r, less than D 2^-J before the
     exact crossing.  Channel k is picked with weight ||L_k phi||^2, phi
     becomes L_k phi / ||L_k phi||, a new r is drawn and the lifting goes on
-    to the end of the interval.  Trajectory j draws from the stream seeded
-    by (seed, j): first r, then per jump the channel draw and the next r.
-    Products are row by row and the ensemble average is an ordered sum, so
-    results do not depend on ``chunk_size`` or scheduling.
+    to the end of the interval.  Trajectory j draws the PCG64 stream that
+    ``numpy.random.default_rng([seed, j])`` would give, bit for bit: first
+    r, then per jump the channel draw and the next r.  Products are row by
+    row, so jump records do not depend on ``chunk_size`` (at least 1) or
+    scheduling; the averages are ordered sums over chunks, which moves them
+    with ``chunk_size`` at roundoff level only.
     """
     v0 = np.array(psi0.amplitudes if isinstance(psi0, KetState) else psi0, dtype=complex).ravel()
     if abs(np.linalg.norm(v0) - 1.0) > 1e-9:
         raise ValueError("initial ket must be normalized")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
     t = time_grid(t_grid)
     jumps_T = [op.matrix.T for op in jump_operators(me)]
@@ -370,8 +465,8 @@ def mcwf_unravel(
 
     for start, stop in zip(boundaries, boundaries[1:]):
         m = stop - start
-        streams = [np.random.default_rng([seed, start + j]) for j in range(m)]
-        r = np.array([s.random() for s in streams])
+        streams = _Streams(seed, np.arange(start, stop))
+        r = streams.random(slice(None))
         phi = np.tile(v0, (m, 1))
         chunk_records: list[list[tuple[float, int]]] = [[] for _ in range(m)]
         accumulate(0, phi)
@@ -385,30 +480,41 @@ def mcwf_unravel(
             full = 1 << (len(steps) - 1)
             cand = _rowwise(phi, steps[0])
             keep = _norm2(cand) >= r
-            phi[keep] = cand[keep]
+            np.copyto(phi, cand, where=keep[:, None])
             # rows that cross r lift as a compact set: state x at pos (units of dt 2^-J)
             active = np.flatnonzero(~keep)
             x, pos = phi[active], np.zeros(active.size, dtype=np.int64)
+            # round one skips level 0, the product that just failed; its other
+            # levels add up to less than dt, so only after a jump can one overshoot
+            first = 1
             while active.size:
-                for j, E in enumerate(steps):
-                    cand = _rowwise(x, E)
-                    keep = (pos + (full >> j) <= full) & (_norm2(cand) >= r[active])
-                    x[keep] = cand[keep]
-                    pos[keep] += full >> j
-                done = pos == full
-                phi[active[done]] = x[done]
-                active, x, pos = active[~done], x[~done], pos[~done]
+                r_active = r[active]
+                for j in range(first, len(steps)):
+                    cand = _rowwise(x, steps[j])
+                    keep = _norm2(cand) >= r_active
+                    if not first:
+                        keep &= pos <= full - (full >> j)
+                    np.copyto(x, cand, where=keep[:, None])
+                    np.add(pos, full >> j, out=pos, where=keep)
+                if not first:
+                    done = pos == full
+                    phi[active[done]] = x[done]
+                    active, x, pos = active[~done], x[~done], pos[~done]
+                    if not active.size:
+                        break
+                first = 0
                 targets = [_rowwise(x, L) for L in jumps_T]
                 cdf = np.cumsum([_norm2(y) for y in targets] or [np.zeros(active.size)], axis=0)
-                u = [streams[j].random() for j in active]
-                r[active] = [streams[j].random() for j in active]
-                for row, j in enumerate(active):
-                    y = x[row : row + 1]  # no jump weight: a roundoff-level crossing
-                    if cdf[-1, row] > 0.0:
-                        ch = min(int(np.sum(u[row] * cdf[-1, row] > cdf[:, row])), len(targets) - 1)
-                        chunk_records[j].append((float(t[k - 1] + pos[row] * (dt / full)), ch))
-                        y = targets[ch][row : row + 1]
-                    x[row] = y[0] / math.sqrt(_norm2(y)[0])
+                u = streams.random(active)
+                r[active] = streams.random(active)
+                ch = np.minimum(np.sum(u * cdf[-1] > cdf, axis=0), len(targets) - 1)
+                jumped = cdf[-1] > 0.0  # no jump weight: a roundoff-level crossing
+                # x itself is the last candidate, taken by the rows that did not jump
+                y = np.stack([*targets, x])[np.where(jumped, ch, len(targets)), np.arange(active.size)]
+                x = y / np.sqrt(_norm2(y))[:, None]
+                when = t[k - 1] + pos * (dt / full)
+                for j, tj, c in zip(active[jumped].tolist(), when[jumped].tolist(), ch[jumped].tolist()):
+                    chunk_records[j].append((tj, c))
             accumulate(k, phi)
 
         records.extend(tuple(rec) for rec in chunk_records)

@@ -424,11 +424,12 @@ def test_svg_range_below_float_resolution_terminates():
         "import numpy as np\n"
         "from cobath.svgplot import emit_svg\n"
         "ulps = np.array([1.0, 1.0000000000000002])\n"
-        "print(emit_svg(ulps, [('y', ulps)]).count('text-anchor=\"end\"'))\n"
+        "for y in (ulps, np.ones(2)):\n"
+        "    print(emit_svg(ulps, [('y', y)]).count('text-anchor=\"end\"'))\n"
     )
     r = run_python("-c", code, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["1"]  # the y axis gets a single tick label
+    assert r.stdout.split() == ["3", "3"]  # the y axis is ticked like a flat curve's
 
 
 def test_cli_trace_only_plot_terminates(tmp_path):
@@ -444,6 +445,20 @@ def test_cli_trace_only_plot_terminates(tmp_path):
     r = run_cli("plot", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "plots"), timeout=60)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "plots" / "trace.svg").read_bytes() == (tmp_path / "trace.svg").read_bytes()
+
+
+def test_svg_curve_flat_to_roundoff_is_horizontal_line(tmp_path):
+    # the jc-mirror closed-form trace is 1.0 up to an ulp either side; the
+    # y range was that ulp wide and the curve a full-height zigzag
+    cfg = base_config(model="jc-mirror", engine="closed-form", outputs=["trace"])
+    cfg["params"]["k_mirror"] = 0.05
+    svg_path = run_to_files(parse_config(json.dumps(cfg)), tmp_path, "trace", fmt="both")[1]
+    header, data = read_csv(tmp_path / "trace.csv")
+    assert len(set(data[:, header.index("trace")].tolist())) > 1
+    poly = [ln for ln in svg_path.read_text().splitlines() if "polyline" in ln]
+    assert len(poly) == 1
+    ys = {pt.split(",")[1] for pt in poly[0].split('points="')[1].split('"')[0].split()}
+    assert len(ys) == 1
 
 
 def test_svg_rejects_empty():

@@ -28,6 +28,7 @@ from cobath.master_equation import (
 )
 from cobath.trajectories import (
     _block_system,
+    _Streams,
     effective_generator,
     jump_feed,
     mcwf_unravel,
@@ -36,6 +37,7 @@ from cobath.trajectories import (
     solve_hierarchy,
 )
 from conftest import random_unitary, rotate_model
+from mcwf_reference import reference_mcwf_unravel
 
 
 def cavity_only_me(omega0=1.0, gamma=0.08, n_max=2):
@@ -530,3 +532,70 @@ def test_mcwf_one_trajectory_chunks_match_default():
     assert b.jump_records == a.jump_records
     np.testing.assert_allclose(b.averages[-1], a.averages[-1], atol=1e-13)
     np.testing.assert_allclose(b.stderr**2, a.stderr**2, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 2**32 + 5, 2**70 + 3])
+def test_streams_match_default_rng_bitwise(seed):
+    # j = 2^32 - 1 -> 2^32 is where j's entropy grows from one uint32 word to
+    # two; with seed 2^70 + 3 (three words) j's second word falls past the pool
+    js = np.array([0, 1, 2**32 - 1, 2**32, 2**33 + 5])
+    streams = _Streams(seed, js)
+    oracles = [np.random.default_rng([seed, int(j)]) for j in js]
+    pick = np.random.default_rng(seed % 2**32)
+    for draw in range(12):
+        rows = slice(None) if draw < 2 else np.flatnonzero(pick.random(js.size) < 0.5)
+        got = streams.random(rows)
+        want = np.array([oracles[i].random() for i in np.arange(js.size)[rows]])
+        np.testing.assert_array_equal(got, want)
+
+
+def assert_same_result(a, b):
+    assert a.counts == b.counts
+    assert a.jump_records == b.jump_records
+    np.testing.assert_array_equal(a.grid, b.grid)
+    assert len(a.averages) == len(b.averages)
+    for x, y in zip(a.averages, b.averages):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.stderr, b.stderr)  # NaN matches NaN
+
+
+@pytest.mark.parametrize(
+    "n_exc, k_mirror, initial, chunk_size, snapshot_counts",
+    [
+        (1, 0.0, "atom", 1000, ()),
+        (1, 0.05, "atom", 1, (3, 10)),
+        (2, 0.03, "photon", 7, (20,)),
+        (2, 0.0, "atom", 1000, (5, 40)),
+        (3, 0.05, "atom", 7, ()),
+        (3, 0.0, "photon", 1, ()),
+    ],
+)
+def test_mcwf_is_bitwise_the_per_trajectory_reference(n_exc, k_mirror, initial, chunk_size,
+                                                       snapshot_counts):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=k_mirror, n_exc=n_exc)
+    me, psi0 = build_jc(p), jc_initial_ket(p, initial)
+    t = np.linspace(0.0, 300.0, 31)
+    n_traj = 40 if chunk_size == 1 else 120
+    for seed in (3, 2**32 + 5):
+        args = (me, psi0, t, n_traj, seed, snapshot_counts, chunk_size)
+        res = mcwf_unravel(*args)
+        assert sum(len(r) for r in res.jump_records) > n_traj // 4
+        assert_same_result(res, reference_mcwf_unravel(*args))
+    one = mcwf_unravel(me, psi0, t, 1, 3, chunk_size=chunk_size)
+    assert_same_result(one, reference_mcwf_unravel(me, psi0, t, 1, 3, chunk_size=chunk_size))
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_mcwf_rejects_chunk_size_below_one(chunk_size):
+    # a negative chunk_size used to run only the trajectories past the
+    # first snapshot count and still divide by n_traj
+    p, me, space = jc_setup()
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        mcwf_unravel(me, jc_initial_ket(p), np.linspace(0.0, 10.0, 3), 10, 1,
+                     snapshot_counts=(5,), chunk_size=chunk_size)
+
+
+def test_mcwf_rejects_negative_seed():
+    p, me, space = jc_setup()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        mcwf_unravel(me, jc_initial_ket(p), np.linspace(0.0, 10.0, 3), 10, -1)
