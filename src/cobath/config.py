@@ -170,19 +170,27 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
     _require_keys(obj, _PARAM_KEYS[model], _PARAM_REQUIRED[model], f"{path}.")
 
     omega0 = _real(obj["omega0"], f"{path}.omega0")
-    if omega0 <= FREQ_MATCH_TOL:
-        raise ConfigError(
-            f"{path}.omega0: must be > 0 (above the frequency resolution {FREQ_MATCH_TOL!r})"
-        )
     eps = _complex(obj["eps"], f"{path}.eps")
     n_exc = _int(obj.get("n_exc", 1), f"{path}.n_exc")
-    if n_exc < 0:
-        raise ConfigError(f"{path}.n_exc: must be >= 0")
     n_max = obj.get("n_max")
     if n_max is not None:
         n_max = _int(n_max, f"{path}.n_max")
-        if n_max < n_exc + 2:
-            raise ConfigError(f"{path}.n_max: must be at least n_exc + 2 = {n_exc + 2}")
+
+    rates = {"g11": 0.0, "g22": 0.0}
+    if model != "custom-tensor":
+        rates["g11"] = _real(obj["g11"], f"{path}.g11")
+        rates["g22"] = _real(obj["g22"], f"{path}.g22")
+        rates["g12"] = _complex(obj.get("g12", 0.0), f"{path}.g12")
+        if model == "jc-two-bath" and rates["g12"] != 0:
+            raise ConfigError(f"{path}.g12: must be 0 for model jc-two-bath")
+        rates["k_mirror"] = _real(obj.get("k_mirror", 0.0), f"{path}.k_mirror")
+        if model != "jc-mirror" and rates["k_mirror"] != 0:
+            raise ConfigError(f"{path}.k_mirror: only model jc-mirror takes mirror loss")
+    try:
+        # JCParams owns the bounds; each message reads "<field>: <rule>"
+        params = JCParams(omega0=omega0, eps=eps, n_exc=n_exc, n_max=n_max, **rates)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
     tensor = None
     if model == "custom-tensor":
@@ -199,38 +207,6 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
                     f"{path}.tensor.frequencies[{i}]: no coupling component at "
                     f"frequency {w!r} (the channels act at omega0 = {omega0!r})"
                 )
-        g11 = g22 = 0.0
-        g12 = 0.0
-        k_mirror = 0.0
-    else:
-        g11 = _real(obj["g11"], f"{path}.g11")
-        g22 = _real(obj["g22"], f"{path}.g22")
-        if g11 < 0:
-            raise ConfigError(f"{path}.g11: must be >= 0")
-        if g22 < 0:
-            raise ConfigError(f"{path}.g22: must be >= 0")
-        g12 = _complex(obj.get("g12", 0.0), f"{path}.g12")
-        if model == "jc-two-bath" and g12 != 0:
-            raise ConfigError(f"{path}.g12: must be 0 for model jc-two-bath")
-        k_mirror = _real(obj.get("k_mirror", 0.0), f"{path}.k_mirror")
-        if model != "jc-mirror" and k_mirror != 0:
-            raise ConfigError(f"{path}.k_mirror: only model jc-mirror takes mirror loss")
-        if k_mirror < 0:
-            raise ConfigError(f"{path}.k_mirror: must be >= 0")
-
-    try:
-        params = JCParams(
-            omega0=omega0,
-            eps=eps,
-            g11=g11,
-            g22=g22,
-            g12=g12,
-            k_mirror=k_mirror,
-            n_exc=n_exc,
-            n_max=n_max,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}.g12: {exc}" if "g12" in str(exc) else f"{path}: {exc}") from exc
     return params, tensor
 
 

@@ -75,13 +75,36 @@ def _default_tol(eigenvalues: np.ndarray) -> float:
 
 
 def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator, merging eigenvalues closer than the tolerance."""
+    """Diagonalize a Hermitian operator, merging eigenvalues closer than the tolerance.
+
+    ``eigh`` runs inside each connected block of H's exact nonzero pattern
+    (one stacked call per block size), so roundoff never mixes the sectors
+    of a conserved count such as the JC excitation number; a matrix with no
+    exact zeros is one block.  Eigenpairs are sorted by eigenvalue (stable).
+    """
     herm_defect = float(np.max(np.abs(H.matrix - H.matrix.conj().T)))
     if herm_defect > 1e-9 * max(1.0, float(np.max(np.abs(H.matrix)))):
         raise ValueError(f"Hamiltonian not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
-    evals, vecs = np.linalg.eigh((H.matrix + H.matrix.conj().T) / 2.0)
+    h = (H.matrix + H.matrix.conj().T) / 2.0
+    d = len(h)
+    # min-label propagation: each state ends labelled by the least index of its block
+    labels, prev = np.arange(d), None
+    while not np.array_equal(labels, prev):
+        prev, labels = labels, np.minimum(labels, np.where(h != 0, labels, d).min(axis=1))
+    size = np.bincount(labels, minlength=d)[labels]
+    grouped = np.argsort(labels, kind="stable")
+    evals, vecs, done = np.empty(d), np.zeros_like(h), 0
+    for s in np.flatnonzero(np.bincount(size)):
+        idx = grouped[size[grouped] == s].reshape(-1, s)  # one row per block
+        cols = done + np.arange(idx.size).reshape(idx.shape)
+        evals[cols], vecs[idx[:, :, None], cols[:, None, :]] = np.linalg.eigh(
+            h[idx[:, :, None], idx[:, None, :]]
+        )
+        done += idx.size
+    order = np.argsort(evals, kind="stable")
+    evals, vecs = evals[order], vecs[:, order]
     tol = _default_tol(evals) if degeneracy_tol is None else float(degeneracy_tol)
-    # eigh sorts ascending, so each cluster is a contiguous run of columns
+    # sorted ascending, so each cluster is a contiguous run of columns
     starts = np.flatnonzero(np.diff(evals) > tol) + 1
     clustered = tuple(float(np.mean(run)) for run in np.split(evals, starts))
     return SpectralDecomposition(H.space, clustered, _freeze(vecs), (0, *starts.tolist()), tol)

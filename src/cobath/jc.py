@@ -95,22 +95,26 @@ class JCParams:
     n_max: int | None = None
 
     def __post_init__(self):
-        # a frequency at or below FREQ_MATCH_TOL counts as 0: no coupling splits there
+        # one "<field>: <rule>" message per field, in the order the config
+        # parser reads them; a frequency at or below FREQ_MATCH_TOL counts
+        # as 0, where no coupling splits
         if self.omega0 <= FREQ_MATCH_TOL:
             raise ValueError(
-                f"omega0 must be > 0 (above the frequency resolution {FREQ_MATCH_TOL!r})"
+                f"omega0: must be > 0 (above the frequency resolution {FREQ_MATCH_TOL!r})"
             )
-        if self.g11 < 0 or self.g22 < 0 or self.k_mirror < 0:
-            raise ValueError("decay rates must be non-negative")
         if self.n_exc < 0:
-            raise ValueError("n_exc must be non-negative")
-        if abs(self.g12) ** 2 > self.g11 * self.g22 + PSD_SLACK:
-            raise ValueError(
-                f"|g12|^2 = {abs(self.g12) ** 2:.3e} exceeds g11*g22 = {self.g11 * self.g22:.3e}"
-            )
+            raise ValueError("n_exc: must be >= 0")
         n_max = self.n_exc + 2 if self.n_max is None else int(self.n_max)
         if n_max < self.n_exc + 2:
-            raise ValueError(f"n_max must be at least n_exc + 2 = {self.n_exc + 2}")
+            raise ValueError(f"n_max: must be at least n_exc + 2 = {self.n_exc + 2}")
+        for name in ("g11", "g22", "k_mirror"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
+        if abs(self.g12) ** 2 > self.g11 * self.g22 + PSD_SLACK:
+            raise ValueError(
+                f"g12: |g12|^2 = {abs(self.g12) ** 2:.3e} "
+                f"exceeds g11*g22 = {self.g11 * self.g22:.3e}"
+            )
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "eps", complex(self.eps))
         object.__setattr__(self, "g12", complex(self.g12))

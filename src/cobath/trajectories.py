@@ -159,15 +159,6 @@ class TrajectoryHierarchy:
         return out
 
 
-def _sector_projectors(number_op: Operator, n_max: int) -> list[np.ndarray]:
-    evals, vecs = np.linalg.eigh(number_op.matrix)
-    projs = []
-    for n in range(n_max + 1):
-        cols = vecs[:, np.abs(evals - n) < 0.5]
-        projs.append(cols @ cols.conj().T)
-    return projs
-
-
 def _block_system(me: MasterEquation):
     """The block-bidiagonal system as ``propagate_linear`` takes it.
 
@@ -211,19 +202,23 @@ def solve_hierarchy(
 ) -> TrajectoryHierarchy:
     """Solve the coupled block system from a sector-pure initial state.
 
-    ``number_op`` counts excitations; the initial state must be supported
-    on a single integer eigenvalue N of it (split mixed-sector states by
-    linearity before calling).  Every coupling component at positive
-    frequency must lower the count by exactly one, which makes the number
-    of jumps and the number of lost excitations interchangeable labels.
-    ``number_op`` serves only these checks and the block count N + 1.
+    ``number_op`` counts excitations and must have an integer spectrum.
+    The initial state must satisfy N rho0 = n rho0 for one n >= 0; for a
+    Hermitian rho0 that excludes weight in other sectors and coherence
+    between sectors alike (split mixed-sector states by linearity before
+    calling).  The Hamiltonian, Lamb shift included, must conserve the
+    count, [N, H] = 0, and every coupling component at positive frequency
+    must lower it by exactly one, [N, A(w)] = -A(w), which makes the
+    number of jumps and the number of lost excitations interchangeable
+    labels.  ``number_op`` serves only these checks and the block count
+    n + 1.
 
     Without ``max_step`` the stack of blocks is propagated on its
     invariant support (:func:`~cobath.master_equation.invariant_support`):
     the entries the top block reaches by no-jump mixing inside a block and
     by the jump feed from block i + 1 into block i, read from the exact
     zeros of B and of the coupling components.  For a sector-pure JC state
-    that is 1 + 4 N entries, not (N + 1) dim^2; the restricted
+    that is 1 + 4 n entries, not (n + 1) dim^2; the restricted
     block-bidiagonal generator is built directly and propagated exactly
     up to ``EXACT_SIZE_LIMIT`` entries.  Above it, or with an explicit
     ``max_step``, fixed-step RK4 runs on the full stack.
@@ -232,39 +227,36 @@ def solve_hierarchy(
         raise ValueError("tensor contains non-positive frequencies; filter it first")
     if rho0.space != me.space or number_op.space != me.space:
         raise ValueError("space mismatch between state, generator, and number operator")
-    for fam in me.couplings:
-        for eo in fam:
-            if eo.frequency <= FREQ_MATCH_TOL:
-                continue
-            a = eo.op.matrix
-            defect = np.linalg.norm(number_op.matrix @ a - a @ number_op.matrix + a)
-            if defect > 1e-9 * max(1.0, float(np.linalg.norm(a))):
-                raise ValueError(
-                    f"coupling {eo.op.label!r} does not lower the excitation count by one"
-                )
-
-    evals = np.linalg.eigvalsh(number_op.matrix)
+    num = number_op.matrix
+    evals = np.linalg.eigvalsh(num)
     if np.max(np.abs(evals - np.round(evals))) > 1e-6:
         raise ValueError("number operator must have integer spectrum")
-    n_top = int(round(float(evals[-1])))
-    projs = _sector_projectors(number_op, n_top)
-    weights = [float(np.real(np.trace(p @ rho0.matrix @ p))) for p in projs]
-    occupied = [n for n, wgt in enumerate(weights) if wgt > SECTOR_TOL]
-    if len(occupied) != 1:
+    # [N, X] = c X: the Hamiltonian keeps the count, each emitting coupling lowers it by one
+    checks = [(me.hamiltonian_matrix(), 0, "Hamiltonian does not conserve the excitation count")]
+    for fam in me.couplings:
+        for eo in fam:
+            if eo.frequency > FREQ_MATCH_TOL:
+                msg = f"coupling {eo.op.label!r} does not lower the excitation count by one"
+                checks.append((eo.op.matrix, -1, msg))
+    for x, c, msg in checks:
+        if np.linalg.norm(num @ x - x @ num - c * x) > 1e-9 * max(1.0, float(np.linalg.norm(x))):
+            raise ValueError(msg)
+
+    weight = rho0.trace
+    num_rho = num @ rho0.matrix
+    N = round(float(np.trace(num_rho).real) / weight) if weight > SECTOR_TOL else -1
+    if N < 0 or float(np.max(np.abs(num_rho - N * rho0.matrix))) > SECTOR_TOL:
         raise ValueError(
-            f"initial state spans excitation sectors {occupied}; split it by linearity"
+            "initial state is not in one excitation sector (N rho0 != n rho0); "
+            "split it by linearity"
         )
-    N = occupied[0]
-    block0 = projs[N] @ rho0.matrix @ projs[N]
-    if float(np.max(np.abs(block0 - rho0.matrix))) > SECTOR_TOL:
-        raise ValueError("initial state has coherence between excitation sectors")
 
     t = time_grid(t_grid)
 
     dim = me.space.total_dim
     rhs, generator, structure = _block_system(me)
     stack = np.zeros((N + 1, dim, dim), dtype=complex)
-    stack[N] = block0
+    stack[N] = rho0.matrix
     steps = propagate_linear(me, stack, t, max_step, generator, rhs, structure)
     series = np.array([stack, *steps])
     check_hygiene(series, t, rho0.trace, None)

@@ -751,6 +751,24 @@ def test_scipy_is_imported_at_the_first_matrix_exponential(tmp_path):
     }
 
 
+SETUP_PATH = """
+import sys
+from cobath.config import load_config
+from cobath.runner import build_model
+build_model(load_config(sys.argv[1]))
+print(sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
+"""
+
+
+def test_model_setup_loads_neither_scipy_nor_numpy_ma():
+    # the set-up path (import, load_config, build_model) a fresh process
+    # times: numpy.ma alone costs ~15 ms on its first import
+    cfg = CONFIGS / "jc_mirror_many_quanta.json"
+    r = run_python("-c", SETUP_PATH, str(cfg), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_rejects_negative_seed_override(tmp_path, capsys):
     cfg = base_config(engine="mcwf", mcwf={"n_traj": 4, "seed": 1}, outputs=["population"])
     cfg_path = tmp_path / "run.json"

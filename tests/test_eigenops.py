@@ -3,8 +3,15 @@ import pytest
 from scipy.linalg import expm
 
 from cobath.core import HilbertSpace, Operator, make_atom_ops, make_cavity_ops
-from cobath.eigenops import BLOCK_DROP_TOL, decompose, eigenoperators, verify_rwa_conservation
-from cobath.jc import JCParams, _hamiltonians, jc_space
+from cobath.eigenops import (
+    BLOCK_DROP_TOL,
+    SpectralDecomposition,
+    decompose,
+    eigenoperators,
+    verify_rwa_conservation,
+)
+from cobath.jc import JCParams, _hamiltonians, build_jc, excitation_number, jc_initial, jc_space
+from cobath.master_equation import invariant_support, liouvillian_structure
 from conftest import random_hermitian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -303,3 +310,89 @@ def test_block_below_drop_tol_is_dropped_before_summing():
     d = decompose(h)
     assert eigenoperators(a, d) == []
     _assert_matches_oracle(a, d)
+
+
+# ------------------------------------------------------ whole-space oracle
+
+def whole_space_decompose(H):
+    """Reference decomposition: one ``eigh`` of the whole matrix, with the
+    clustering rule of ``decompose``."""
+    evals, vecs = np.linalg.eigh((H.matrix + H.matrix.conj().T) / 2.0)
+    tol = 1e-8 * float(np.max(np.abs(evals)))
+    starts = np.flatnonzero(np.diff(evals) > tol) + 1
+    clustered = tuple(float(np.mean(run)) for run in np.split(evals, starts))
+    return SpectralDecomposition(H.space, clustered, vecs, (0, *starts.tolist()), tol)
+
+
+def _jc_splits(p, dressed):
+    # (block-wise, whole-space) eigenoperators of both couplings
+    atom, cav, h_bare, h_full = _hamiltonians(p, jc_space(p))
+    h = h_full if dressed else h_bare
+    d, ref = decompose(h), whole_space_decompose(h)
+    couplings = (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"])
+    return d, ref, [(eigenoperators(a, d), eigenoperators(a, ref)) for a in couplings]
+
+
+@pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3])
+@pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
+def test_bare_jc_decompose_matches_whole_space_eigh_bitwise(n_exc, omega0):
+    p = JCParams(omega0=omega0, eps=0.1, g11=0.01, g22=0.01, n_exc=n_exc)
+    d, ref, splits = _jc_splits(p, dressed=False)
+    assert d.eigenvalues == ref.eigenvalues
+    assert d.starts == ref.starts
+    for parts, want in splits:
+        assert [e.frequency for e in parts] == [e.frequency for e in want]
+        for e, w in zip(parts, want):
+            np.testing.assert_array_equal(e.op.matrix, w.op.matrix)
+
+
+@pytest.mark.parametrize("n_exc", [2, 13, 30])
+def test_dressed_jc_decompose_matches_whole_space_eigh(n_exc):
+    p = JCParams(omega0=1.3, eps=0.1, g11=0.01, g22=0.01, n_exc=n_exc)
+    d, ref, splits = _jc_splits(p, dressed=True)
+    np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, rtol=0.0, atol=1e-12)
+    for parts, want in splits:
+        assert len(parts) == len(want)
+        for e, w in zip(parts, want):
+            assert abs(e.frequency - w.frequency) <= 1e-12
+            np.testing.assert_allclose(e.op.matrix, w.op.matrix, rtol=0.0, atol=1e-12)
+
+
+def test_decompose_follows_blocks_through_chains(rng):
+    # tridiagonal chains of 5 and 3 states and a lone state, in a shuffled
+    # basis: a block is found only by following the chain link by link
+    sizes = [5, 3, 1]
+    h = np.zeros((9, 9), dtype=complex)
+    start = 0
+    for s in sizes:
+        idx = np.arange(start, start + s)
+        h[idx, idx] = rng.normal(size=s)
+        h[idx[:-1], idx[1:]] = rng.normal(size=s - 1) + 1j * rng.normal(size=s - 1)
+        start += s
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    h += np.triu(h, 1).conj().T
+    perm = rng.permutation(9)
+    H = Operator(HilbertSpace((9,)), h[np.ix_(perm, perm)])
+    block = block[perm]
+    d, ref = decompose(H), whole_space_decompose(H)
+    np.testing.assert_allclose(d.eigenvalues, ref.eigenvalues, rtol=0.0, atol=1e-12)
+    for v in d.vectors.T:
+        assert len(set(block[v != 0])) == 1  # each eigenvector lives in one block
+
+# At omega0 = 1.0 and n_exc = 30 the exact support is 129, not 1 + 4 n_exc:
+# 0.1 (sqrt(31) + sqrt(30)) > omega0, so the upper dressed level of sector
+# n lies above the lower one of sector n + 1, and 56 entries of the
+# positive-frequency components raise N by one.  The hierarchy rejects that
+# split.  A whole-space eigh smears roundoff into every pair of sectors
+# (a support of 2532 to 4100 entries).
+@pytest.mark.parametrize("omega0, support_size, raising", [(1.3, 121, 0), (1.0, 129, 56)])
+def test_dressed_split_keeps_excitation_sectors_exact(omega0, support_size, raising):
+    p = JCParams(omega0=omega0, eps=0.1, g11=0.01, g22=0.01, n_exc=30)
+    me = build_jc(p, dressed=True)
+    support = invariant_support(jc_initial(p).matrix, liouvillian_structure(me))
+    assert support.size == support_size
+    n = np.round(np.diag(excitation_number(jc_space(p)).matrix).real)
+    delta_n = n[:, None] - n[None, :]  # entry (i, j) takes sector n_j to n_i
+    emitting = [eo.op.matrix for fam in me.couplings for eo in fam if eo.frequency > 0]
+    assert all(np.all(np.isin(delta_n[m != 0], (-1, 1))) for m in emitting)
+    assert sum(np.count_nonzero(delta_n[m != 0] == 1) for m in emitting) == raising

@@ -176,6 +176,33 @@ def test_hierarchy_rejects_mixed_sectors():
     rho0 = DensityMatrix(space, m)
     with pytest.raises(ValueError, match="sector"):
         solve_hierarchy(me, rho0, np.linspace(0, 1, 2), excitation_number(space))
+    # minor sector weight delta is below SECTOR_TOL, the coherence sqrt(delta) is not
+    delta = 1e-11
+    v = math.sqrt(1 - delta) * basis_ket(space, (0, 0)).amplitudes
+    v += math.sqrt(delta) * basis_ket(space, (1, 0)).amplitudes
+    pure = KetState(space, v).projector()
+    with pytest.raises(ValueError, match="sector"):
+        solve_hierarchy(me, pure, np.linspace(0, 1, 2), excitation_number(space))
+    # a zero-trace state lies in no sector
+    empty = DensityMatrix(space, np.zeros_like(m), trace_target=None)
+    with pytest.raises(ValueError, match="sector"):
+        solve_hierarchy(me, empty, np.linspace(0, 1, 2), excitation_number(space))
+
+
+@pytest.mark.parametrize("where", ["H_S", "H_LS"])
+def test_hierarchy_rejects_non_conserving_hamiltonian(where):
+    # a counter-rotating term breaks [N, H] = 0; the check must fire up
+    # front, on a grid too short for the state checks to notice the leak
+    p, me, space = jc_setup()
+    atom, cav = make_atom_ops(space, 0), make_cavity_ops(space, 1)
+    extra = 0.1 * (cav["a"] @ atom["S_minus"] + cav["a_dag"] @ atom["S_plus"])
+    if where == "H_S":
+        hamiltonians = dict(H_S=Operator(space, me.H_S.matrix + extra.matrix), H_LS=None)
+    else:  # a Lamb shift counts too
+        hamiltonians = dict(H_S=me.H_S, H_LS=extra)
+    bad = MasterEquation(couplings=me.couplings, tensor=me.tensor, **hamiltonians)
+    with pytest.raises(ValueError, match="Hamiltonian does not conserve the excitation count"):
+        solve_hierarchy(bad, jc_initial(p), np.linspace(0.0, 0.1, 11), excitation_number(space))
 
 
 def test_hierarchy_telescoping_trace():
