@@ -77,11 +77,9 @@ def _apply_overrides(cfg, args):
 
 
 def _cmd_run(args, sweep: bool, force_mcwf: bool) -> int:
-    cfg = load_config(args.config)
-    if force_mcwf:
-        if cfg.engine != "mcwf":
-            raise ConfigError("trajectories: config must declare engine = mcwf")
-    cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(load_config(args.config), args)
+    if force_mcwf and cfg.engine != "mcwf":
+        raise ConfigError(f"trajectories: engine must be mcwf, not {cfg.engine!r}")
     base = Path(args.config).stem
     out_dir = Path(args.out)
     if sweep:

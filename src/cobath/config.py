@@ -299,6 +299,10 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(s["values"], list) or not s["values"]:
             raise ConfigError("sweep.values: expected a non-empty list")
         values = tuple(_real(v, f"sweep.values[{i}]") for i, v in enumerate(s["values"]))
+        for i, value in enumerate(values):
+            first = values.index(value)  # float equality: 0.005 == 0.0050, 0.0 == -0.0
+            if first < i:
+                raise ConfigError(f"sweep.values[{i}]: duplicate of sweep.values[{first}]")
         sweep = SweepSpec(s["param"], values)
 
     for name in ("concurrence",):

@@ -395,6 +395,9 @@ class _Streams:
         return (x >> 11) * 2.0**-53
 
 
+WINDOW = 8  # grid intervals a chunk sweeps before the rows that cross in them lift
+
+
 def mcwf_unravel(
     me: MasterEquation,
     psi0,
@@ -418,12 +421,28 @@ def mcwf_unravel(
     becomes L_k phi / ||L_k phi||, a new r is drawn and the lifting goes on
     to the end of the interval.  Trajectory j draws the PCG64 stream that
     ``numpy.random.default_rng([seed, j])`` would give, bit for bit: first
-    r, then per jump the channel draw and the next r.  Products are row by
-    row, so jump records do not depend on ``chunk_size`` (at least 1) or
-    scheduling; the averages are ordered sums over chunks, which moves them
-    with ``chunk_size`` at roundoff level only.
+    r, then per jump the channel draw and the next r.
+
+    Each chunk of trajectories advances through windows of ``WINDOW`` grid
+    intervals.  One sweep of interval products over the whole chunk parks
+    every row at the first interval of the window in which its norm^2
+    falls below r.  The parked rows lift together, one pass per ladder
+    whatever their intervals, and a compact catch-up sweep carries them to
+    the window's end, parking again the rows that cross again, until none
+    is left.  The window's states sit in one complex buffer of
+    (WINDOW + 1) x chunk x d (d the Hilbert-space dimension, chunk at most
+    ``chunk_size``) that starts with the window's first grid point and
+    that every chunk reuses; they are accumulated, with the norms the
+    sweeps computed, when the window closes.  Products are row by row,
+    and every row meets the same products, draws and normalizations in
+    the same order whatever the schedule, so no result depends on it.
+    Nor do the jump records depend on ``chunk_size`` (at least 1); the
+    averages are ordered sums over chunks, which moves them with
+    ``chunk_size`` at roundoff level only.
     """
     v0 = np.array(psi0.amplitudes if isinstance(psi0, KetState) else psi0, dtype=complex).ravel()
+    if isinstance(psi0, KetState) and psi0.space != me.space or v0.size != me.space.total_dim:
+        raise ValueError("initial ket lives on the wrong space")
     if abs(np.linalg.norm(v0) - 1.0) > 1e-9:
         raise ValueError("initial ket must be normalized")
     if n_traj < 1:
@@ -435,10 +454,20 @@ def mcwf_unravel(
         raise ValueError("seed must be >= 0")
 
     t = time_grid(t_grid)
+    dts = np.diff(t)
     jumps_T = [op.matrix.T for op in jump_operators(me)]
     b = effective_generator(me).B.matrix
     resolution = grid_resolution(t)
     ladders: dict[int, list[np.ndarray]] = {}  # exp(-iB dt 2^-j)^T, j = 0..J
+    keys = []  # the ladder of each interval
+    for dt in dts:
+        key = round(dt / resolution)  # spacings within the resolution share a ladder
+        if key not in ladders:
+            levels = max(0, math.ceil(math.log2(dt / resolution)))
+            ladders[key] = [expm(-1j * b * (dt / 2**j)).T for j in range(levels + 1)]
+        keys.append(key)
+    level0 = [ladders[key][0] for key in keys]
+    keys = np.array(keys)
 
     counts = tuple(sorted(set(int(c) for c in snapshot_counts if 0 < int(c) < n_traj))) + (n_traj,)
     # chunk boundaries adapt to the requested snapshot counts so running
@@ -449,65 +478,106 @@ def mcwf_unravel(
     snapshots: list[np.ndarray] = []
     records: list[tuple[tuple[float, int], ...]] = []
 
-    def accumulate(k: int, phi: np.ndarray):
-        psi = phi / np.sqrt(_norm2(phi))[:, None]
+    def accumulate(k: int, phi: np.ndarray, norm2: np.ndarray):
+        psi = phi / np.sqrt(norm2)[:, None]
         p = psi.real**2 + psi.imag**2
         sums[k] += psi.T @ psi.conj()
         squares[k] += p.T @ p
 
+    # the window's grid points k0 .. k0 + WINDOW: states and their norm^2, one
+    # buffer for every chunk
+    rows_max = max(stop - start for start, stop in zip(boundaries, boundaries[1:]))
+    window_states = np.empty((WINDOW + 1, rows_max, v0.size), dtype=complex)
+    window_norms = np.empty((WINDOW + 1, rows_max))
     for start, stop in zip(boundaries, boundaries[1:]):
         m = stop - start
         streams = _Streams(seed, np.arange(start, stop))
         r = streams.random(slice(None))
-        phi = np.tile(v0, (m, 1))
         chunk_records: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-        accumulate(0, phi)
-        for k in range(1, len(t)):
-            dt = t[k] - t[k - 1]
-            key = round(dt / resolution)  # spacings within the resolution share a ladder
-            if key not in ladders:
-                levels = max(0, math.ceil(math.log2(dt / resolution)))
-                ladders[key] = [expm(-1j * b * (dt / 2**j)).T for j in range(levels + 1)]
-            steps = ladders[key]
+        states, norms = window_states[:, :m], window_norms[:, :m]
+        states[0] = v0
+        norms[0] = _norm2(states[0])
+        accumulate(0, states[0], norms[0])
+
+        def lift(rows: np.ndarray, ks: np.ndarray, x: np.ndarray, steps: list[np.ndarray]):
+            """Carry ``rows`` from states ``x`` at the start of intervals ``ks``
+            (all on ladder ``steps``) to their ends, jumping on the way.
+
+            Returns the rows, their intervals and their end states, in the
+            order the rows finish.
+            """
             full = 1 << (len(steps) - 1)
-            cand = _rowwise(phi, steps[0])
-            keep = _norm2(cand) >= r
-            np.copyto(phi, cand, where=keep[:, None])
-            # rows that cross r lift as a compact set: state x at pos (units of dt 2^-J)
-            active = np.flatnonzero(~keep)
-            x, pos = phi[active], np.zeros(active.size, dtype=np.int64)
+            pos = np.zeros(rows.size, dtype=np.int64)  # units of dt 2^-J
+            finished = []
             # round one skips level 0, the product that just failed; its other
             # levels add up to less than dt, so only after a jump can one overshoot
             first = 1
-            while active.size:
-                r_active = r[active]
+            while True:
+                r_rows = r[rows]
                 for j in range(first, len(steps)):
                     cand = _rowwise(x, steps[j])
-                    keep = _norm2(cand) >= r_active
+                    keep = _norm2(cand) >= r_rows
                     if not first:
                         keep &= pos <= full - (full >> j)
                     np.copyto(x, cand, where=keep[:, None])
                     np.add(pos, full >> j, out=pos, where=keep)
                 if not first:
                     done = pos == full
-                    phi[active[done]] = x[done]
-                    active, x, pos = active[~done], x[~done], pos[~done]
-                    if not active.size:
-                        break
+                    finished.append((rows[done], ks[done], x[done]))
+                    rows, ks, x, pos = rows[~done], ks[~done], x[~done], pos[~done]
+                    if not rows.size:
+                        return [np.concatenate(a) for a in zip(*finished)]
                 first = 0
                 targets = [_rowwise(x, L) for L in jumps_T]
-                cdf = np.cumsum([_norm2(y) for y in targets] or [np.zeros(active.size)], axis=0)
-                u = streams.random(active)
-                r[active] = streams.random(active)
+                cdf = np.cumsum([_norm2(y) for y in targets] or [np.zeros(rows.size)], axis=0)
+                u = streams.random(rows)
+                r[rows] = streams.random(rows)
                 ch = np.minimum(np.sum(u * cdf[-1] > cdf, axis=0), len(targets) - 1)
                 jumped = cdf[-1] > 0.0  # no jump weight: a roundoff-level crossing
                 # x itself is the last candidate, taken by the rows that did not jump
-                y = np.stack([*targets, x])[np.where(jumped, ch, len(targets)), np.arange(active.size)]
+                y = np.stack([*targets, x])[np.where(jumped, ch, len(targets)), np.arange(rows.size)]
                 x = y / np.sqrt(_norm2(y))[:, None]
-                when = t[k - 1] + pos * (dt / full)
-                for j, tj, c in zip(active[jumped].tolist(), when[jumped].tolist(), ch[jumped].tolist()):
+                when = t[ks] + pos * (dts[ks] / full)
+                for j, tj, c in zip(rows[jumped].tolist(), when[jumped].tolist(), ch[jumped].tolist()):
                     chunk_records[j].append((tj, c))
-            accumulate(k, phi)
+
+        for k0 in range(0, len(t) - 1, WINDOW):
+            n = min(WINDOW, len(t) - 1 - k0)
+            for w in range(n):
+                states[w + 1] = _rowwise(states[w], level0[k0 + w])
+                norms[w + 1] = _norm2(states[w + 1])
+            # each row parks at the first interval where norm^2 falls below r
+            crossed = norms[1 : n + 1] < r
+            rows = np.flatnonzero(crossed.any(axis=0))
+            ws = crossed[:, rows].argmax(axis=0)
+            x = states[ws, rows]
+            while rows.size:
+                key_of, lifted = keys[k0 + ws], []
+                for key in dict.fromkeys(key_of.tolist()):  # one pass per ladder
+                    g = key_of == key
+                    lifted.append(lift(rows[g], k0 + ws[g], x[g], ladders[key]))
+                rows, ks, x = (np.concatenate(a) for a in zip(*lifted))
+                ws = ks - k0 + 1  # the grid point each row has reached
+                states[ws, rows] = x
+                norms[ws, rows] = _norm2(x)
+                # catch-up from there to the window's end, parking rows that cross again
+                parked = np.zeros(rows.size, dtype=bool)
+                r_rows = r[rows]
+                for w in range(ws.min(initial=n), n):
+                    on = ~parked & (ws <= w)
+                    cand = _rowwise(x, level0[k0 + w])
+                    norm2 = _norm2(cand)
+                    cross = on & (norm2 < r_rows)
+                    parked |= cross
+                    ws[cross] = w
+                    on &= ~cross
+                    np.copyto(x, cand, where=on[:, None])
+                    states[w + 1, rows[on]] = cand[on]
+                    norms[w + 1, rows[on]] = norm2[on]
+                rows, ws, x = rows[parked], ws[parked], x[parked]
+            for w in range(1, n + 1):
+                accumulate(k0 + w, states[w], norms[w])
+            states[0] = states[n]
 
         records.extend(tuple(rec) for rec in chunk_records)
         if stop in counts:

@@ -681,6 +681,29 @@ def test_cli_sweep_checks_every_point_before_running(param, values, tmp_path, ca
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("values, dup", [([0.005, 0.005, 0.0050], 1), ([0.0, 0.01, -0.0], 2)])
+def test_cli_sweep_rejects_duplicate_values(values, dup, tmp_path, capsys):
+    # equal as floats: each run would rewrite the same <base>_g12_<value> files
+    cfg = base_config(outputs=["population"], sweep={"param": "g12", "values": values})
+    cfg_path = tmp_path / "dup.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"sweep.values[{dup}]: duplicate of sweep.values[0]" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_trajectories_checks_the_engine_after_overrides(tmp_path, capsys):
+    # the engine check used to run before --engine was applied
+    args = ["trajectories", "--config", str(CONFIGS / "mcwf_dfs.json"), "--out", str(tmp_path),
+            "--engine", "closed-form"]
+    assert main(args) == 2
+    assert "trajectories: engine must be mcwf, not 'closed-form'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("where", ["params", "sweep"])
 def test_cli_rejects_omega0_below_frequency_resolution(where, tmp_path, capsys):
     # at or below FREQ_MATCH_TOL the split yields no tensor frequency at all

@@ -27,6 +27,7 @@ from cobath.master_equation import (
     jump_superoperator,
 )
 from cobath.trajectories import (
+    WINDOW,
     _block_system,
     _Streams,
     effective_generator,
@@ -610,6 +611,73 @@ def test_mcwf_is_bitwise_the_per_trajectory_reference(n_exc, k_mirror, initial, 
         assert_same_result(res, reference_mcwf_unravel(*args))
     one = mcwf_unravel(me, psi0, t, 1, 3, chunk_size=chunk_size)
     assert_same_result(one, reference_mcwf_unravel(me, psi0, t, 1, 3, chunk_size=chunk_size))
+
+
+def jump_intervals(grid, record):
+    return np.searchsorted(grid, [tj for tj, _ in record], side="right") - 1
+
+
+def assert_bitwise_the_reference(p, initial, grid, n_traj, chunk_size, snapshot_counts):
+    me, psi0 = build_jc(p), jc_initial_ket(p, initial)
+    args = (me, psi0, grid, n_traj, 3, snapshot_counts, chunk_size)
+    res = mcwf_unravel(*args)
+    assert_same_result(res, reference_mcwf_unravel(*args))
+    return res
+
+
+@pytest.mark.parametrize("chunk_size, snapshot_counts", [(1000, ()), (7, (4, 25)), (1, (3,))])
+def test_mcwf_window_with_several_ladders_is_bitwise_the_reference(chunk_size, snapshot_counts):
+    # four ladders (spacings 3, 7, 11, 20) inside every window, and a spacing
+    # 20 + 1e-13 that shares the ladder of 20 but keeps its own jump times
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.03, n_exc=2)
+    spacings = np.tile([20.0, 3.0, 7.0, 20.0 + 1e-13, 11.0, 3.0], 4)
+    grid = np.concatenate([[0.0], np.cumsum(spacings)])
+    n_traj = 40 if chunk_size == 1 else 120
+    res = assert_bitwise_the_reference(p, "photon", grid, n_traj, chunk_size, snapshot_counts)
+    # rows whose first crossing in a window falls on different ladders lift in one pass
+    ladders_met = {}
+    for rec in res.jump_records:
+        ks = jump_intervals(grid, rec)
+        for w in set(ks // WINDOW):
+            first = ks[ks // WINDOW == w][0]
+            ladders_met.setdefault(w, set()).add(round(spacings[first]))
+    assert max(len(s) for s in ladders_met.values()) >= 3
+
+
+@pytest.mark.parametrize("n_points", [2, WINDOW + 1, WINDOW + 2])
+@pytest.mark.parametrize("chunk_size, snapshot_counts", [(1000, ()), (7, (5,)), (1, (2, 9))])
+def test_mcwf_window_edges_are_bitwise_the_reference(n_points, chunk_size, snapshot_counts):
+    # 1, WINDOW and WINDOW + 1 intervals: one short window, one full, one full and one short
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.03, n_exc=2)
+    grid = np.linspace(0.0, 150.0, n_points)
+    n_traj = 40 if chunk_size == 1 else 120
+    res = assert_bitwise_the_reference(p, "atom", grid, n_traj, chunk_size, snapshot_counts)
+    assert sum(len(r) for r in res.jump_records) > n_traj // 2
+
+
+@pytest.mark.parametrize("chunk_size, snapshot_counts", [(1000, (30,)), (7, ()), (1, (5,))])
+def test_mcwf_rows_crossing_again_in_catch_up_are_bitwise_the_reference(chunk_size, snapshot_counts):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.05, n_exc=3)
+    grid = np.linspace(0.0, 300.0, 31)
+    n_traj = 40 if chunk_size == 1 else 120
+    res = assert_bitwise_the_reference(p, "atom", grid, n_traj, chunk_size, snapshot_counts)
+    # a row that jumps again in a later interval of the same window crossed in catch-up
+    again = 0
+    for rec in res.jump_records:
+        ks = jump_intervals(grid, rec)
+        again += int(np.sum((np.diff(ks) > 0) & (np.diff(ks // WINDOW) == 0)))
+    assert again >= 10
+
+
+def test_mcwf_rejects_a_ket_on_the_wrong_space():
+    p, me, space = jc_setup()
+    assert space.factor_dims == (2, 4)
+    swapped = KetState(HilbertSpace((4, 2)), np.eye(8)[1])
+    grid = np.linspace(0.0, 10.0, 3)
+    with pytest.raises(ValueError, match="initial ket lives on the wrong space"):
+        mcwf_unravel(me, swapped, grid, 10, 1)
+    with pytest.raises(ValueError, match="initial ket lives on the wrong space"):
+        mcwf_unravel(me, np.eye(10)[0], grid, 10, 1)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -3])
