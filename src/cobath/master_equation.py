@@ -194,9 +194,9 @@ class MasterEquation:
     """Assembled generator: Hamiltonian, optional shift, channels, tensor.
 
     ``couplings[a]`` is the family of frequency components of channel a.
-    ``terms`` is the channel-term list of the tensor and ``K`` the matrix
-    sum gamma_ab A_a^dag A_b; every generator form (dissipator,
-    Liouvillian, no-jump generator, jump feed) is built from these two.
+    ``terms`` is the channel-term list of the tensor, ``K`` the matrix
+    sum gamma_ab A_a^dag A_b and ``B`` = H_S + H_LS - (i/2) (K + K^dag)/2
+    the no-jump generator; every generator form is built from these.
     Immutable after assembly; integrations of the same object may run
     concurrently.
     """
@@ -208,6 +208,7 @@ class MasterEquation:
     temperature_mode: str = "zero"
     terms: tuple[ChannelTerm, ...] = field(init=False, repr=False, compare=False)
     K: np.ndarray = field(init=False, repr=False, compare=False)
+    B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.temperature_mode not in ("zero", "validated-finite"):
@@ -227,9 +228,12 @@ class MasterEquation:
         dim = self.space.total_dim
         terms = _channel_terms(fams, self.tensor.frequencies, self.tensor.gamma, dim)
         K = _pair_sum(terms, dim)
+        B = self.hamiltonian_matrix() - 0.5j * ((K + K.conj().T) / 2.0)
         K.setflags(write=False)
+        B.setflags(write=False)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "K", K)
+        object.__setattr__(self, "B", B)
 
     @property
     def space(self) -> HilbertSpace:
@@ -260,8 +264,9 @@ class MasterEquation:
         return best
 
     def frequency_scale(self) -> float:
-        """Largest Hamiltonian/tensor frequency (sets the coherent time scale)."""
-        evals = np.linalg.eigvalsh((self.H_S.matrix + self.H_S.matrix.conj().T) / 2.0)
+        """Largest frequency of H_S + H_LS or of the tensor (sets the coherent time scale)."""
+        h = self.hamiltonian_matrix()
+        evals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
         spread = float(evals[-1] - evals[0]) if evals.size else 0.0
         wmax = max((abs(w) for w in self.tensor.frequencies), default=0.0)
         return max(spread, wmax)
@@ -285,6 +290,22 @@ def build_dissipator(me: MasterEquation):
         return out
 
     return dissipator
+
+
+def jump_feed(me: MasterEquation):
+    """Return the jump superoperator J as a callable on raw state matrices.
+
+    A stack of matrices (leading axes) is mapped matrix by matrix.
+    """
+    terms = [term for term in me.terms if term.frequency > FREQ_MATCH_TOL]
+
+    def feed(rho: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(rho)
+        for _, rate, A_b, A_a_dag in terms:
+            out = out + rate * (A_b @ rho @ A_a_dag)
+        return out
+
+    return feed
 
 
 def lamb_shift_commutation_defect(h_ls: Operator, h_s: Operator) -> float:
@@ -384,33 +405,51 @@ def jump_superoperator(terms: tuple[ChannelTerm, ...], kron) -> np.ndarray:
     return out
 
 
-def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) -> np.ndarray:
-    """Generator as a matrix acting on row-major vec(rho).
+def linear_system(me: MasterEquation, shift: int):
+    """The zero-temperature generator on a stack of d x d blocks,
 
-    Built from the same channel-term list as :func:`build_dissipator` plus
-    the commutator.  With ``support`` (flat indices of rho) only the rows
-    and columns of those entries are built, with the same products as the
-    full dim^2 x dim^2 matrix; :func:`integrate` passes the state's
-    invariant support (:func:`invariant_support`).
+        d rho_i / dt = -i (B rho_i - rho_i B^dag) + J(rho_{i - shift}),
+
+    from ``me.B`` and ``me.terms``: ``shift`` 0 is the master equation (one
+    block), -1 the excitation hierarchy.  Returns ``rhs`` on a block stack,
+    ``generator(support)`` (the matrix on those flat row-major stack
+    entries, with the products of the ``kron`` assembly) and the
+    ``structure`` that :func:`invariant_support` reads.
     """
     d = me.space.total_dim
-    kron = np.kron if support is None else kron_on(d, support)
-    eye = np.eye(d, dtype=complex)
-    h = me.hamiltonian_matrix()
-    K = me.K
-    return (
-        -1j * (kron(h, eye) - kron(eye, h.T))
-        + jump_superoperator(me.terms, kron)
-        - 0.5 * (kron(K, eye) + kron(eye, K.T))
-    )
+    b, b_dag = me.B, me.B.conj().T
+    feed = jump_feed(me)
+
+    def rhs(stack: np.ndarray) -> np.ndarray:
+        out = -1j * (b @ stack - stack @ b_dag)
+        out[: len(stack) + shift] += feed(stack[-shift:])
+        return out
+
+    def generator(support: np.ndarray) -> np.ndarray:
+        block, entry = np.divmod(support, d * d)
+        kron = kron_on(d, entry)
+        eye = np.eye(d, dtype=complex)
+        nojump = -1j * (kron(b, eye) - kron(eye, b.conj()))
+        jumps = jump_superoperator(me.terms, kron)
+        return np.where(block[:, None] == block, nojump, 0) + np.where(
+            block[:, None] == block + shift, jumps, 0
+        )
+
+    eye = np.eye(d)
+    jumps = [(shift, term.A_b, term.A_a_dag) for term in me.terms]
+    return rhs, generator, [(0, b, eye), (0, eye, b_dag), *jumps]
+
+
+def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) -> np.ndarray:
+    """The one-block :func:`linear_system` as a matrix on row-major vec(rho),
+    on the flat indices ``support`` (default: all of them)."""
+    everything = np.arange(me.space.total_dim**2)
+    return linear_system(me, 0)[1](everything if support is None else support)
 
 
 def liouvillian_structure(me: MasterEquation) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The terms of :func:`liouvillian_matrix` as rho -> X rho Y, for :func:`invariant_support`."""
-    eye = np.eye(me.space.total_dim)
-    mix = (me.hamiltonian_matrix() != 0) | (me.K != 0)
-    jumps = [(0, term.A_b, term.A_a_dag) for term in me.terms]
-    return [(0, mix, eye), (0, eye, mix), *jumps]
+    return linear_system(me, 0)[2]
 
 
 def invariant_support(
@@ -519,24 +558,26 @@ def propagate_linear(
     y0: np.ndarray,
     t: np.ndarray,
     max_step: float | None,
-    generator: Callable[[np.ndarray], np.ndarray],
-    rhs: Callable[[np.ndarray], np.ndarray],
-    structure: list[tuple[int, np.ndarray, np.ndarray]],
+    shift: int,
 ) -> Iterator[np.ndarray]:
-    """Yield y(t_1), y(t_2), ... of the constant linear system dy/dt = L y.
+    """Yield y(t_1), y(t_2), ... of dy/dt = L y for the block stack ``y0``,
+    with L the :func:`linear_system` of ``me`` and ``shift``.
 
     Without ``max_step`` the state's support S (:func:`invariant_support`
-    of ``y0`` under ``structure``) is found first.  Exact path (S of at
-    most ``EXACT_SIZE_LIMIT`` entries): ``generator(S)`` returns L[S, S]
-    on the entries S of row-major ``y.reshape(-1)``, each grid step
-    applies expm(L[S, S] dt), computed once per distinct spacing, and the
-    result is scattered into zeros shaped like ``y0``.  Since S is
-    invariant this is exact, not an approximation.  Otherwise fixed-step
-    RK4 applies ``rhs`` (L on arrays shaped like ``y0``) to the full state
-    with substeps of at most ``max_step`` (default
-    :func:`default_max_step`); an explicit ``max_step`` makes it the
-    oracle for the exact path.
+    of ``y0``, read from the exact nonzeros of B and of the jump terms)
+    is found first.  Exact path (S of at most ``EXACT_SIZE_LIMIT``
+    entries): each grid step applies expm(L[S, S] dt) to the entries S
+    of row-major ``y.reshape(-1)``, computed once per distinct spacing,
+    and the result is scattered into zeros shaped like ``y0``.  Since S
+    is invariant this is exact, not an approximation.  Otherwise
+    fixed-step RK4 applies L to the full stack with substeps of at most
+    ``max_step`` (default :func:`default_max_step`, which counts the
+    Lamb shift); an explicit ``max_step`` makes it the oracle for the
+    exact path and must be > 0.
     """
+    if max_step is not None and not max_step > 0:
+        raise ValueError("max_step must be > 0")
+    rhs, generator, structure = linear_system(me, shift)
     support = invariant_support(y0, structure) if max_step is None else None
     if support is not None and support.size <= EXACT_SIZE_LIMIT:
         L = generator(support)
@@ -618,17 +659,18 @@ def integrate(
 ) -> list[DensityMatrix]:
     """Evolve a state over an increasing time grid.
 
-    Without ``max_step`` the state is propagated on its invariant support
-    (the entries ``rho0`` reaches under the Liouvillian's exact nonzeros,
-    see :func:`invariant_support`): up to ``EXACT_SIZE_LIMIT`` entries
-    exactly, with one cached expm of the restricted Liouvillian per grid
-    spacing.  A sector-pure JC state has 1 + 4 n_exc such entries.  Above
-    the limit, or with an explicit ``max_step``, fixed-step RK4 runs on
-    the full state (see :func:`propagate_linear`).  The first grid point
-    carries the initial state, the others the Hermitian parts of the
-    propagated states, checked as one stack by :func:`check_propagated`
-    (trace target as for ``rho0``); a violation is reported as an
-    :class:`IntegrationError` with the failing time.
+    The master equation is the one-block :func:`linear_system`.  Without
+    ``max_step`` the state is propagated on its invariant support (the
+    entries ``rho0`` reaches under the exact nonzeros of B and of the jump
+    terms, see :func:`invariant_support`): up to ``EXACT_SIZE_LIMIT``
+    entries exactly, with one cached expm of the restricted Liouvillian
+    per grid spacing.  A sector-pure JC state has 1 + 4 n_exc such
+    entries.  Above the limit, or with an explicit ``max_step`` (> 0),
+    fixed-step RK4 runs on the full state (see :func:`propagate_linear`).
+    The first grid point carries the initial state, the others the
+    Hermitian parts of the propagated states, checked as one stack by
+    :func:`check_propagated` (trace target as for ``rho0``); a violation
+    is reported as an :class:`IntegrationError` with the failing time.
     """
     if me.temperature_mode != "zero":
         raise ValueError("only zero-temperature evolution is implemented")
@@ -638,16 +680,8 @@ def integrate(
         raise ValueError("initial state lives on the wrong space")
     t = time_grid(t_grid)
 
-    steps = propagate_linear(
-        me,
-        np.array(rho0.matrix),
-        t,
-        max_step,
-        lambda support: liouvillian_matrix(me, support),
-        me.rhs,
-        liouvillian_structure(me),
-    )
-    series = np.array(list(steps)).reshape(len(t) - 1, 1, *rho0.matrix.shape)
+    steps = propagate_linear(me, rho0.matrix[None], t, max_step, 0)
+    series = np.array(list(steps))
     target = None if rho0.trace_target is None else rho0.trace
     return [rho0, *check_propagated(series, t[1:], me.space, rho0.trace, target)]
 

@@ -12,6 +12,8 @@ out of the block above it:
     d rho_i / dt = -i (B rho_i - rho_i B^dag) + J(rho_{i+1}),
     J(rho) = sum_{w>0} sum_{a,b} gamma_{a,b}(w) A_b(w) rho A_a(w)^dag.
 
+With the feed sent back into the same block this is the master equation
+itself; :func:`~cobath.master_equation.linear_system` builds both forms.
 This coupled linear system is the time-local equivalent of the nested
 jump-time integrals of the underlying piecewise-deterministic process;
 the j = 1 shell is cross-checked against direct quadrature in the tests.
@@ -34,9 +36,9 @@ from .master_equation import (
     check_hygiene,
     expm,
     grid_resolution,
+    jump_feed,
     jump_operators,
-    jump_superoperator,
-    kron_on,
+    linear_system,
     propagate_linear,
     time_grid,
 )
@@ -77,19 +79,18 @@ class EffectiveGenerator:
 
 
 def effective_generator(me: MasterEquation) -> EffectiveGenerator:
-    """Assemble B from the Hamiltonian and the anticommutator part of the dissipator.
+    """``me.B`` with its Hamiltonian and anticommutator parts, checked.
 
     Requires a zero-temperature (filtered) tensor: with absorption channels
     present the no-jump/jump split used here does not apply.
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
-    hp = (me.K + me.K.conj().T) / 2.0
-    h0 = me.hamiltonian_matrix()
-    H0 = Operator(me.space, h0, label="H0")
-    Hprime = Operator(me.space, hp, label="H'")
-    B = Operator(me.space, H0.matrix - 0.5j * Hprime.matrix, label="B")
-    return EffectiveGenerator(B, H0, Hprime)
+    return EffectiveGenerator(
+        Operator(me.space, me.B, label="B"),
+        Operator(me.space, me.hamiltonian_matrix(), label="H0"),
+        Operator(me.space, (me.K + me.K.conj().T) / 2.0, label="H'"),
+    )
 
 
 def propagate_deterministic(gen: EffectiveGenerator, f: np.ndarray, t: float) -> np.ndarray:
@@ -100,22 +101,6 @@ def propagate_deterministic(gen: EffectiveGenerator, f: np.ndarray, t: float) ->
     """
     u = expm(-1j * gen.B.matrix * t)
     return u @ np.asarray(f, dtype=complex) @ u.conj().T
-
-
-def jump_feed(me: MasterEquation):
-    """Return the jump superoperator J as a callable on raw state matrices.
-
-    A stack of matrices (leading axes) is mapped matrix by matrix.
-    """
-    terms = [term for term in me.terms if term.frequency > FREQ_MATCH_TOL]
-
-    def feed(rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for _, rate, A_b, A_a_dag in terms:
-            out = out + rate * (A_b @ rho @ A_a_dag)
-        return out
-
-    return feed
 
 
 @dataclass(frozen=True)
@@ -160,37 +145,8 @@ class TrajectoryHierarchy:
 
 
 def _block_system(me: MasterEquation):
-    """The block-bidiagonal system as ``propagate_linear`` takes it.
-
-    No-jump evolution -i (B rho_i - rho_i B^dag) inside each block, the
-    jump feed from block i + 1 into block i.  Returns ``rhs`` on a block
-    stack, ``generator(support)`` (the matrix on those flat stack entries)
-    and the ``structure`` that
-    :func:`~cobath.master_equation.invariant_support` reads.
-    """
-    b_mat = effective_generator(me).B.matrix
-    b_dag = b_mat.conj().T
-    dim = me.space.total_dim
-    feed = jump_feed(me)
-
-    def rhs(stack: np.ndarray) -> np.ndarray:
-        out = -1j * (b_mat @ stack - stack @ b_dag)
-        out[:-1] += feed(stack[1:])
-        return out
-
-    def generator(support: np.ndarray) -> np.ndarray:
-        block, entry = np.divmod(support, dim * dim)
-        kron = kron_on(dim, entry)
-        eye = np.eye(dim, dtype=complex)
-        nojump = -1j * (kron(b_mat, eye) - kron(eye, b_mat.conj()))
-        jumps = jump_superoperator(me.terms, kron)
-        return np.where(block[:, None] == block, nojump, 0) + np.where(
-            block[:, None] + 1 == block, jumps, 0
-        )
-
-    eye = np.eye(dim)
-    jumps = [(-1, term.A_b, term.A_a_dag) for term in me.terms]
-    return rhs, generator, [(0, b_mat, eye), (0, eye, b_dag), *jumps]
+    """The hierarchy's :func:`~cobath.master_equation.linear_system`: feed from block i + 1 into i."""
+    return linear_system(me, -1)
 
 
 def solve_hierarchy(
@@ -213,6 +169,8 @@ def solve_hierarchy(
     labels.  ``number_op`` serves only these checks and the block count
     n + 1.
 
+    The blocks evolve under :func:`~cobath.master_equation.linear_system`
+    with shift -1: the master equation's generator, its feed one block down.
     Without ``max_step`` the stack of blocks is propagated on its
     invariant support (:func:`~cobath.master_equation.invariant_support`):
     the entries the top block reaches by no-jump mixing inside a block and
@@ -221,7 +179,7 @@ def solve_hierarchy(
     that is 1 + 4 n entries, not (n + 1) dim^2; the restricted
     block-bidiagonal generator is built directly and propagated exactly
     up to ``EXACT_SIZE_LIMIT`` entries.  Above it, or with an explicit
-    ``max_step``, fixed-step RK4 runs on the full stack.
+    ``max_step`` (> 0), fixed-step RK4 runs on the full stack.
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
@@ -254,10 +212,9 @@ def solve_hierarchy(
     t = time_grid(t_grid)
 
     dim = me.space.total_dim
-    rhs, generator, structure = _block_system(me)
     stack = np.zeros((N + 1, dim, dim), dtype=complex)
     stack[N] = rho0.matrix
-    steps = propagate_linear(me, stack, t, max_step, generator, rhs, structure)
+    steps = propagate_linear(me, stack, t, max_step, -1)
     series = np.array([stack, *steps])
     check_hygiene(series, t, rho0.trace, None)
     return TrajectoryHierarchy(N, t, tuple(series[:, i] for i in range(N + 1)))

@@ -335,6 +335,29 @@ def test_half_step_convergence():
     assert dev < 1e-8
 
 
+@pytest.mark.parametrize("max_step", [-1.0, 0.0, math.nan])
+def test_integrate_rejects_non_positive_max_step(max_step):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.005)
+    with pytest.raises(ValueError, match="max_step must be > 0"):
+        integrate(build_jc(p), jc_initial(p), np.linspace(0.0, 4.0, 21), max_step=max_step)
+
+
+def test_default_step_counts_the_lamb_shift():
+    # in a random basis the support is all d^2 = 400 entries, so the default
+    # RK4 path runs; its step must follow the spread of H_S + H_LS, not of H_S
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j, n_exc=7)
+    space = jc_space(p)
+    u = random_unitary(np.random.default_rng(20240817), space.total_dim)
+    rot = rotate_model(build_jc(p), u)
+    h_ls = Operator(space, u @ np.diag(np.linspace(0.0, 40.0, space.total_dim)) @ u.conj().T)
+    me = MasterEquation(rot.H_S, rot.couplings, rot.tensor, H_LS=h_ls)
+    rho0 = DensityMatrix(space, u @ jc_initial(p).matrix @ u.conj().T)
+    t = np.linspace(0.0, 1.0, 3)
+    default = integrate(me, rho0, t)
+    fine = integrate(me, rho0, t, max_step=0.002)
+    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(default, fine)) <= 1e-8
+
+
 def test_exact_integrate_matches_rk4_and_closed_form_at_dfs_point():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01)
     me = build_jc(p)

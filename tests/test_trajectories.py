@@ -16,6 +16,7 @@ from cobath.jc import (
     jc_initial_ket,
     jc_space,
     sector_entries,
+    solve_jc_hierarchy,
 )
 from cobath.master_equation import (
     IntegrationError,
@@ -25,6 +26,8 @@ from cobath.master_equation import (
     integrate,
     invariant_support,
     jump_superoperator,
+    linear_system,
+    liouvillian_matrix,
 )
 from cobath.trajectories import (
     WINDOW,
@@ -37,7 +40,7 @@ from cobath.trajectories import (
     reconstruct,
     solve_hierarchy,
 )
-from conftest import random_unitary, rotate_model
+from conftest import random_density, random_hermitian, random_unitary, rotate_model
 from mcwf_reference import reference_mcwf_unravel
 
 
@@ -359,6 +362,51 @@ def test_block_generator_is_the_kron_assembly_restricted():
     support = invariant_support(stack, structure)
     np.testing.assert_array_equal(generator(support), full[np.ix_(support, support)])
     np.testing.assert_array_equal(generator(np.arange(stack.size)), full)
+
+
+def test_one_builder_matches_the_pair_sum_and_the_kron_assembly(rng):
+    # n_exc = 2 in a random basis with a Hermitian Lamb shift: no exact zeros,
+    # and B carries H_LS.  The rates stay real: a complex scalar times an array
+    # may round differently by position (vector loop or scalar tail), so two
+    # assemblies of different shape are bitwise equal only for real rates.
+    p, me, space = jc_setup(g12=0.008, n_exc=2)
+    d = space.total_dim
+    rot = rotate_model(me, random_unitary(rng, d))
+    me = MasterEquation(
+        rot.H_S, rot.couplings, rot.tensor, H_LS=Operator(space, random_hermitian(rng, d, 0.3))
+    )
+    gen = effective_generator(me)
+    np.testing.assert_array_equal(me.B, gen.B.matrix)
+    K = me.K
+    h = me.H_S.matrix + me.H_LS.matrix
+    np.testing.assert_array_equal(me.B, h - 0.5j * ((K + K.conj().T) / 2.0))
+
+    # the master equation, as a matrix and as the one-block rhs, against the pair sum
+    rho = random_density(rng, d)
+    want = me.rhs(rho)
+    via_matrix = (liouvillian_matrix(me) @ rho.reshape(-1)).reshape(d, d)
+    rhs, _, _ = linear_system(me, 0)
+    assert np.max(np.abs(via_matrix - want)) <= 1e-13
+    assert np.max(np.abs(rhs(rho[None])[0] - want)) <= 1e-13
+
+    # the hierarchy on its full stack: bitwise the block-bidiagonal kron assembly
+    b = gen.B.matrix
+    eye = np.eye(d, dtype=complex)
+    nojump = -1j * (np.kron(b, eye) - np.kron(eye, b.conj()))
+    jumps = jump_superoperator(me.terms, np.kron)
+    full = np.kron(np.eye(3), nojump) + np.kron(np.eye(3, k=1), jumps)
+    _, generator, _ = _block_system(me)
+    np.testing.assert_array_equal(generator(np.arange(3 * d * d)), full)
+
+
+@pytest.mark.parametrize("max_step", [-1.0, 0.0, math.nan])
+def test_hierarchy_rejects_non_positive_max_step(max_step):
+    p, me, space = jc_setup(g11=0.01, g22=0.01, g12=0.005)
+    t = np.linspace(0.0, 4.0, 21)
+    with pytest.raises(ValueError, match="max_step must be > 0"):
+        solve_hierarchy(me, jc_initial(p), t, excitation_number(space), max_step=max_step)
+    with pytest.raises(ValueError, match="max_step must be > 0"):
+        solve_jc_hierarchy(p, t, max_step=max_step)
 
 
 def test_block_support_path_matches_full_stack_rk4_and_closed_form(monkeypatch):
