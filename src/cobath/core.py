@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "DensityMatrix",
     "StateError",
     "check_states",
+    "StatePattern",
     "hermiticity_defect",
     "KetState",
     "tensor_product",
@@ -130,6 +132,125 @@ def hermiticity_defect(m: np.ndarray) -> np.ndarray:
     return out.max(axis=(-2, -1))
 
 
+def _components(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric pattern of a (d, d) nonzero mask with its diagonal, and
+    the least index of each index's connected component."""
+    d = len(nonzero)
+    pattern = nonzero | nonzero.T
+    np.fill_diagonal(pattern, True)
+    # each index takes the least label among its neighbours, then that
+    # label's own label; labels only fall, and stop at the least index.
+    # While labels are the indices, the least is the first neighbour.
+    label, new = np.arange(d), pattern.argmax(axis=1)
+    while True:
+        new = new[new]
+        if not new.any() or np.array_equal(new, label):
+            return pattern, new
+        label, new = new, np.where(pattern, new, d).min(axis=1)
+
+
+class StatePattern(NamedTuple):
+    """The exact nonzero pattern of a stack of d x d matrices, split into
+    the connected components of its index graph.
+
+    The pattern is the union over the stack of the entries that are not
+    exactly 0 (NaN counts), made symmetric, plus the diagonal.  Outside
+    it every matrix is 0, so up to a permutation each matrix is the
+    direct sum of its component blocks and its spectrum is their union.
+    ``groups`` holds one ``(c, s)`` index array per component size s;
+    ``entries`` the pattern's (row, col) pairs with row <= col, or None
+    when one component spans every index and nothing is gathered.
+    """
+
+    groups: tuple[np.ndarray, ...]
+    entries: tuple[np.ndarray, np.ndarray] | None
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "StatePattern":
+        """The pattern of a stack ``(..., d, d)``, over all its leading axes."""
+        d = m.shape[-1]
+        flat = m.reshape(-1, d, d)
+        # a union of patterns only merges components: when the first matrix
+        # spans every index alone, so does the stack, and the rest is not read
+        pattern, label = _components(np.any(flat[:1], axis=0))
+        if label.any() and len(flat) > 1:
+            pattern, label = _components(np.any(flat, axis=0))
+        if not label.any():
+            return cls((np.arange(d)[None],), None)
+        size = np.bincount(label, minlength=d)  # nonzero at each component's label
+        groups = []
+        for s in np.flatnonzero(np.bincount(size)[1:]) + 1:
+            roots = np.flatnonzero(size == s)
+            # row r: the indices labelled roots[r], in increasing order
+            groups.append(np.nonzero(label == roots[:, None])[1].reshape(-1, s))
+        rows, cols = np.nonzero(pattern)
+        upper = rows <= cols
+        return cls(tuple(groups), (rows[upper], cols[upper]))
+
+    def hermiticity_defect(self, m: np.ndarray) -> np.ndarray:
+        """:func:`hermiticity_defect` of a stack this pattern covers, over the
+        pattern's entries only (elsewhere m - m^dag is exactly 0)."""
+        if self.entries is None:
+            return hermiticity_defect(m)
+        rows, cols = self.entries
+        upper, lower = m[..., rows, cols], m[..., cols, rows]
+        out = upper.real - lower.real
+        np.hypot(out, upper.imag + lower.imag, out=out)
+        return out.max(axis=-1)
+
+    def min_eigenvalues(self, h: np.ndarray) -> np.ndarray:
+        """The least eigenvalue of each Hermitian matrix of an ``(n, d, d)``
+        stack this pattern covers: one stacked ``eigvalsh`` per component
+        size, the real diagonal for size-1 components."""
+        if self.entries is None:
+            return np.linalg.eigvalsh(h)[:, 0]
+        least = None
+        for idx in self.groups:
+            if idx.shape[1] == 1:
+                evals = h[:, idx[:, 0], idx[:, 0]].real
+            else:
+                evals = np.linalg.eigvalsh(h[:, idx[:, :, None], idx[:, None, :]])[..., 0]
+            evals = evals.min(axis=1)
+            least = evals if least is None else np.minimum(least, evals)
+        return least
+
+    def check(
+        self, m: np.ndarray, herm: np.ndarray, tolerance: float, trace_target: float | None
+    ) -> np.ndarray:
+        """:func:`check_states` on an ``(n, d, d)`` stack this pattern covers,
+        with ``herm`` its :meth:`hermiticity_defect`."""
+        tol = float(tolerance)
+        if tol < 0:
+            raise ValueError("tolerance must be non-negative")
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        if trace_target is None:
+            trace_ok = (tr.real <= 1.0 + tol) & (tr.real >= -tol)
+        else:
+            trace_ok = np.abs(tr.real - trace_target) <= tol
+        # every comparison with NaN is False, so a non-finite state fails here
+        ok = (herm <= tol) & (np.abs(tr.imag) <= tol) & trace_ok
+        k = len(ok) if ok.all() else int(np.argmin(ok))
+        h = np.conj(m.swapaxes(-1, -2), order="C")
+        h += m
+        h /= 2.0
+        # the eigensolver sees only the states before the first failure, all finite
+        evals = self.min_eigenvalues(h[:k])
+        if np.any(evals < -tol):
+            j = int(np.argmax(evals < -tol))
+            raise StateError(f"density matrix has negative eigenvalue {evals[j]:.3e}", j)
+        if k == len(ok):
+            return h
+        t_k = complex(tr[k])
+        reasons = (
+            (not np.isfinite(m[k]).all(), "density matrix has non-finite entries"),
+            (not herm[k] <= tol, f"density matrix not Hermitian: max |rho - rho^dag| = {herm[k]:.3e}"),
+            (not abs(t_k.imag) <= tol, f"density matrix trace has imaginary part {t_k.imag:.3e}"),
+            (trace_target is None, f"sub-normalized block must have trace in [0, 1], got {t_k.real!r}"),
+            (True, f"trace {t_k.real!r} differs from declared trace {trace_target!r}"),
+        )
+        raise StateError(next(reason for failed, reason in reasons if failed), k)
+
+
 def check_states(
     m: np.ndarray, tolerance: float = DEFAULT_TOL, trace_target: float | None = 1.0
 ) -> np.ndarray:
@@ -137,42 +258,15 @@ def check_states(
 
     Each state must be finite and Hermitian, have a real trace equal to
     ``trace_target`` (in [0, 1] when None) and no eigenvalue of its
-    Hermitian part below ``-tolerance``, all within ``tolerance``.  Raises
-    :class:`StateError` for the first failing state; returns the Hermitian
-    parts (m + m^dag) / 2.
+    Hermitian part below ``-tolerance``, all within ``tolerance``.  The
+    eigenvalue floor and the Hermiticity defect are taken per connected
+    component of the stack's exact nonzero pattern (:class:`StatePattern`),
+    which is exact.  Raises :class:`StateError` for the first failing
+    state; returns the Hermitian parts (m + m^dag) / 2.
     """
-    tol = float(tolerance)
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
     m = np.asarray(m, dtype=complex)
-    herm = hermiticity_defect(m)
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    if trace_target is None:
-        trace_ok = (tr.real <= 1.0 + tol) & (tr.real >= -tol)
-    else:
-        trace_ok = np.abs(tr.real - trace_target) <= tol
-    # every comparison with NaN is False, so a non-finite state fails here
-    ok = (herm <= tol) & (np.abs(tr.imag) <= tol) & trace_ok
-    k = len(ok) if ok.all() else int(np.argmin(ok))
-    h = np.conj(m.swapaxes(-1, -2), order="C")
-    h += m
-    h /= 2.0
-    # the eigensolver sees only the states before the first failure, all finite
-    evals = np.linalg.eigvalsh(h[:k])[:, 0]
-    if np.any(evals < -tol):
-        j = int(np.argmax(evals < -tol))
-        raise StateError(f"density matrix has negative eigenvalue {evals[j]:.3e}", j)
-    if k == len(ok):
-        return h
-    t_k = complex(tr[k])
-    reasons = (
-        (not np.isfinite(m[k]).all(), "density matrix has non-finite entries"),
-        (not herm[k] <= tol, f"density matrix not Hermitian: max |rho - rho^dag| = {herm[k]:.3e}"),
-        (not abs(t_k.imag) <= tol, f"density matrix trace has imaginary part {t_k.imag:.3e}"),
-        (trace_target is None, f"sub-normalized block must have trace in [0, 1], got {t_k.real!r}"),
-        (True, f"trace {t_k.real!r} differs from declared trace {trace_target!r}"),
-    )
-    raise StateError(next(reason for failed, reason in reasons if failed), k)
+    pattern = StatePattern.of(m)
+    return pattern.check(m, pattern.hermiticity_defect(m), tolerance, trace_target)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from .core import (
     HilbertSpace,
     Operator,
     StateError,
-    check_states,
-    hermiticity_defect,
+    StatePattern,
 )
 from .eigenops import EigenOperator
 
@@ -611,12 +610,15 @@ def check_hygiene(
     The summed trace at each time must stay within ``HYGIENE_TOL`` of
     ``target_trace`` and each block within ``HYGIENE_TOL`` of Hermitian;
     the blocks must then pass :func:`check_states` at 1e-7 with
-    ``trace_target``.  The first failure in time order, then block order,
-    raises :class:`IntegrationError`.  Returns the checked Hermitian parts
-    as one ``(n_t * n_b, d, d)`` stack; no state object is built.
+    ``trace_target``.  One :class:`StatePattern` of the whole series
+    serves both, and the Hermiticity defect is computed once.  The
+    first failure in time order, then block order, raises
+    :class:`IntegrationError`.  Returns the checked Hermitian parts as
+    one ``(n_t * n_b, d, d)`` stack; no state object is built.
     """
     _, n_b, d, _ = series.shape
-    defect = hermiticity_defect(series)
+    pattern = StatePattern.of(series)
+    defect = pattern.hermiticity_defect(series)
     tr = np.trace(series, axis1=-2, axis2=-1).sum(axis=1)
     drift = np.abs(tr.real - target_trace) + np.abs(tr.imag)
     # NaN fails every test written this way; a time's trace comes before its blocks
@@ -624,7 +626,9 @@ def check_hygiene(
     bad[:, 0] |= ~(drift <= HYGIENE_TOL)
     first = int(np.argmax(bad)) if bad.any() else bad.size
     try:
-        parts = check_states(series.reshape(-1, d, d)[:first], 1e-7, trace_target)
+        # the blocks before the first failure, with their defect (all <= HYGIENE_TOL)
+        blocks = series.reshape(-1, d, d)[:first]
+        parts = pattern.check(blocks, defect.reshape(-1)[:first], 1e-7, trace_target)
     except StateError as exc:
         first, reason = exc.index, str(exc)
     else:
@@ -671,6 +675,7 @@ def integrate(
     Hermitian parts of the propagated states, checked as one stack by
     :func:`check_propagated` (trace target as for ``rho0``); a violation
     is reported as an :class:`IntegrationError` with the failing time.
+    A one-point grid returns ``[rho0]``.
     """
     if me.temperature_mode != "zero":
         raise ValueError("only zero-temperature evolution is implemented")
@@ -679,6 +684,8 @@ def integrate(
     if rho0.space != me.space:
         raise ValueError("initial state lives on the wrong space")
     t = time_grid(t_grid)
+    if len(t) == 1:
+        return [rho0]
 
     steps = propagate_linear(me, rho0.matrix[None], t, max_step, 0)
     series = np.array(list(steps))

@@ -9,6 +9,7 @@ from cobath.core import (
     KetState,
     Operator,
     StateError,
+    StatePattern,
     basis_ket,
     check_states,
     identity,
@@ -155,6 +156,157 @@ def test_check_states_reports_first_broken_state(kind, rng):
         assert err.value.index == k
         with pytest.raises(ValueError, match=kind):
             DensityMatrix(sp, bad[k])
+
+
+def dense_check_states(m, tolerance, trace_target):
+    """The state check with one dense eigvalsh per full d x d matrix: the
+    oracle for the per-component check.  Returns (Hermitian parts, least
+    eigenvalue of each) or raises StateError."""
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if trace_target is None:
+        trace_ok = (tr.real <= 1.0 + tolerance) & (tr.real >= -tolerance)
+    else:
+        trace_ok = np.abs(tr.real - trace_target) <= tolerance
+    ok = (herm <= tolerance) & (np.abs(tr.imag) <= tolerance) & trace_ok
+    k = len(ok) if ok.all() else int(np.argmin(ok))
+    h = (m.conj().swapaxes(-1, -2) + m) / 2.0
+    evals = np.linalg.eigvalsh(h[:k])[:, 0]
+    if np.any(evals < -tolerance):
+        j = int(np.argmax(evals < -tolerance))
+        raise StateError(f"density matrix has negative eigenvalue {evals[j]:.3e}", j)
+    if k == len(ok):
+        return h, evals
+    t_k = complex(tr[k])
+    if not np.isfinite(m[k]).all():
+        raise StateError("density matrix has non-finite entries", k)
+    if not herm[k] <= tolerance:
+        raise StateError(f"density matrix not Hermitian: max |rho - rho^dag| = {herm[k]:.3e}", k)
+    if not abs(t_k.imag) <= tolerance:
+        raise StateError(f"density matrix trace has imaginary part {t_k.imag:.3e}", k)
+    if trace_target is None:
+        raise StateError(f"sub-normalized block must have trace in [0, 1], got {t_k.real!r}", k)
+    raise StateError(f"trace {t_k.real!r} differs from declared trace {trace_target!r}", k)
+
+
+def sector_stack(rng, sizes, n):
+    """n random states, each a direct sum of blocks of the given sizes on
+    one random permutation of the indices; returns the stack and the
+    index set of each block."""
+    d = sum(sizes)
+    perm = rng.permutation(d)
+    blocks = np.split(perm, np.cumsum(sizes)[:-1])
+    stack = np.zeros((n, d, d), dtype=complex)
+    for rho in stack:
+        for idx, w in zip(blocks, rng.dirichlet(np.ones(len(sizes)))):
+            rho[np.ix_(idx, idx)] = w * random_density(rng, len(idx))
+    return stack, blocks
+
+
+def _break_component(kind, rho, idx):
+    """Break one component (index set idx) of one state in place."""
+    sub = rho[np.ix_(idx, idx)]
+    if kind == "negative eigenvalue":
+        lam, u = np.linalg.eigh(sub)
+        shift = lam[0] + 1e-3
+        lam[0] -= shift
+        lam[-1] += shift  # the trace stays, except for a 1 x 1 block
+        sub = (u * lam) @ u.conj().T if len(idx) > 1 else np.full((1, 1), -1e-3)
+    elif kind == "non-finite":
+        sub[0, 0] = np.nan
+    elif kind == "not Hermitian":
+        sub[0, -1] += 1e-6 if len(idx) > 1 else 1e-6j
+    else:  # trace
+        sub *= 1.5
+    rho[np.ix_(idx, idx)] = sub
+
+
+SECTOR_SIZES = [(1, 2, 3, 2, 1, 3), (2, 2, 2), (1, 1, 1, 1), (3, 3, 1), (5,)]
+BREAKS = ["negative eigenvalue", "non-finite", "not Hermitian", "trace"]
+
+
+@pytest.mark.parametrize("sizes", SECTOR_SIZES)
+def test_component_check_matches_the_dense_check(sizes, rng):
+    kinds = set()
+    for trace_target in (1.0, None):
+        stack, blocks = sector_stack(rng, sizes, 12)
+        h, evals = dense_check_states(stack, 1e-9, trace_target)
+        ours = check_states(stack, 1e-9, trace_target)
+        np.testing.assert_array_equal(ours.view(np.uint64), h.view(np.uint64))
+        pattern = StatePattern.of(stack)
+        assert (pattern.entries is None) == (len(sizes) == 1)
+        np.testing.assert_allclose(pattern.min_eigenvalues(ours), evals, rtol=0, atol=1e-14)
+        for kind in BREAKS:
+            for k, c in ((0, 0), (5, len(sizes) // 2), (11, len(sizes) - 1)):
+                bad = stack.copy()
+                _break_component(kind, bad[k], blocks[c])
+                try:
+                    h_bad, _ = dense_check_states(bad, 1e-9, trace_target)
+                except StateError as expected:
+                    with pytest.raises(StateError) as err:
+                        check_states(bad, 1e-9, trace_target)
+                    assert err.value.index == expected.index
+                    assert str(err.value) == str(expected)
+                    kinds.add(next(b for b in BREAKS if b in str(expected)))
+                else:  # a sub-normalized stack may pass the trace check
+                    ours = check_states(bad, 1e-9, trace_target)
+                    np.testing.assert_array_equal(ours.view(np.uint64), h_bad.view(np.uint64))
+    assert kinds == set(BREAKS)  # every kind of failure was met
+
+
+@pytest.mark.parametrize("density", [0.0, 0.02, 0.05, 0.1, 0.3, 1.0, "path"])
+def test_components_match_a_graph_search(density, rng):
+    from scipy.sparse.csgraph import connected_components
+
+    for d in (1, 2, 7, 40, 66):
+        if density == "path":  # the longest chain: one component through a random order
+            perm = rng.permutation(d)
+            mask = np.zeros((d, d), dtype=bool)
+            mask[perm[:-1], perm[1:]] = True
+        else:
+            mask = rng.random((d, d)) < density
+        stack = np.stack([np.tril(mask), np.triu(mask)]) * (0.5 - 0.25j)
+        n, lab = connected_components(mask | mask.T, directed=False)
+        expected = sorted(np.flatnonzero(lab == c).tolist() for c in range(n))
+        pattern = StatePattern.of(stack)
+        assert sorted(c for g in pattern.groups for c in g.tolist()) == expected
+        assert (pattern.entries is None) == (n == 1)
+
+
+def test_one_sided_entry_between_components_breaks_hermiticity(rng):
+    stack, blocks = sector_stack(rng, (2, 1, 3), 6)
+    a, b = blocks[0][0], blocks[2][1]
+    for i, j in ((a, b), (b, a)):  # below and above the diagonal
+        bad = stack.copy()
+        bad[3, i, j] = 1e-6
+        with pytest.raises(StateError) as expected:
+            dense_check_states(bad, 1e-9, 1.0)
+        with pytest.raises(StateError) as err:
+            check_states(bad)
+        assert err.value.index == expected.value.index == 3
+        assert str(err.value) == str(expected.value)
+
+
+def test_only_exact_zeros_split_components(rng):
+    stack, blocks = sector_stack(rng, (2, 2, 1), 3)
+    pattern = StatePattern.of(stack)
+    components = sorted(sorted(idx) for group in pattern.groups for idx in group.tolist())
+    assert components == sorted(sorted(b.tolist()) for b in blocks)
+    # a 1e-300 coupling between two sectors in one state joins them
+    i, j = blocks[0][1], blocks[1][0]
+    stack[1, i, j] = stack[1, j, i] = 1e-300
+    merged = StatePattern.of(stack)
+    components = sorted(sorted(idx) for group in merged.groups for idx in group.tolist())
+    assert components == sorted([sorted([*blocks[0], *blocks[1]]), sorted(blocks[2].tolist())])
+    np.testing.assert_allclose(
+        merged.min_eigenvalues(check_states(stack)),
+        np.linalg.eigvalsh(check_states(stack))[:, 0], rtol=0, atol=1e-14,
+    )
+    # no single state spans every index, but their union does: no gather
+    k = blocks[2][0]
+    stack[2, i, k] = stack[2, k, i] = 1e-300
+    assert StatePattern.of(stack).entries is None
+    assert StatePattern.of(stack[:2]).entries is not None
 
 
 def test_state_stack_is_read_only_views_of_hermitian_parts(rng):

@@ -533,6 +533,15 @@ def test_integrate_requires_increasing_grid():
         integrate(me, rho0, np.array([0.0, 1.0, 0.5]))
 
 
+@pytest.mark.parametrize("max_step", [None, 0.1])
+def test_integrate_on_a_one_point_grid_returns_the_initial_state(max_step):
+    # the exact path (no max_step) and the RK4 path; nothing is propagated
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.005)
+    rho0 = jc_initial(p)
+    states = integrate(build_jc(p), rho0, [2.5], max_step=max_step)
+    assert len(states) == 1 and states[0] is rho0
+
+
 def test_integrate_reports_failure_time():
     me, space = cavity_only_me(omega0=5.0, gamma=0.5)
     rho0 = DensityMatrix(space, np.diag([0.0, 1.0, 0.0, 0.0]))
