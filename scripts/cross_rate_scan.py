@@ -22,7 +22,7 @@ from cobath import (
     jc_space,
     sector_entries,
     two_qubit_projection,
-    wootters_concurrence,
+    x_state_concurrence,
 )
 from cobath.runner import write_csv
 from cobath.svgplot import emit_svg
@@ -41,7 +41,7 @@ def main():
         p = JCParams(omega0=1.0, eps=0.1, g11=g, g22=g, g12=frac * g)
         space = jc_space(p)
         final = integrate(build_jc(p), jc_initial(p), grid)[-1]
-        final_env.append(wootters_concurrence(two_qubit_projection(final, space)))
+        final_env.append(x_state_concurrence(two_qubit_projection(final, space)))
         r11, _, r22 = sector_entries(final, space, 1)
         final_energy.append(r11 + r22)
         print(f"g12/g = {frac:4.2f}: final C = {final_env[-1]:.4f}, stored energy = {final_energy[-1]:.4f}")

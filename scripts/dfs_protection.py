@@ -24,7 +24,7 @@ from cobath import (
     jc_initial,
     jc_space,
     two_qubit_projection,
-    wootters_concurrence,
+    x_state_concurrence,
 )
 from cobath.runner import write_csv
 from cobath.svgplot import emit_svg
@@ -37,7 +37,7 @@ def run_point(p: JCParams, grid: np.ndarray):
     space = jc_space(p)
     rho = np.array([s.matrix for s in integrate(me, jc_initial(p), grid)])
     pop = excited_population(rho, space)
-    env = wootters_concurrence(two_qubit_projection(rho, space))
+    env = x_state_concurrence(two_qubit_projection(rho, space))
     cond = conditional_state(rho, space, 1).concurrence
     return pop, env, cond
 

@@ -66,6 +66,7 @@ from .jc import (
     solve_jc_hierarchy,
     two_qubit_projection,
     wootters_concurrence,
+    x_state_concurrence,
 )
 
 __version__ = "0.1.0"

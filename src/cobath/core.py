@@ -230,9 +230,7 @@ class StatePattern(NamedTuple):
         # every comparison with NaN is False, so a non-finite state fails here
         ok = (herm <= tol) & (np.abs(tr.imag) <= tol) & trace_ok
         k = len(ok) if ok.all() else int(np.argmin(ok))
-        h = np.conj(m.swapaxes(-1, -2), order="C")
-        h += m
-        h /= 2.0
+        h = _hermitian_parts(m)
         # the eigensolver sees only the states before the first failure, all finite
         evals = self.min_eigenvalues(h[:k])
         if np.any(evals < -tol):
@@ -249,6 +247,16 @@ class StatePattern(NamedTuple):
             (True, f"trace {t_k.real!r} differs from declared trace {trace_target!r}"),
         )
         raise StateError(next(reason for failed, reason in reasons if failed), k)
+
+
+def _hermitian_parts(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2, halved through the float view: a real multiply
+    where ``h /= 2.0`` would be a complex division."""
+    h = np.conj(m.swapaxes(-1, -2), order="C")
+    h += m
+    floats = h.view(float)
+    floats *= 0.5
+    return h
 
 
 def check_states(

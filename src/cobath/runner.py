@@ -26,7 +26,7 @@ from .jc import (
     jc_space,
     sector_entries,
     two_qubit_projection,
-    wootters_concurrence,
+    x_state_concurrence,
 )
 from .master_equation import MasterEquation, integrate
 from .svgplot import emit_svg
@@ -82,7 +82,7 @@ def observable_columns(
         elif name == "purity":
             cols.append(("purity", np.trace(rho @ rho, axis1=1, axis2=2).real))
         elif name == "concurrence":
-            envelope = wootters_concurrence(two_qubit_projection(rho, space))
+            envelope = x_state_concurrence(two_qubit_projection(rho, space))
             conditional = conditional_state(rho, space, 1).concurrence
             cols += [("concurrence", envelope), ("concurrence_conditional", conditional)]
         elif name == "blocks":

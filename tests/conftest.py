@@ -48,3 +48,33 @@ def rotate_model(me, u):
         for fam in me.couplings
     )
     return MasterEquation(rot(me.H_S), fams, me.tensor)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_runs() -> list:
+    """(name, config) of every shipped config under its own engine, one per
+    sweep point, plus each integrate or hierarchy run under the closed form."""
+    import dataclasses
+
+    from cobath.config import load_config, sweep_points
+
+    runs = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = load_config(str(path))
+        for value, point in sweep_points(cfg) if cfg.sweep else [(None, cfg)]:
+            name = path.stem if value is None else f"{path.stem}[{value!r}]"
+            runs.append((name, point))
+            deterministic = point.engine in ("integrate", "hierarchy")
+            if deterministic and point.model.startswith("jc-") and point.params.n_exc == 1:
+                runs.append((f"{name}[closed-form]", dataclasses.replace(point, engine="closed-form")))
+    return runs
+
+
+def hermitian_parts_by_division(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 as ``check_states`` built it before: a complex division by 2."""
+    h = np.conj(m.swapaxes(-1, -2), order="C")
+    h += m
+    h /= 2.0
+    return h

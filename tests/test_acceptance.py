@@ -222,11 +222,11 @@ def test_criterion_09_concurrence_oracle_report():
         if r11 + r22 < 1e-6:
             r11 = 0.3
         r12 = math.sqrt(r11 * r22) * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        shipped = wootters_concurrence(_conditional_two_qubit(r11, r12, r22))
+        spin_flip = wootters_concurrence(_conditional_two_qubit(r11, r12, r22))
         algebraic = block_concurrence_exact(r11, r12, r22)
         variant = block_concurrence_variant(r11, r12, r22)
-        worst_route = max(worst_route, abs(shipped - algebraic))
-        gap = abs(shipped - variant)
+        worst_route = max(worst_route, abs(spin_flip - algebraic))
+        gap = abs(spin_flip - variant)
         mean_variant += gap / n
         if gap > worst_variant:
             worst_variant = gap
@@ -238,17 +238,20 @@ def test_criterion_09_concurrence_oracle_report():
             [
                 "# Conditional-concurrence formula comparison",
                 "",
-                "Shipped values come from the spin-flip eigenvalue construction",
-                "(`wootters_concurrence`), cross-checked against the algebraic",
-                "closed form 2|r12| / (r11 + r22) for one-excitation blocks.",
-                "A difference-of-roots variant (`block_concurrence_variant`) is",
-                "retained for comparison only; it disagrees with the spin-flip",
-                "value and is never used for shipped results.",
+                "The shipped `concurrence` envelope comes from the X-state closed",
+                "form (`x_state_concurrence`). A state with an entry off the X",
+                "pattern falls back to the spin-flip eigenvalue construction",
+                "(`wootters_concurrence`). This report checks the spin-flip",
+                "route against the algebraic closed form 2|r12| / (r11 + r22)",
+                "for one-excitation blocks. A difference-of-roots variant",
+                "(`block_concurrence_variant`) is retained for comparison only;",
+                "it disagrees with the spin-flip value and is never used for",
+                "shipped results.",
                 "",
                 f"- samples: {n} random valid conditional blocks (seed 90210)",
                 f"- max |eigenvalue route - algebraic route|: {worst_route:.3e}",
-                f"- max |shipped - variant|: {worst_variant:.6f}",
-                f"- mean |shipped - variant|: {mean_variant:.6f}",
+                f"- max |spin-flip - variant|: {worst_variant:.6f}",
+                f"- mean |spin-flip - variant|: {mean_variant:.6f}",
                 f"- worst case (r11, |r12|, r22): ({worst_case[0]:.6f}, {worst_case[1]:.6f}, {worst_case[2]:.6f})",
                 "",
                 "At the maximally entangled block (r11 = r22 = 1/2, |r12| = 1/2)",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from cobath.cli import main
-from cobath.config import ConfigError, load_config, parse_config
+from cobath.config import OUTPUTS, ConfigError, load_config, parse_config
 from cobath.jc import (
     excited_population,
     ground_population,
@@ -16,6 +17,7 @@ from cobath.jc import (
     sector_entries,
     two_qubit_projection,
     wootters_concurrence,
+    x_state_concurrence,
 )
 from cobath.runner import (
     observable_columns,
@@ -23,8 +25,11 @@ from cobath.runner import (
     run_to_files,
     simulate_config,
     sweep_to_files,
+    write_csv,
 )
 from cobath.svgplot import emit_svg
+from conftest import hermitian_parts_by_division, shipped_runs
+from svg_reference import reference_emit_svg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -310,7 +315,7 @@ def columns_state_by_state(cfg, states) -> dict:
                "purity": s.purity(), "block0_p00": ground_population(s, space)}
         if p.n_exc == 1:
             r11, r12, r22 = sector_entries(s, space, 1)
-            row["concurrence"] = wootters_concurrence(two_qubit_projection(s, space))
+            row["concurrence"] = x_state_concurrence(two_qubit_projection(s, space))
             row["concurrence_conditional"] = over(2.0 * abs(r12), r11 + r22)
         for i in range(1, p.n_exc + 1):
             r11, r12, r22 = sector_entries(s, space, i)
@@ -396,7 +401,73 @@ def test_csv_roundtrip_full_precision(tmp_path):
         np.testing.assert_array_equal(data[:, j + 1], col)
 
 
+def test_x_state_concurrence_matches_the_spin_flip_route_on_shipped_series():
+    # every shipped series is an X state, so the closed form is what it ships;
+    # the eigenvalue route agrees to within its sqrt(eps) noise
+    off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+    for name, cfg in shipped_runs():
+        states = simulate_config(cfg)
+        rho4 = two_qubit_projection(np.array([s.matrix for s in states]), jc_space(cfg.params))
+        assert not np.any(rho4[..., off_x]), name
+        gap = np.abs(x_state_concurrence(rho4) - wootters_concurrence(rho4))
+        assert np.max(gap) <= 1e-7, name
+
+
+def test_hermitian_parts_by_halving_move_no_csv_byte(monkeypatch, tmp_path):
+    # halving and the complex division differ in the sign of some zero parts
+    # (tests/test_core.py): no column of any shipped config may read that sign
+    import cobath.core
+
+    calls = []
+
+    def division(m):
+        calls.append(len(m))
+        return hermitian_parts_by_division(m)
+
+    for name, cfg in shipped_runs():
+        outputs = tuple(o for o in OUTPUTS if o != "concurrence" or cfg.params.n_exc == 1)
+        cfg = dataclasses.replace(cfg, outputs=outputs)
+        grid = cfg.grid.times()
+        write_csv(tmp_path / "half.csv", grid, observable_columns(cfg, simulate_config(cfg)))
+        del calls[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(cobath.core, "_hermitian_parts", division)
+            write_csv(tmp_path / "div.csv", grid, observable_columns(cfg, simulate_config(cfg)))
+        assert calls, name
+        assert (tmp_path / "half.csv").read_bytes() == (tmp_path / "div.csv").read_bytes(), name
+
+
 # ----------------------------------------------------------------------- svg
+
+def test_emit_svg_matches_the_per_point_writer():
+    # the reference formats "%.3f,%.3f" at every point of every curve
+    rng = np.random.default_rng(16)
+    t = np.linspace(0.0, 1000.0, 4001)
+    dense = [(f"c{k}", np.cos(t / (40.0 + k)) * np.exp(-t / 700.0) + 1e-3 * rng.normal(size=t.size))
+             for k in range(15)]
+    split = np.sin(t / 30.0)
+    split[[5, 6, 900, 2000, 2001, 2002, 4000]] = [np.nan, np.inf, -np.inf, np.nan, np.nan, np.inf, np.nan]
+    isolated = np.full(t.size, np.nan)
+    isolated[[0, 2, 3, 1500, 3999]] = [0.1, -0.2, 0.3, -0.0, 0.5]  # circles and a run of two
+    t_nan = t.copy()
+    t_nan[7] = np.nan
+    cases = [
+        (t, dense),
+        (t, [("split", split), ("isolated", isolated), ("flat", np.full(t.size, 0.25))]),
+        (t, [("flat", np.full(t.size, -0.0))]),
+        (t_nan, [("x nan", np.cos(t))]),
+        (np.linspace(-5.0, 5.0, 11), [("y", np.linspace(-1.0, 1.0, 11))]),
+        (np.arange(5.0), [("y", np.array([0.0, 1.0, np.nan, 0.5, np.inf]))]),
+        (np.array([3.0]), [("one", np.array([0.5]))]),
+    ]
+    circles = 0
+    for t_k, curves in cases:
+        svg = emit_svg(t_k, curves, title="a & b", xlabel="t", ylabel="y")
+        assert svg == reference_emit_svg(t_k, curves, title="a & b", xlabel="t", ylabel="y")
+        circles += svg.count("<circle")
+    assert circles == 5
+
+
 
 def test_svg_constant_series_is_horizontal_line():
     t = np.linspace(0.0, 1.0, 5)

@@ -10,6 +10,7 @@ from cobath.core import (
     Operator,
     StateError,
     StatePattern,
+    _hermitian_parts,
     basis_ket,
     check_states,
     identity,
@@ -18,7 +19,7 @@ from cobath.core import (
     partial_trace,
     tensor_product,
 )
-from conftest import random_density
+from conftest import hermitian_parts_by_division, random_density
 
 
 def test_space_dims():
@@ -397,3 +398,19 @@ def test_operators_immutable():
     op = identity(sp)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+def test_hermitian_parts_equal_the_complex_division_on_signed_zeros(rng):
+    m = rng.normal(size=(40, 6, 6)) + 1j * rng.normal(size=(40, 6, 6))
+    re, im = m.real.copy(), m.imag.copy()
+    for part in (re, im):
+        hit = rng.random(part.shape) < 0.5
+        part[hit] = rng.choice([0.0, -0.0], size=hit.sum())
+    m = re + 1j * im
+    half, division = _hermitian_parts(m).view(float), hermitian_parts_by_division(m).view(float)
+    assert np.array_equal(half, division)  # as numbers: -0.0 == 0.0
+    # only the sign of some zeros differs; tests/test_cli.py shows no column reads it
+    signs = np.signbit(half) != np.signbit(division)
+    assert signs.any() and np.all(half[signs] == 0.0)
+    rho = np.array([random_density(rng, 6) for _ in range(5)])
+    np.testing.assert_array_equal(check_states(rho), _hermitian_parts(rho))

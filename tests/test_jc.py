@@ -32,6 +32,7 @@ from cobath.jc import (
     solve_jc_hierarchy,
     two_qubit_projection,
     wootters_concurrence,
+    x_state_concurrence,
 )
 from cobath.jc import _sector_matrix
 from cobath.master_equation import SpectralTensor, build_dissipator, integrate
@@ -332,6 +333,67 @@ def test_concurrence_bounds(r11, frac, mag, phase):
 
     c = wootters_concurrence(_conditional_two_qubit(r11, r12, r22))
     assert -1e-12 <= c <= 1.0 + 1e-9
+
+
+def random_x_states(rng, n):
+    """n two-qubit X states: random populations, and the coherences r03 and
+    r12 at random fractions of their positivity bounds."""
+    p = rng.dirichlet(np.ones(4), size=n)
+    rho = np.zeros((n, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = p
+    for i, j in ((0, 3), (1, 2)):
+        c = np.sqrt(p[:, i] * p[:, j]) * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        rho[:, i, j], rho[:, j, i] = c, c.conj()
+    return rho
+
+
+def test_x_state_concurrence_agrees_with_the_spin_flip_route(rng):
+    rho = random_x_states(rng, 200)
+    rho[:50, 1, 1] = rho[:50, 1, 2] = rho[:50, 2, 1] = 0.0  # rho11 = rho12 = 0, as at n_exc 1
+    closed = x_state_concurrence(rho)
+    np.testing.assert_allclose(closed, wootters_concurrence(rho), rtol=0, atol=1e-7)
+    assert np.all((closed >= 0.0) & (closed <= 1.0))
+    assert x_state_concurrence(rho[7]) == closed[7] and isinstance(x_state_concurrence(rho[7]), float)
+    with pytest.raises(ValueError, match="4x4"):
+        x_state_concurrence(np.eye(3))
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4) if i != j and i + j != 3])
+def test_x_state_concurrence_off_the_x_pattern_is_the_spin_flip_route(rng, i, j):
+    rho = random_x_states(rng, 40)
+    assert not np.array_equal(x_state_concurrence(rho), wootters_concurrence(rho))
+    rho[17, i, j] = 1e-300  # one entry, one state: the whole stack falls back
+    np.testing.assert_array_equal(x_state_concurrence(rho), wootters_concurrence(rho))
+    assert x_state_concurrence(rho[17]) == wootters_concurrence(rho[17])
+
+
+def test_x_state_concurrence_of_the_atom_start_is_twice_the_sector_coherence():
+    grid = np.linspace(0.0, 1000.0, 201)
+    for params in (DFS, dict(DFS, g22=0.02, k_mirror=0.05)):
+        p = JCParams(**params)
+        space = jc_space(p)
+        for states in (closed_form_states(p, grid), integrate(build_jc(p), jc_initial(p), grid)):
+            rho = np.array([s.matrix for s in states])
+            c = x_state_concurrence(two_qubit_projection(rho, space))
+            _, r12, _ = sector_entries(rho, space, 1)
+            np.testing.assert_array_equal(c, 2.0 * np.abs(r12))
+            cond = conditional_state(rho, space, 1)
+            keep = ~np.isnan(cond.concurrence)
+            assert keep.sum() > 100
+            assert np.max(np.abs(c[keep] - cond.weight[keep] * cond.concurrence[keep])) <= 1e-15
+
+
+def test_x_state_concurrence_clamps_a_negative_population():
+    # roundoff can leave a population a hair below 0: the root stays real
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[3, 3], rho[0, 3], rho[3, 0] = 0.5, 0.5, 0.3, 0.3
+    rho[1, 1], rho[2, 2] = -1e-18, 1e-3
+    c = x_state_concurrence(rho)
+    assert math.isfinite(c) and c == 0.6
+    inner = np.zeros((4, 4), dtype=complex)
+    inner[1, 1], inner[2, 2], inner[1, 2], inner[2, 1] = 0.5, 0.5, 0.3, 0.3
+    inner[0, 0], inner[3, 3] = -1e-18, 1e-3
+    np.testing.assert_array_equal(x_state_concurrence(np.stack([rho, inner])), [0.6, 0.6])
 
 
 def test_conditional_concurrence_series_matches_pointwise():
