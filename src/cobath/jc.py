@@ -326,19 +326,29 @@ def _sector_propagator(bn: np.ndarray, t: np.ndarray, branch: int = 1) -> np.nda
     lam = branch * _principal_halfsplit(dev[0, 0] ** 2 + dev[0, 1] * dev[1, 0])
     t = np.asarray(t, dtype=float)
     phase = np.exp(-1j * theta * t)
-    if lam == 0:
-        # nilpotent deviator: the series terminates
-        sin_over = t.astype(complex)
-        cos_part = np.ones_like(t, dtype=complex)
-    else:
-        cos_part = np.cos(lam * t)
-        sin_over = np.sin(lam * t) / lam
     out = np.empty((len(t), 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            out[:, i, j] = phase * (
-                cos_part * (1.0 if i == j else 0.0) - 1j * sin_over * dev[i, j]
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lam == 0:
+            # nilpotent deviator: the series terminates
+            sin_over = t.astype(complex)
+            cos_part = np.ones_like(t, dtype=complex)
+        else:
+            cos_part = np.cos(lam * t)
+            sin_over = np.sin(lam * t) / lam
+        for i in range(2):
+            for j in range(2):
+                out[:, i, j] = phase * (
+                    cos_part * (1.0 if i == j else 0.0) - 1j * sin_over * dev[i, j]
+                )
+    # at long times cos(lam t) overflows while the phase underflows; there
+    # phase * cos and phase * sin / lam come from the eigenvalue exponentials
+    # exp(-i(theta -+ lam)t), which the PSD damping part keeps bounded
+    far = ~np.isfinite(out).all(axis=(1, 2))
+    if far.any():
+        minus, plus = (np.exp(-1j * (theta + s * lam) * t[far]) for s in (-1, 1))
+        cos_far = ((minus + plus) / 2.0)[:, None, None]
+        sin_far = ((minus - plus) / (2j * lam))[:, None, None]
+        out[far] = cos_far * np.eye(2) - 1j * sin_far * dev
     return out
 
 

@@ -265,6 +265,25 @@ def _norm2(x: np.ndarray) -> np.ndarray:
     return np.matmul(xf[:, None, :], xf[:, :, None])[:, 0, 0]
 
 
+def _unit_rows(x: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    # x / sqrt(norm2) row by row, as the float view times 1 / sqrt(norm2):
+    # numpy divides by s + 0j as (a + b 0)(1 / s), so the two differ only in
+    # the sign of zero parts, which no sum that starts at +0 keeps
+    return (x.view(float) * (1.0 / np.sqrt(norm2))[:, None]).view(complex)
+
+
+def _first_crossings(norms: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per threshold in ``r``, the first interval k whose end value
+    ``norms[k + 1]`` is below it, or len(norms) - 1 if none is.
+
+    NaN is below no threshold.
+    """
+    ends = norms[1:]
+    # the running minimum, read backwards so that it ascends
+    floor = np.minimum.accumulate(np.where(np.isnan(ends), np.inf, ends))[::-1]
+    return len(floor) - np.searchsorted(floor, r)
+
+
 _M32 = 0xFFFFFFFF
 # numpy's SeedSequence hash constants and the PCG64 128-bit LCG multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -380,19 +399,28 @@ def mcwf_unravel(
     ``numpy.random.default_rng([seed, j])`` would give, bit for bit: first
     r, then per jump the channel draw and the next r.
 
-    Each chunk of trajectories advances through windows of ``WINDOW`` grid
-    intervals.  One sweep of interval products over the whole chunk parks
-    every row at the first interval of the window in which its norm^2
-    falls below r.  The parked rows lift together, one pass per ladder
-    whatever their intervals, and a compact catch-up sweep carries them to
+    Until its first crossing every trajectory carries the same no-jump
+    row, which is advanced once per run, one interval product on a single
+    row per interval.  A trajectory first crosses in the first interval
+    whose shared norm^2 falls below its r (found on the running minimum of
+    those norms; a NaN norm never crosses), and each chunk of trajectories
+    lifts all its first crossings from the shared row in one pass per
+    ladder.  The chunk then advances through windows of ``WINDOW`` grid
+    intervals.  One sweep of interval products over the rows past their
+    first crossing parks each of them at the first interval of the window
+    in which its norm^2 falls below r.  The parked rows lift together, one
+    pass per ladder whatever their intervals, and a compact catch-up sweep
+    carries them, with the rows whose first crossing ends in the window, to
     the window's end, parking again the rows that cross again, until none
     is left.  The window's states sit in one complex buffer of
     (WINDOW + 1) x chunk x d (d the Hilbert-space dimension, chunk at most
     ``chunk_size``) that starts with the window's first grid point and
-    that every chunk reuses; they are accumulated, with the norms the
-    sweeps computed, when the window closes.  Products are row by row,
-    and every row meets the same products, draws and normalizations in
-    the same order whatever the schedule, so no result depends on it.
+    that every chunk reuses; the rows not yet past their first crossing
+    take the shared row, and all rows are accumulated in row order, with
+    the norms the sweeps computed, when the window closes.  Products are
+    row by row, so a row's bits do not depend on which rows share its
+    batch, and every row meets the same products, draws and normalizations
+    in the same order whatever the schedule, so no result depends on it.
     Nor do the jump records depend on ``chunk_size`` (at least 1); the
     averages are ordered sums over chunks, which moves them with
     ``chunk_size`` at roundoff level only.
@@ -426,6 +454,14 @@ def mcwf_unravel(
     level0 = [ladders[key][0] for key in keys]
     keys = np.array(keys)
 
+    # the no-jump row every trajectory carries until its first crossing, one
+    # row for all: _rowwise gives a row the same bits in any batch
+    shared = np.empty((len(t), v0.size), dtype=complex)
+    shared[0] = v0
+    for k, step in enumerate(level0):
+        shared[k + 1] = _rowwise(shared[k : k + 1], step)[0]
+    shared_norms = _norm2(shared)
+
     counts = tuple(sorted(set(int(c) for c in snapshot_counts if 0 < int(c) < n_traj))) + (n_traj,)
     # chunk boundaries adapt to the requested snapshot counts so running
     # means can be captured exactly there
@@ -436,7 +472,7 @@ def mcwf_unravel(
     records: list[tuple[tuple[float, int], ...]] = []
 
     def accumulate(k: int, phi: np.ndarray, norm2: np.ndarray):
-        psi = phi / np.sqrt(norm2)[:, None]
+        psi = _unit_rows(phi, norm2)
         p = psi.real**2 + psi.imag**2
         sums[k] += psi.T @ psi.conj()
         squares[k] += p.T @ p
@@ -453,7 +489,7 @@ def mcwf_unravel(
         chunk_records: list[list[tuple[float, int]]] = [[] for _ in range(m)]
         states, norms = window_states[:, :m], window_norms[:, :m]
         states[0] = v0
-        norms[0] = _norm2(states[0])
+        norms[0] = shared_norms[0]
         accumulate(0, states[0], norms[0])
 
         def lift(rows: np.ndarray, ks: np.ndarray, x: np.ndarray, steps: list[np.ndarray]):
@@ -498,22 +534,45 @@ def mcwf_unravel(
                 for j, tj, c in zip(rows[jumped].tolist(), when[jumped].tolist(), ch[jumped].tolist()):
                     chunk_records[j].append((tj, c))
 
+        def lift_all(rows: np.ndarray, ks: np.ndarray, x: np.ndarray):
+            """:func:`lift` in one pass per ladder, whatever the intervals ``ks``."""
+            if not rows.size:
+                return rows, ks, x
+            key_of, lifted = keys[ks], []
+            for key in dict.fromkeys(key_of.tolist()):
+                g = key_of == key
+                lifted.append(lift(rows[g], ks[g], x[g], ladders[key]))
+            return tuple(np.concatenate(a) for a in zip(*lifted))
+
+        first_cross = _first_crossings(shared_norms, r)
+        rows = np.flatnonzero(first_cross < len(t) - 1)
+        ks = first_cross[rows]
+        arrived_rows, arrived_ks, arrived_x = lift_all(rows, ks, shared[ks])
+
         for k0 in range(0, len(t) - 1, WINDOW):
             n = min(WINDOW, len(t) - 1 - k0)
+            # every row takes the shared row; the rows past their first
+            # crossing overwrite it as they sweep, each parking at the first
+            # interval where its norm^2 falls below r
+            states[1 : n + 1] = shared[k0 + 1 : k0 + n + 1, None]
+            norms[1 : n + 1] = shared_norms[k0 + 1 : k0 + n + 1, None]
+            rows = np.flatnonzero(first_cross < k0)
+            x = states[0, rows]
             for w in range(n):
-                states[w + 1] = _rowwise(states[w], level0[k0 + w])
-                norms[w + 1] = _norm2(states[w + 1])
-            # each row parks at the first interval where norm^2 falls below r
-            crossed = norms[1 : n + 1] < r
-            rows = np.flatnonzero(crossed.any(axis=0))
-            ws = crossed[:, rows].argmax(axis=0)
-            x = states[ws, rows]
+                x = _rowwise(x, level0[k0 + w])
+                states[w + 1, rows] = x
+                norms[w + 1, rows] = _norm2(x)
+            crossed = norms[1 : n + 1, rows] < r[rows]
+            parked = crossed.any(axis=0)
+            rows = rows[parked]
+            ws = crossed[:, parked].argmax(axis=0)
+            rows, ks, x = lift_all(rows, k0 + ws, states[ws, rows])
+            # the rows whose first crossing ends in this window join them
+            here = arrived_ks // WINDOW == k0 // WINDOW
+            rows = np.concatenate([rows, arrived_rows[here]])
+            ks = np.concatenate([ks, arrived_ks[here]])
+            x = np.concatenate([x, arrived_x[here]])
             while rows.size:
-                key_of, lifted = keys[k0 + ws], []
-                for key in dict.fromkeys(key_of.tolist()):  # one pass per ladder
-                    g = key_of == key
-                    lifted.append(lift(rows[g], k0 + ws[g], x[g], ladders[key]))
-                rows, ks, x = (np.concatenate(a) for a in zip(*lifted))
                 ws = ks - k0 + 1  # the grid point each row has reached
                 states[ws, rows] = x
                 norms[ws, rows] = _norm2(x)
@@ -531,7 +590,7 @@ def mcwf_unravel(
                     np.copyto(x, cand, where=on[:, None])
                     states[w + 1, rows[on]] = cand[on]
                     norms[w + 1, rows[on]] = norm2[on]
-                rows, ws, x = rows[parked], ws[parked], x[parked]
+                rows, ks, x = lift_all(rows[parked], k0 + ws[parked], x[parked])
             for w in range(1, n + 1):
                 accumulate(k0 + w, states[w], norms[w])
             states[0] = states[n]

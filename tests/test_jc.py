@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cobath.jc import (
     wootters_concurrence,
     x_state_concurrence,
 )
-from cobath.jc import _sector_matrix
+from cobath.jc import _sector_matrix, _sector_propagator
 from cobath.master_equation import SpectralTensor, build_dissipator, integrate
 from cobath.runner import read_csv, run_to_files
 from cobath.trajectories import effective_generator, propagate_deterministic
@@ -172,6 +173,31 @@ def test_block_matches_rk4_oracle():
     assert abs(blk.rho11[1] - r[0, 0]) < 1e-8
     assert abs(blk.rho12[1] - r[0, 1]) < 1e-8
     assert abs(blk.rho22[1] - r[1, 1]) < 1e-8
+
+
+@pytest.mark.parametrize("k_mirror", [0.0, 0.05])
+def test_closed_form_matches_integration_at_long_horizons(k_mirror):
+    # from t ~ 1.4e5 on, cos(lam t) overflows while exp(-i theta t) underflows
+    p = JCParams(**DFS, k_mirror=k_mirror)
+    grid = np.array([0.0, 500.0, 1.5e5, 2e5, 1e6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = closed_form_states(p, grid)
+    exact = integrate(build_jc(p), jc_initial(p), grid)
+    for a, b in zip(closed, exact):
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-9
+    if k_mirror == 0.0:
+        assert excited_population(closed[-1].matrix, jc_space(p)) == pytest.approx(0.25, abs=1e-9)
+    # where the direct product is finite the propagator is that product, byte for byte
+    bn = _sector_matrix(p, 1)
+    theta = (bn[0, 0] + bn[1, 1]) / 2.0
+    dev = bn - theta * np.eye(2)
+    lam = cmath.sqrt(dev[0, 0] ** 2 + dev[0, 1] * dev[1, 0])
+    near = grid[:2]
+    phase, cos_part, sin_over = np.exp(-1j * theta * near), np.cos(lam * near), np.sin(lam * near) / lam
+    direct = [[phase * (cos_part * (1.0 if i == j else 0.0) - 1j * sin_over * dev[i, j])
+               for j in range(2)] for i in range(2)]
+    assert _sector_propagator(bn, grid)[:2].tobytes() == np.moveaxis(np.array(direct), 2, 0).tobytes()
 
 
 def test_block_symmetric_rates_have_zero_delta():

@@ -29,10 +29,17 @@ from cobath.master_equation import (
     linear_system,
     liouvillian_matrix,
 )
+from cobath import trajectories
+from cobath.config import load_config
+from cobath.runner import build_model
 from cobath.trajectories import (
     WINDOW,
     _block_system,
+    _first_crossings,
+    _norm2,
+    _rowwise,
     _Streams,
+    _unit_rows,
     effective_generator,
     jump_feed,
     mcwf_unravel,
@@ -40,7 +47,7 @@ from cobath.trajectories import (
     reconstruct,
     solve_hierarchy,
 )
-from conftest import random_density, random_hermitian, random_unitary, rotate_model
+from conftest import CONFIGS, random_density, random_hermitian, random_unitary, rotate_model
 from mcwf_reference import reference_mcwf_unravel
 
 
@@ -715,6 +722,146 @@ def test_mcwf_rows_crossing_again_in_catch_up_are_bitwise_the_reference(chunk_si
         ks = jump_intervals(grid, rec)
         again += int(np.sum((np.diff(ks) > 0) & (np.diff(ks // WINDOW) == 0)))
     assert again >= 10
+
+
+def assert_same_bytes(a, b):
+    # assert_array_equal takes -0.0 for 0.0; the bytes tell them apart
+    assert a.counts == b.counts
+    assert a.jump_records == b.jump_records
+    assert a.grid.tobytes() == b.grid.tobytes()
+    assert [x.tobytes() for x in a.averages] == [y.tobytes() for y in b.averages]
+    assert a.stderr.tobytes() == b.stderr.tobytes()
+
+
+@pytest.mark.parametrize("name", ["mcwf_dfs", "mcwf_mirror"])
+def test_shipped_mcwf_configs_are_bytewise_the_reference(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    me, psi0 = build_model(cfg), jc_initial_ket(cfg.params, cfg.initial)
+    args = (me, psi0, cfg.grid.times(), cfg.mcwf.n_traj, 7)
+    res = mcwf_unravel(*args)
+    assert_same_bytes(res, reference_mcwf_unravel(*args))
+    never = sum(1 for rec in res.jump_records if not rec) / cfg.mcwf.n_traj
+    assert never > 0.4 if name == "mcwf_dfs" else never == 0.0
+
+
+def test_mcwf_advances_unjumped_trajectories_as_one_row(monkeypatch):
+    # no trajectory of an undamped model jumps: every product is the shared row's
+    p, me, space = jc_setup(g11=0.0, g22=0.0, g12=0.0)
+    t = np.linspace(0.0, 300.0, 31)
+    rows = []
+
+    def counted(x, m):
+        rows.append(len(x))
+        return _rowwise(x, m)
+
+    monkeypatch.setattr(trajectories, "_rowwise", counted)
+    res = mcwf_unravel(me, jc_initial_ket(p), t, n_traj=1000, seed=5)
+    assert not any(res.jump_records)
+    assert sum(rows) == len(t) - 1
+
+
+def test_first_crossings_match_a_scan():
+    rng = np.random.default_rng(4)
+    norms = np.concatenate([[1.0], np.sort(rng.random(40))[::-1]])
+    norms[[3, 9, 10, 25]] = [np.nan, 0.5, np.nan, 2.0]  # NaN, a rise, a value above 1
+    norms[-6:] = np.nan
+    ties = norms[1:-6][~np.isnan(norms[1:-6])]
+    r = np.concatenate([rng.random(200), ties, [0.0, 1.0, np.nextafter(norms[1], 2.0)]])
+    scan = [next((k for k, v in enumerate(norms[1:]) if v < x), len(norms) - 1) for x in r]
+    np.testing.assert_array_equal(_first_crossings(norms, r), scan)
+    assert _first_crossings(np.full(5, np.nan), np.array([0.5])).tolist() == [4]
+
+
+def test_unit_rows_accumulate_like_the_complex_division():
+    rng = np.random.default_rng(11)
+    for rows, d in ((1000, 8), (37, 6)):
+        sums = {"divided": np.zeros((d, d), dtype=complex), "scaled": np.zeros((d, d), dtype=complex)}
+        squares = {"divided": np.zeros((d, d)), "scaled": np.zeros((d, d))}
+        for _ in range(3):
+            x = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+            xf = x.view(float)
+            signed = rng.random(xf.shape) < 0.3
+            signed[:, 4:6] = True  # one column of zeros only: its sums are zero
+            xf[signed] = np.where(rng.random(signed.sum()) < 0.5, 0.0, -0.0)
+            norm2 = _norm2(x)
+            forms = {"divided": x / np.sqrt(norm2)[:, None], "scaled": _unit_rows(x, norm2)}
+            np.testing.assert_array_equal(forms["scaled"], forms["divided"])
+            assert forms["scaled"].tobytes() != forms["divided"].tobytes()  # zero signs differ
+            for name, psi in forms.items():
+                p = psi.real**2 + psi.imag**2
+                sums[name] += psi.T @ psi.conj()
+                squares[name] += p.T @ p
+            assert sums["scaled"].tobytes() == sums["divided"].tobytes()
+            assert squares["scaled"].tobytes() == squares["divided"].tobytes()
+
+
+def script_draws(monkeypatch, scripts):
+    """Make both MCWF implementations draw ``scripts[j]`` for trajectory j, then 0.0."""
+
+    class Streams:
+        def __init__(self, seed, js):
+            self.left = [list(scripts.get(int(j), ())) for j in js]
+
+        def random(self, rows):
+            picked = np.arange(len(self.left))[rows]
+            return np.array([self.left[i].pop(0) if self.left[i] else 0.0 for i in picked])
+
+    class Rng:
+        def __init__(self, entropy):
+            self.left = list(scripts.get(entropy[1], ()))
+
+        def random(self):
+            return self.left.pop(0) if self.left else 0.0
+
+    monkeypatch.setattr(trajectories, "_Streams", Streams)
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+
+
+@pytest.mark.parametrize("n_points", [31, 34])
+@pytest.mark.parametrize("chunk_size, snapshot_counts", [(1000, ()), (7, (1, 3, 7, 8)), (1, (2, 5))])
+def test_mcwf_edge_rows_are_bytewise_the_reference(monkeypatch, n_points, chunk_size,
+                                                    snapshot_counts):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.03, n_exc=2)
+    me, psi0 = build_jc(p), jc_initial_ket(p, "atom")
+    t = np.linspace(0.0, 10.0 * (n_points - 1), n_points)
+    b = effective_generator(me).B.matrix
+    survival = [np.linalg.norm(expm(-1j * b * tk) @ psi0.amplitudes) ** 2 for tk in t]
+    first = (survival[0] + survival[1]) / 2.0  # crosses in interval 0
+    last = (survival[-2] + survival[-1]) / 2.0  # crosses in the last interval
+    # draws: r, then per jump the channel draw and the next r; 0.0 never crosses
+    scripts = {0: [0.0], 1: [first, 0.5], 2: [last, 0.5], 3: [first, 0.3, 0.99, 0.7, 0.6, 0.2, 0.0],
+               4: [last, 0.9, 0.999]}
+    rng = np.random.default_rng(n_points)
+    for j in range(5, 24):
+        scripts[j] = [*rng.uniform(0.01, 0.99, size=9), 0.0]
+    script_draws(monkeypatch, scripts)
+    args = (me, psi0, t, 24, 3, snapshot_counts, chunk_size)
+    res = mcwf_unravel(*args)
+    assert_same_bytes(res, reference_mcwf_unravel(*args))
+    records = res.jump_records
+    assert records[0] == ()
+    assert jump_intervals(t, records[1]).tolist() == [0]
+    assert jump_intervals(t, records[2]).tolist() == [n_points - 2]
+    assert jump_intervals(t, records[3])[:2].tolist() == [0, 0]  # again in the same interval
+    assert jump_intervals(t, records[4])[0] == n_points - 2
+    assert sum(len(rec) for rec in records[5:]) > 19
+
+
+def test_mcwf_row_crossing_without_jump_weight_leaves_the_shared_row(monkeypatch):
+    # a ket 1e-10 short of unit norm in an undamped model: r between its norm^2
+    # and 1 crosses in interval 0 with nothing to jump to, and the row is
+    # renormalized there instead
+    p, me, space = jc_setup(g11=0.0, g22=0.0, g12=0.0)
+    v0 = (1.0 - 1e-10) * jc_initial_ket(p).amplitudes
+    t = np.linspace(0.0, 300.0, 31)
+    args = (me, v0, t, 12, 3, (4,), 5)
+    script_draws(monkeypatch, {})
+    shared = mcwf_unravel(*args)
+    script_draws(monkeypatch, {6: [1.0 - 1e-10, 0.5, 1.0 - 1.5e-10]})
+    res = mcwf_unravel(*args)
+    assert not any(res.jump_records)
+    assert_same_bytes(res, reference_mcwf_unravel(*args))
+    assert res.averages[-1].tobytes() != shared.averages[-1].tobytes()
 
 
 def test_mcwf_rejects_a_ket_on_the_wrong_space():
