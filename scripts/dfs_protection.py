@@ -22,7 +22,6 @@ from cobath import (
     excited_population,
     integrate,
     jc_initial,
-    jc_space,
     two_qubit_projection,
     x_state_concurrence,
 )
@@ -33,9 +32,8 @@ OUT = Path(__file__).resolve().parents[1] / "out"
 
 
 def run_point(p: JCParams, grid: np.ndarray):
-    me = build_jc(p)
-    space = jc_space(p)
-    rho = np.array([s.matrix for s in integrate(me, jc_initial(p), grid)])
+    states = integrate(build_jc(p), jc_initial(p), grid)
+    rho, space = states.matrices, states.space
     pop = excited_population(rho, space)
     env = x_state_concurrence(two_qubit_projection(rho, space))
     cond = conditional_state(rho, space, 1).concurrence

@@ -25,7 +25,7 @@ def main():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01)
     me = build_jc(p)
     grid = np.linspace(0.0, 1000.0, 101)
-    direct = np.array([s.matrix for s in integrate(me, jc_initial(p), grid)])
+    direct = integrate(me, jc_initial(p), grid).matrices
 
     t0 = time.time()
     counts, devs, stderrs = (100, 1000, 10_000), [], []

@@ -8,6 +8,7 @@ between threads or worker processes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 from typing import NamedTuple
@@ -18,6 +19,7 @@ __all__ = [
     "HilbertSpace",
     "Operator",
     "DensityMatrix",
+    "StateSeries",
     "StateError",
     "check_states",
     "StatePattern",
@@ -305,36 +307,15 @@ class DensityMatrix:
         m: np.ndarray,
         tolerance: float = DEFAULT_TOL,
         trace_target: float | None = 1.0,
-    ) -> list["DensityMatrix"]:
-        """One state per entry of an ``(n, d, d)`` stack, checked in one pass.
-
-        Raises :class:`StateError` naming the first failing entry.  The
-        states hold the Hermitian parts of the entries (identical for an
-        exactly Hermitian entry), read-only views of one frozen array.
-        """
+    ) -> "StateSeries":
+        """The states of an ``(n, d, d)`` stack, checked in one pass, as a :class:`StateSeries`
+        of their Hermitian parts (identical for an exactly Hermitian entry).  Raises
+        :class:`StateError` naming the first failing entry."""
         m = np.asarray(m, dtype=complex)
         d = space.total_dim
         if m.ndim != 3 or m.shape[1:] != (d, d):
             raise ValueError(f"state stack shape {m.shape} does not match space dim {d}")
-        h = check_states(m, tolerance, trace_target)
-        return cls.from_checked(space, h, tolerance, trace_target)
-
-    @classmethod
-    def from_checked(
-        cls,
-        space: HilbertSpace,
-        h: np.ndarray,
-        tolerance: float,
-        trace_target: float | None,
-    ) -> list["DensityMatrix"]:
-        """States over the Hermitian parts that :func:`check_states` returned
-        for the same tolerance and trace target; the check is not repeated."""
-        h.setflags(write=False)
-        fields = {"space": space, "tolerance": tolerance, "trace_target": trace_target}
-        states = [object.__new__(cls) for _ in h]
-        for rho, hk in zip(states, h):  # checked above: __post_init__ is not run again
-            rho.__dict__.update(fields, matrix=hk)
-        return states
+        return StateSeries(space, check_states(m, tolerance, trace_target), tolerance, trace_target)
 
     @property
     def trace(self) -> float:
@@ -342,6 +323,38 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+
+@dataclass(frozen=True, eq=False)
+class StateSeries(Sequence):
+    """States checked as one stack: ``matrices``, the frozen ``(n, d, d)``
+    Hermitian parts the check returned for ``tolerance`` and ``trace_target``,
+    read as :class:`DensityMatrix` views of its rows, not checked again.  A slice
+    is the series over its rows; ``first``, if set, is the state at row 0."""
+
+    space: HilbertSpace
+    matrices: np.ndarray
+    tolerance: float
+    trace_target: float | None
+    first: DensityMatrix | None = None
+
+    def __post_init__(self):
+        self.matrices.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, k):
+        rows = range(len(self.matrices))[k]  # an int or a range; IndexError as for a list
+        if isinstance(rows, range):
+            first = self.first if rows[:1] == range(1) else None
+            return StateSeries(self.space, self.matrices[k], self.tolerance, self.trace_target, first)
+        if rows == 0 and self.first is not None:
+            return self.first
+        rho = object.__new__(DensityMatrix)  # checked with the stack: __post_init__ is not run again
+        rho.__dict__.update(space=self.space, matrix=self.matrices[rows],
+                            tolerance=self.tolerance, trace_target=self.trace_target)
+        return rho
 
 
 @dataclass(frozen=True)

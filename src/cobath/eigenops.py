@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertSpace, Operator, _freeze, identity, tensor_product
+from .core import HilbertSpace, Operator, StatePattern, _freeze, identity, tensor_product
 
 __all__ = [
     "SpectralDecomposition",
@@ -87,15 +87,8 @@ def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecom
         raise ValueError(f"Hamiltonian not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
     h = (H.matrix + H.matrix.conj().T) / 2.0
     d = len(h)
-    # min-label propagation: each state ends labelled by the least index of its block
-    labels, prev = np.arange(d), None
-    while not np.array_equal(labels, prev):
-        prev, labels = labels, np.minimum(labels, np.where(h != 0, labels, d).min(axis=1))
-    size = np.bincount(labels, minlength=d)[labels]
-    grouped = np.argsort(labels, kind="stable")
     evals, vecs, done = np.empty(d), np.zeros_like(h), 0
-    for s in np.flatnonzero(np.bincount(size)):
-        idx = grouped[size[grouped] == s].reshape(-1, s)  # one row per block
+    for idx in StatePattern.of(h).groups:  # one row per block, one array per block size
         cols = done + np.arange(idx.size).reshape(idx.shape)
         evals[cols], vecs[idx[:, :, None], cols[:, None, :]] = np.linalg.eigh(
             h[idx[:, :, None], idx[:, None, :]]

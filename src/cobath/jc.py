@@ -33,6 +33,7 @@ from .core import (
     HilbertSpace,
     KetState,
     Operator,
+    StateSeries,
     basis_index,
     basis_ket,
     embed,
@@ -408,8 +409,9 @@ def closed_form_block(
 
 def closed_form_states(
     p: JCParams, grid: np.ndarray, initial: str = "atom"
-) -> list[DensityMatrix]:
-    """Complete single-excitation states from the analytic sector-1 solution.
+) -> StateSeries:
+    """Complete single-excitation states from the analytic sector-1 solution,
+    checked as one series at tolerance 1e-7.
 
     The sector block sits on its two kets; the weight it has lost is in
     the ground state, the only other state one excitation can decay to.
@@ -595,8 +597,10 @@ def conditional_state(
 def excited_population(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> float | np.ndarray:
     """Probability of finding the atom excited: a float for one state, an
     array for a stack (..., d, d)."""
-    proj = embed(np.diag([1.0, 0.0]), space, 0).matrix
-    return _per_state(np.real(np.trace(proj @ _matrix(rho), axis1=-2, axis2=-1)))
+    excited = embed(np.diag([1.0, 0.0]), space, 0).matrix.diagonal() != 0
+    # the complex diagonal summed whole, ground entries zeroed: the bits of tr(P+ rho)
+    diag = np.diagonal(_matrix(rho), axis1=-2, axis2=-1)
+    return _per_state(np.where(excited, diag, 0).sum(axis=-1).real)
 
 
 def ground_population(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> float | np.ndarray:

@@ -30,6 +30,7 @@ from .core import (
     Operator,
     StateError,
     StatePattern,
+    StateSeries,
 )
 from .eigenops import EigenOperator
 
@@ -614,7 +615,7 @@ def check_hygiene(
     serves both, and the Hermiticity defect is computed once.  The
     first failure in time order, then block order, raises
     :class:`IntegrationError`.  Returns the checked Hermitian parts as
-    one ``(n_t * n_b, d, d)`` stack; no state object is built.
+    one ``(n_t * n_b, d, d)`` stack, for a :class:`~cobath.core.StateSeries`.
     """
     _, n_b, d, _ = series.shape
     pattern = StatePattern.of(series)
@@ -643,24 +644,12 @@ def check_hygiene(
     raise IntegrationError(f"state hygiene lost{where}: {reason}", float(t[k]))
 
 
-def check_propagated(
-    series: np.ndarray,
-    t: np.ndarray,
-    space: HilbertSpace,
-    target_trace: float,
-    trace_target: float | None,
-) -> list[DensityMatrix]:
-    """:func:`check_hygiene`, then one state per (time, block) over the checked parts."""
-    parts = check_hygiene(series, t, target_trace, trace_target)
-    return DensityMatrix.from_checked(space, parts, 1e-7, trace_target)
-
-
 def integrate(
     me: MasterEquation,
     rho0: DensityMatrix,
     t_grid: np.ndarray,
     max_step: float | None = None,
-) -> list[DensityMatrix]:
+) -> StateSeries:
     """Evolve a state over an increasing time grid.
 
     The master equation is the one-block :func:`linear_system`.  Without
@@ -671,11 +660,11 @@ def integrate(
     per grid spacing.  A sector-pure JC state has 1 + 4 n_exc such
     entries.  Above the limit, or with an explicit ``max_step`` (> 0),
     fixed-step RK4 runs on the full state (see :func:`propagate_linear`).
-    The first grid point carries the initial state, the others the
-    Hermitian parts of the propagated states, checked as one stack by
-    :func:`check_propagated` (trace target as for ``rho0``); a violation
-    is reported as an :class:`IntegrationError` with the failing time.
-    A one-point grid returns ``[rho0]``.
+    Returns a :class:`~cobath.core.StateSeries` whose state 0 is ``rho0``
+    itself; the other rows are the Hermitian parts of the propagated states,
+    checked as one stack by :func:`check_hygiene` (trace target as for
+    ``rho0``), and a violation is an :class:`IntegrationError` with the
+    failing time.  A one-point grid propagates nothing.
     """
     if me.temperature_mode != "zero":
         raise ValueError("only zero-temperature evolution is implemented")
@@ -684,13 +673,14 @@ def integrate(
     if rho0.space != me.space:
         raise ValueError("initial state lives on the wrong space")
     t = time_grid(t_grid)
-    if len(t) == 1:
-        return [rho0]
-
-    steps = propagate_linear(me, rho0.matrix[None], t, max_step, 0)
-    series = np.array(list(steps))
     target = None if rho0.trace_target is None else rho0.trace
-    return [rho0, *check_propagated(series, t[1:], me.space, rho0.trace, target)]
+    stack = rho0.matrix[None]
+    if len(t) > 1:
+        steps = propagate_linear(me, stack, t, max_step, 0)
+        # the series is freed once checked: at most two stacks of states are alive at once
+        parts = check_hygiene(np.array(list(steps)), t[1:], rho0.trace, target)
+        stack = np.concatenate([stack, parts])
+    return StateSeries(me.space, stack, 1e-7, target, rho0)
 
 
 def diagonalize_gamma(

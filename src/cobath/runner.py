@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, sweep_points
-from .core import DensityMatrix
+from .core import StateSeries
 from .jc import (
     build_jc,
     closed_form_states,
@@ -47,8 +47,8 @@ def build_model(cfg: RunConfig) -> MasterEquation:
     return build_jc(cfg.params, tensor=cfg.tensor)
 
 
-def simulate_config(cfg: RunConfig) -> list[DensityMatrix]:
-    """Produce the state series for a config with the selected engine."""
+def simulate_config(cfg: RunConfig) -> StateSeries:
+    """The checked state series of a config, from the selected engine."""
     p, grid = cfg.params, cfg.grid.times()
     if cfg.engine == "closed-form":
         return closed_form_states(p, grid, cfg.initial)
@@ -67,12 +67,12 @@ def simulate_config(cfg: RunConfig) -> list[DensityMatrix]:
 
 
 def observable_columns(
-    cfg: RunConfig, states: list[DensityMatrix]
+    cfg: RunConfig, states: StateSeries
 ) -> list[tuple[str, np.ndarray]]:
     """Expand the requested observables into named columns, each over the whole stack."""
     p = cfg.params
     space = jc_space(p)
-    rho = np.array([s.matrix for s in states])
+    rho = states.matrices
     cols: list[tuple[str, np.ndarray]] = []
     for name in cfg.outputs:
         if name == "population":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertSpace, KetState, Operator
+from .core import DensityMatrix, HilbertSpace, KetState, Operator, StateSeries
 from .master_equation import (
     FREQ_MATCH_TOL,
     MasterEquation,
@@ -220,15 +220,12 @@ def solve_hierarchy(
     return TrajectoryHierarchy(N, t, tuple(series[:, i] for i in range(N + 1)))
 
 
-def reconstruct(h: TrajectoryHierarchy, space=None) -> list[DensityMatrix]:
-    """Sum the blocks at every grid point back into full states.
+def reconstruct(h: TrajectoryHierarchy, space: HilbertSpace) -> StateSeries:
+    """Sum the blocks at every grid point back into full states on ``space``.
 
-    The states are the Hermitian parts of the sums, checked as one stack
-    (tolerance 1e-7, trace in [0, 1]).
+    The series holds the Hermitian parts of the sums, checked as one
+    stack (tolerance 1e-7, trace in [0, 1]).
     """
-    dim = h.blocks[0].shape[-1]
-    if space is None:
-        space = HilbertSpace((dim,))
     return DensityMatrix.stack(space, h.total(), 1e-7, None)
 
 
@@ -249,8 +246,8 @@ class McwfResult:
     stderr: np.ndarray
     jump_records: tuple[tuple[tuple[float, int], ...], ...]
 
-    def states(self, space) -> list[DensityMatrix]:
-        """Hermitian parts of the full-ensemble averages, checked as one stack."""
+    def states(self, space) -> StateSeries:
+        """Hermitian parts of the full-ensemble averages as one checked series (tolerance 1e-7)."""
         return DensityMatrix.stack(space, self.averages[-1], 1e-7)
 
 

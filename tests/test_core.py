@@ -10,6 +10,7 @@ from cobath.core import (
     Operator,
     StateError,
     StatePattern,
+    StateSeries,
     _hermitian_parts,
     basis_ket,
     check_states,
@@ -324,6 +325,60 @@ def test_state_stack_is_read_only_views_of_hermitian_parts(rng):
     assert all(s.tolerance == 1e-7 and s.trace_target is None and s.space == sp for s in states)
     with pytest.raises(ValueError, match="space dim"):
         DensityMatrix.stack(HilbertSpace((2,)), stack)
+
+
+def test_state_series_holds_the_checked_stack_read_only(rng, monkeypatch):
+    from cobath import core
+
+    checked = []
+
+    def capture(*args):
+        checked.append(check_states(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(core, "check_states", capture)
+    sp = HilbertSpace((3,))
+    stack = np.array([random_density(rng, 3) for _ in range(5)])
+    series = DensityMatrix.stack(sp, stack, tolerance=1e-7, trace_target=None)
+    assert isinstance(series, StateSeries) and series.matrices is checked[-1]
+    assert not series.matrices.flags.writeable and series.matrices.base is None
+    assert (series.space, series.tolerance, series.trace_target) == (sp, 1e-7, None)
+    with pytest.raises(ValueError, match="read-only"):
+        series.matrices[0, 0, 0] = 0.0
+
+
+def test_state_series_rows_and_slices_are_views_of_one_base(rng):
+    sp = HilbertSpace((3,))
+    stack = np.array([random_density(rng, 3) for _ in range(21)])
+    series = DensityMatrix.stack(sp, stack, tolerance=1e-7, trace_target=None)
+    base = series.matrices
+    fields = (sp, 1e-7, None)
+
+    def is_view(rho, row):
+        assert type(rho) is DensityMatrix and rho.matrix.base is base
+        assert (rho.space, rho.tolerance, rho.trace_target) == fields
+        assert rho.matrix.tobytes() == base[row].tobytes()
+
+    assert len(series) == 21
+    for k in (0, 5, 20, -1, -21):
+        is_view(series[k], range(21)[k])
+    for k in (21, -22):
+        with pytest.raises(IndexError):
+            series[k]
+    rows = list(series)
+    assert len(rows) == 21
+    for row, rho in enumerate(rows):
+        is_view(rho, row)
+    for cut in (slice(1, None), slice(None, None, 8), slice(None, None, 10), slice(3, -2, 4)):
+        part = series[cut]
+        picked = range(21)[cut]
+        assert type(part) is StateSeries and len(part) == len(picked)
+        assert part.matrices.base is base and not part.matrices.flags.writeable
+        assert (part.space, part.tolerance, part.trace_target) == fields
+        for rho, row in zip(part, picked):
+            is_view(rho, row)
+        is_view(part[-1], picked[-1])
+    assert len(series[21:]) == 0 and list(series[21:]) == []
 
 
 def test_ket_norm_bound():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobath.config import parse_config
-from cobath.core import basis_ket, make_atom_ops, make_cavity_ops, partial_trace
+from cobath.core import basis_ket, embed, make_atom_ops, make_cavity_ops, partial_trace
 from cobath.jc import (
     CONDITIONAL_FLOOR,
     JCParams,
@@ -619,6 +619,19 @@ def test_observables_on_a_stack_match_one_state_at_a_time(rng):
         assert conc[k] == one_conc
         for n, stacked in zip((1, 2), entries):
             assert tuple(e[k] for e in stacked) == sector_entries(rho, space, n)
+
+
+@pytest.mark.parametrize("n_exc", [1, 2, 13, 14, 30])
+def test_excited_population_is_bitwise_the_projector_trace(n_exc, rng):
+    # dense complex stacks, not Hermitian: every diagonal bit is read
+    space = jc_space(JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, n_exc=n_exc))
+    d = space.total_dim
+    stack = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    stack[::3] *= 1e-3 * rng.normal(size=(d, d))  # entries of many magnitudes
+    proj = embed(np.diag([1.0, 0.0]), space, 0).matrix
+    oracle = np.real(np.trace(proj @ stack, axis1=-2, axis2=-1))
+    assert excited_population(stack, space).tobytes() == oracle.tobytes()
+    assert excited_population(stack[7], space) == oracle[7]
 
 
 def test_closed_form_states_need_one_excitation():

@@ -10,6 +10,7 @@ from cobath.core import (
     DensityMatrix,
     HilbertSpace,
     Operator,
+    StateSeries,
     basis_ket,
     make_atom_ops,
     make_cavity_ops,
@@ -37,7 +38,8 @@ from cobath.master_equation import (
     liouvillian_structure,
     validate_detailed_balance,
 )
-from conftest import random_hermitian, random_unitary, rotate_model
+from cobath.runner import simulate_config
+from conftest import random_hermitian, random_unitary, rotate_model, shipped_runs
 
 
 # ---------------------------------------------------------------- tensors
@@ -540,6 +542,59 @@ def test_integrate_on_a_one_point_grid_returns_the_initial_state(max_step):
     rho0 = jc_initial(p)
     states = integrate(build_jc(p), rho0, [2.5], max_step=max_step)
     assert len(states) == 1 and states[0] is rho0
+
+
+@pytest.mark.parametrize("max_step", [None, 0.1])
+def test_integrate_series_starts_with_the_initial_state_itself(max_step):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.005)
+    m = jc_initial(p).matrix.copy()
+    m[0, 1] += 1e-12j  # within 1e-9 of Hermitian: row 0 holds m, not its Hermitian part
+    rho0 = DensityMatrix(jc_space(p), m)
+    states = integrate(build_jc(p), rho0, np.linspace(0.0, 40.0, 21), max_step=max_step)
+    assert type(states) is StateSeries and len(states) == 21
+    assert states[0] is rho0 and states[-21] is rho0 and next(iter(states)) is rho0
+    assert states[::8][0] is rho0 and states[::10][0] is rho0
+    assert states.matrices[0].tobytes() == m.tobytes() and not states.matrices.flags.writeable
+    later = states[1:]
+    assert later[0] is not rho0 and later[0].matrix.base is states.matrices
+    assert later[0].matrix.tobytes() == states.matrices[1].tobytes()
+    assert (later.tolerance, later.trace_target) == (1e-7, rho0.trace)
+    assert states[::-1][0].matrix.base is states.matrices
+
+
+def test_simulate_config_series_is_the_stack_its_engine_checked(monkeypatch):
+    # each series against the list its engine returned before StateSeries, stacked again:
+    # the checked rows, after the initial state for integrate
+    from cobath import core, master_equation
+
+    checked = {"stack": [], "hygiene": []}
+
+    def capture(key, check):
+        def wrapped(*args):
+            checked[key].append(check(*args))
+            return checked[key][-1]
+        return wrapped
+
+    monkeypatch.setattr(core, "check_states", capture("stack", core.check_states))
+    hygiene = capture("hygiene", master_equation.check_hygiene)
+    monkeypatch.setattr(master_equation, "check_hygiene", hygiene)
+    engines = set()
+    for name, cfg in shipped_runs():
+        checked["stack"].clear()
+        checked["hygiene"].clear()
+        series = simulate_config(cfg)
+        engines.add(cfg.engine)
+        if cfg.engine == "integrate":
+            rho0 = jc_initial(cfg.params, cfg.initial)
+            states = [rho0.matrix, *checked["hygiene"][-1]]
+        else:
+            assert series.matrices is checked["stack"][-1], name
+            states = list(checked["stack"][-1])
+        d = jc_space(cfg.params).total_dim
+        assert series.matrices.shape == (len(cfg.grid.times()), d, d), name
+        assert series.matrices.tobytes() == np.array(states).tobytes(), name
+        assert np.array([s.matrix for s in series]).tobytes() == np.array(states).tobytes(), name
+    assert engines == {"closed-form", "integrate", "hierarchy", "mcwf"}
 
 
 def test_integrate_reports_failure_time():

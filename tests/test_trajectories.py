@@ -22,7 +22,7 @@ from cobath.master_equation import (
     IntegrationError,
     MasterEquation,
     SpectralTensor,
-    check_propagated,
+    check_hygiene,
     integrate,
     invariant_support,
     jump_superoperator,
@@ -240,22 +240,22 @@ def test_hierarchy_check_reports_first_time_then_first_block():
     t = np.linspace(0.0, 20.0, 8)
     h = solve_hierarchy(me, rho0, t, number)
     series = np.stack(h.blocks, axis=1)
-    assert len(check_propagated(series, t, space, 1.0, None)) == len(t) * 3
+    assert len(check_hygiene(series, t, 1.0, None)) == len(t) * 3
     bad = series.copy()
     bad[3, 1] += np.diag([-1e-3, 1e-3, 0.0])  # block 1: negative eigenvalue, trace kept
     bad[3, 2, 0, 1] += 1e-6  # block 2 at the same time: not Hermitian
     bad[5, 0, 0, 0] = np.nan  # block 0 later: non-finite
     with pytest.raises(IntegrationError, match="block 1") as err:
-        check_propagated(bad, t, space, 1.0, None)
+        check_hygiene(bad, t, 1.0, None)
     assert err.value.t == t[3]
     bad[2, 2, 1, 0] += 1e-6  # an earlier time wins over any block
     with pytest.raises(IntegrationError, match="block 2") as err:
-        check_propagated(bad, t, space, 1.0, None)
+        check_hygiene(bad, t, 1.0, None)
     assert err.value.t == t[2]
     bad[2, 1] += np.diag([-1e-3, 1e-3, 0.0])
     bad[2, 2, 2, 2] += 0.1  # the trace of that time is checked before any of its blocks
     with pytest.raises(IntegrationError, match="trace drift") as err:
-        check_propagated(bad, t, space, 1.0, None)
+        check_hygiene(bad, t, 1.0, None)
     assert err.value.t == t[2]
 
 
