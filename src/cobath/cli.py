@@ -104,6 +104,8 @@ def _cmd_plot(args) -> int:
             raise ConfigError(f"--columns: {missing} not present in {src.name}")
         names = wanted
     t = data[:, 0]
+    if not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
+        raise ConfigError(f"{src}: column t is not finite and strictly increasing")
     curves = [(name, data[:, header.index(name)]) for name in names]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

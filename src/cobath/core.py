@@ -202,14 +202,19 @@ class StatePattern(NamedTuple):
 
     def min_eigenvalues(self, h: np.ndarray) -> np.ndarray:
         """The least eigenvalue of each Hermitian matrix of an ``(n, d, d)``
-        stack this pattern covers: one stacked ``eigvalsh`` per component
-        size, the real diagonal for size-1 components."""
+        stack this pattern covers: the real diagonal for size-1 components,
+        (a + d)/2 - hypot((a - d)/2, |b|) for size-2 blocks [[a, b], [b*, d]],
+        and one stacked ``eigvalsh`` per larger component size."""
         if self.entries is None:
             return np.linalg.eigvalsh(h)[:, 0]
         least = None
         for idx in self.groups:
             if idx.shape[1] == 1:
                 evals = h[:, idx[:, 0], idx[:, 0]].real
+            elif idx.shape[1] == 2:
+                i, j = idx[:, 0], idx[:, 1]
+                a, d = h[:, i, i].real, h[:, j, j].real
+                evals = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(h[:, i, j]))
             else:
                 evals = np.linalg.eigvalsh(h[:, idx[:, :, None], idx[:, None, :]])[..., 0]
             evals = evals.min(axis=1)

@@ -80,7 +80,10 @@ def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecom
     ``eigh`` runs inside each connected block of H's exact nonzero pattern
     (one stacked call per block size), so roundoff never mixes the sectors
     of a conserved count such as the JC excitation number; a matrix with no
-    exact zeros is one block.  Eigenpairs are sorted by eigenvalue (stable).
+    exact zeros is one block.  Eigenpairs are sorted by eigenvalue (stable):
+    exactly equal eigenvalues keep the order the blocks are diagonalized in,
+    smaller blocks first, blocks of one size by their least index, and
+    each block's own ``eigh`` order.
     """
     herm_defect = float(np.max(np.abs(H.matrix - H.matrix.conj().T)))
     if herm_defect > 1e-9 * max(1.0, float(np.max(np.abs(H.matrix)))):

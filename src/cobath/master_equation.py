@@ -18,7 +18,7 @@ validated against detailed balance but not integrated.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -559,45 +559,46 @@ def propagate_linear(
     t: np.ndarray,
     max_step: float | None,
     shift: int,
-) -> Iterator[np.ndarray]:
-    """Yield y(t_1), y(t_2), ... of dy/dt = L y for the block stack ``y0``,
-    with L the :func:`linear_system` of ``me`` and ``shift``.
+) -> np.ndarray:
+    """y(t_1), y(t_2), ... of dy/dt = L y for the block stack ``y0``, as one
+    ``(len(t) - 1, *y0.shape)`` array, with L the :func:`linear_system` of
+    ``me`` and ``shift``.
 
     Without ``max_step`` the state's support S (:func:`invariant_support`
     of ``y0``, read from the exact nonzeros of B and of the jump terms)
     is found first.  Exact path (S of at most ``EXACT_SIZE_LIMIT``
     entries): each grid step applies expm(L[S, S] dt) to the entries S
     of row-major ``y.reshape(-1)``, computed once per distinct spacing,
-    and the result is scattered into zeros shaped like ``y0``.  Since S
-    is invariant this is exact, not an approximation.  Otherwise
-    fixed-step RK4 applies L to the full stack with substeps of at most
-    ``max_step`` (default :func:`default_max_step`, which counts the
-    Lamb shift); an explicit ``max_step`` makes it the oracle for the
-    exact path and must be > 0.
+    and the results are scattered into zeros.  Since S is invariant this
+    is exact, not an approximation.  Otherwise fixed-step RK4 applies L
+    to the full stack with substeps of at most ``max_step`` (default
+    :func:`default_max_step`, which counts the Lamb shift); an explicit
+    ``max_step`` makes it the oracle for the exact path and must be > 0.
     """
     if max_step is not None and not max_step > 0:
         raise ValueError("max_step must be > 0")
     rhs, generator, structure = linear_system(me, shift)
     support = invariant_support(y0, structure) if max_step is None else None
+    out = np.zeros((len(t) - 1, y0.size), dtype=complex)
     if support is not None and support.size <= EXACT_SIZE_LIMIT:
         L = generator(support)
         resolution = grid_resolution(t)
         cache: dict[int, np.ndarray] = {}
+        ys = np.empty((len(t) - 1, support.size), dtype=complex)
         y = y0.reshape(-1)[support]
-        for dt in np.diff(t):
+        for k, dt in enumerate(np.diff(t)):
             key = round(dt / resolution)
             if key not in cache:
                 cache[key] = expm(L * dt)
-            y = cache[key] @ y
-            out = np.zeros(y0.size, dtype=y.dtype)
-            out[support] = y
-            yield out.reshape(y0.shape)
-        return
+            y = np.matmul(cache[key], y, out=ys[k])
+        out[:, support] = ys
+        return out.reshape(len(t) - 1, *y0.shape)
     h_max = default_max_step(me) if max_step is None else float(max_step)
+    out = out.reshape(len(t) - 1, *y0.shape)
     y = y0
     for k in range(1, len(t)):
-        y = _rk4_span(rhs, y, t[k - 1], t[k], h_max)
-        yield y
+        y = out[k - 1] = _rk4_span(rhs, y, t[k - 1], t[k], h_max)
+    return out
 
 
 def check_hygiene(
@@ -676,9 +677,8 @@ def integrate(
     target = None if rho0.trace_target is None else rho0.trace
     stack = rho0.matrix[None]
     if len(t) > 1:
-        steps = propagate_linear(me, stack, t, max_step, 0)
         # the series is freed once checked: at most two stacks of states are alive at once
-        parts = check_hygiene(np.array(list(steps)), t[1:], rho0.trace, target)
+        parts = check_hygiene(propagate_linear(me, stack, t, max_step, 0), t[1:], rho0.trace, target)
         stack = np.concatenate([stack, parts])
     return StateSeries(me.space, stack, 1e-7, target, rho0)
 

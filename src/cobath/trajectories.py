@@ -214,8 +214,7 @@ def solve_hierarchy(
     dim = me.space.total_dim
     stack = np.zeros((N + 1, dim, dim), dtype=complex)
     stack[N] = rho0.matrix
-    steps = propagate_linear(me, stack, t, max_step, -1)
-    series = np.array([stack, *steps])
+    series = np.concatenate([stack[None], propagate_linear(me, stack, t, max_step, -1)])
     check_hygiene(series, t, rho0.trace, None)
     return TrajectoryHierarchy(N, t, tuple(series[:, i] for i in range(N + 1)))
 

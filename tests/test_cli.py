@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -469,6 +470,61 @@ def test_emit_svg_matches_the_per_point_writer():
 
 
 
+def test_thousandths_round_as_float_formatting():
+    from cobath.svgplot import _thousandths
+
+    rng = np.random.default_rng(19)
+    below = np.nextafter(999.9995, 0.0)
+    values = np.concatenate([
+        rng.uniform(0.0, 999.9995, 100_000),
+        rng.uniform(0.0, 1.0, 20_000),
+        np.arange(0.0, 8_000_000.0, 61.0) / 8000.0,
+        (2.0 * np.arange(8000) + 1.0) / 16.0,  # odd sixteenths: exact ties
+        below - 1e-13 * np.arange(1000),
+        [0.0, 5e-324, 1e-300, 0.0005, np.nextafter(0.0005, 1.0), np.nextafter(0.0005, 0.0),
+         0.0625, 0.1875, 999.9375, below],
+    ])
+    values = values[values < 999.9995]
+    k = _thousandths(values)
+    got = [f"{q // 1000}.{q % 1000:03d}" for q in k.tolist()]
+    assert got == ["%.3f" % v for v in values.tolist()]
+    assert "%.3f" % below == "999.999" and "%.3f" % 999.9995 == "1000.000"
+    for outside in (999.9995, 1000.0, -1e-300, -0.0, np.nan, np.inf, -np.inf):
+        assert _thousandths(np.array([1.0, outside])) is None, outside
+    assert _thousandths(np.array([0.0])).tolist() == [0]
+
+
+def test_emit_svg_matches_the_per_point_writer_off_the_fast_path():
+    rng = np.random.default_rng(19)
+    t = np.linspace(0.0, 10.0, 400)
+    shuffled = rng.permutation(t)
+    back = t.copy()
+    back[[50, 51, 300]] = [-20.0, 12.0, 11.0]  # drawn left and right of the plot
+    t_nan = t.copy()
+    t_nan[[0, 100, 101]] = [0.0, np.nan, np.nan]
+    isolated = np.full(t.size, np.nan)
+    isolated[[1, 3, 4, 200, 399]] = [0.2, -0.1, 0.4, 0.0, 1.5]
+    curves = [("cos", np.cos(t)), ("isolated", isolated)]
+    cases = [(t, curves), (shuffled, curves), (back, curves), (t_nan, curves),
+             (t[::-1], curves), (np.full(t.size, 2.0), curves)]
+    for t_k, c in cases:
+        svg = emit_svg(t_k, c, title="t", ylabel="y")
+        assert svg == reference_emit_svg(t_k, c, title="t", ylabel="y")
+        assert svg.count("<circle") == 3
+
+
+def test_svg_rejects_a_span_that_overflows():
+    t = np.array([0.0, 1.0])
+    for t_k, y, axis in (
+        (t, np.array([-1e308, 1e308]), "y axis span [-1e+308, 1e+308]"),
+        (t, np.array([0.0, 1.75e308]), "y axis span [-8.75e+306, inf]"),  # once padded
+        (np.array([-1e308, 1e308]), np.array([0.0, 1.0]), "t axis span [-1e+308, 1e+308]"),
+        (np.array([np.nan, 1.0]), np.array([0.0, 1.0]), "t axis span [nan, 1.0]"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(axis + " is not finite")):
+            emit_svg(t_k, [("y", y)])
+
+
 def test_svg_constant_series_is_horizontal_line():
     t = np.linspace(0.0, 1.0, 5)
     svg = emit_svg(t, [("flat", np.full(5, 0.5))])
@@ -635,6 +691,9 @@ MALFORMED_CSV = [
     ("empty_file", "", [], "empty file"),
     ("no_finite_sample", "t,a\n0.0,nan\n1.0,nan\n", [], "no finite samples"),
     ("flat_beyond_resolution", "t,a\n0.0,1e16\n1.0,1e16\n", [], "below float resolution"),
+    ("t_not_finite", "t,a\n0.0,1.0\nnan,0.0\n2.0,0.5\n", [], "column t is not finite and strictly"),
+    ("t_not_increasing", "t,a\n0.0,1.0\n5.0,0.0\n1.0,0.5\n", [], "column t is not finite and strictly"),
+    ("span_overflows", "t,a\n0.0,-1e308\n1.0,1e308\n", [], "y axis span [-1e+308, 1e+308] is not finite"),
 ]
 
 

@@ -20,7 +20,7 @@ from cobath.core import (
     partial_trace,
     tensor_product,
 )
-from conftest import hermitian_parts_by_division, random_density
+from conftest import hermitian_parts_by_division, random_density, random_unitary
 
 
 def test_space_dims():
@@ -309,6 +309,46 @@ def test_only_exact_zeros_split_components(rng):
     stack[2, i, k] = stack[2, k, i] = 1e-300
     assert StatePattern.of(stack).entries is None
     assert StatePattern.of(stack[:2]).entries is not None
+
+
+def test_two_by_two_floor_matches_dense_eigvalsh(rng):
+    # components {0, 3} and {1, 4} of size 2, {2} of size 1, on d = 5
+    pairs = [(0, 3), (1, 4)]
+    blocks = []
+    for _ in range(40):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        blocks.append(np.outer(v, v.conj()) / np.vdot(v, v).real)  # rank 1: a floor of 0
+    for a in (0.0, 0.5, 1e-12, 0.25 + 2.0**-40):
+        blocks.append(np.diag([a, a]).astype(complex))  # degenerate, b = 0
+        blocks.append(np.array([[a, 1e-17], [1e-17, a]], dtype=complex))
+    for scale in (1e-300, 1e-18, 1e-9):
+        blocks.append(scale * random_density(rng, 2))  # near zero
+        blocks.append(np.array([[scale, scale * 1j], [-scale * 1j, scale]]))
+    blocks.append(np.array([[0.5, 0.5], [0.5, 0.5 - 2e-16]], dtype=complex))
+    stack = np.zeros((len(blocks), 5, 5), dtype=complex)
+    for k, b in enumerate(blocks):
+        for (i, j), sub in zip(pairs, (b, b[::-1, ::-1].conj())):
+            stack[k][np.ix_([i, j], [i, j])] = sub
+        stack[k, 2, 2] = 1.0
+    pattern = StatePattern.of(stack)
+    assert sorted(idx.shape for idx in pattern.groups) == [(1, 1), (2, 2)]
+    h = _hermitian_parts(stack)
+    floor = pattern.min_eigenvalues(h)
+    subs = [h[:, [i, j]][:, :, [i, j]] for i, j in pairs]
+    want = np.min([np.linalg.eigvalsh(sub)[:, 0] for sub in subs] + [h[:, 2, 2].real], axis=0)
+    scale = np.max([np.abs(sub).max(axis=(1, 2)) for sub in subs], axis=0)
+    assert np.all(np.abs(floor - want) <= 4 * np.finfo(float).eps * scale)
+    # a floor of -1e-6 in one 2 x 2 block: the same state and message as the dense check
+    lam, u = np.array([-1e-6, 1.0 / 3.0 + 1e-6]), random_unitary(rng, 2)
+    bad = stack / 3.0  # traces in [0, 1]
+    bad[17][np.ix_([1, 4], [1, 4])] = (u * lam) @ u.conj().T
+    bad[23] = bad[17]
+    with pytest.raises(StateError) as expected:
+        dense_check_states(bad, 1e-7, None)
+    with pytest.raises(StateError) as err:
+        check_states(bad, 1e-7, None)
+    assert err.value.index == expected.value.index == 17
+    assert str(err.value) == str(expected.value) == "density matrix has negative eigenvalue -1.000e-06"
 
 
 def test_state_stack_is_read_only_views_of_hermitian_parts(rng):

@@ -379,6 +379,21 @@ def test_decompose_follows_blocks_through_chains(rng):
     for v in d.vectors.T:
         assert len(set(block[v != 0])) == 1  # each eigenvector lives in one block
 
+def test_decompose_orders_exact_ties_by_block():
+    # a 2 x 2 block on {1, 4} and lone states 0, 2, 3 carrying its exact eigenvalues
+    block = np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, -0.4]])
+    lam, vecs = np.linalg.eigh(block[None])  # as decompose diagonalizes one block of size 2
+    h = np.zeros((5, 5), dtype=complex)
+    h[np.ix_([1, 4], [1, 4])] = block
+    h[[0, 2, 3], [0, 2, 3]] = lam[0, 1], lam[0, 0], lam[0, 0]
+    d = decompose(Operator(HilbertSpace((5,)), h))
+    assert d.starts == (0, 3)
+    np.testing.assert_allclose(d.eigenvalues, lam[0], rtol=0.0, atol=1e-15)
+    # within a cluster: smaller blocks first, blocks of one size by least index
+    assert [np.flatnonzero(v).tolist() for v in d.vectors.T] == [[2], [3], [1, 4], [0], [1, 4]]
+    np.testing.assert_array_equal(d.vectors[np.ix_([1, 4], [2, 4])], vecs[0])
+
+
 # At omega0 = 1.0 and n_exc = 30 the exact support is 129, not 1 + 4 n_exc:
 # 0.1 (sqrt(31) + sqrt(30)) > omega0, so the upper dressed level of sector
 # n lies above the lower one of sector n + 1, and 56 entries of the
