@@ -537,10 +537,10 @@ def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndar
 
 
 def time_grid(t_grid) -> np.ndarray:
-    """The grid as a float array; it must be 1-D, non-empty, strictly increasing."""
+    """The grid as a float array; it must be 1-D, non-empty, finite, strictly increasing."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    if t.ndim != 1 or len(t) < 1 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+        raise ValueError("time grid must be finite and strictly increasing")
     return t
 
 

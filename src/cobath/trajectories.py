@@ -367,9 +367,6 @@ class _Streams:
         return (x >> 11) * 2.0**-53
 
 
-WINDOW = 8  # grid intervals a chunk sweeps before the rows that cross in them lift
-
-
 def mcwf_unravel(
     me: MasterEquation,
     psi0,
@@ -401,22 +398,17 @@ def mcwf_unravel(
     whose shared norm^2 falls below its r (found on the running minimum of
     those norms; a NaN norm never crosses), and each chunk of trajectories
     lifts all its first crossings from the shared row in one pass per
-    ladder.  The chunk then advances through windows of ``WINDOW`` grid
-    intervals.  One sweep of interval products over the rows past their
-    first crossing parks each of them at the first interval of the window
-    in which its norm^2 falls below r.  The parked rows lift together, one
-    pass per ladder whatever their intervals, and a compact catch-up sweep
-    carries them, with the rows whose first crossing ends in the window, to
-    the window's end, parking again the rows that cross again, until none
-    is left.  The window's states sit in one complex buffer of
-    (WINDOW + 1) x chunk x d (d the Hilbert-space dimension, chunk at most
-    ``chunk_size``) that starts with the window's first grid point and
-    that every chunk reuses; the rows not yet past their first crossing
-    take the shared row, and all rows are accumulated in row order, with
-    the norms the sweeps computed, when the window closes.  Products are
-    row by row, so a row's bits do not depend on which rows share its
-    batch, and every row meets the same products, draws and normalizations
-    in the same order whatever the schedule, so no result depends on it.
+    ladder.  The chunk then moves one grid interval at a time: the rows
+    past their first crossing take one interval product, those whose
+    norm^2 falls below r lift to the interval's end together, and the rows
+    whose first crossing ends there join them.  So a run costs one lifting
+    pass per chunk and ladder for first crossings, plus one per grid
+    interval in which a row crosses again.  At every grid point the rows
+    not yet past their first crossing take the shared row, and all rows of
+    the chunk are accumulated in row order.  Products are row by row, so a
+    row's bits do not depend on which rows share its batch, and every row
+    meets the same products, draws and normalizations in the same order
+    whatever the schedule, so no result depends on it.
     Nor do the jump records depend on ``chunk_size`` (at least 1); the
     averages are ordered sums over chunks, which moves them with
     ``chunk_size`` at roundoff level only.
@@ -473,20 +465,14 @@ def mcwf_unravel(
         sums[k] += psi.T @ psi.conj()
         squares[k] += p.T @ p
 
-    # the window's grid points k0 .. k0 + WINDOW: states and their norm^2, one
-    # buffer for every chunk
-    rows_max = max(stop - start for start, stop in zip(boundaries, boundaries[1:]))
-    window_states = np.empty((WINDOW + 1, rows_max, v0.size), dtype=complex)
-    window_norms = np.empty((WINDOW + 1, rows_max))
     for start, stop in zip(boundaries, boundaries[1:]):
         m = stop - start
         streams = _Streams(seed, np.arange(start, stop))
         r = streams.random(slice(None))
         chunk_records: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-        states, norms = window_states[:, :m], window_norms[:, :m]
-        states[0] = v0
-        norms[0] = shared_norms[0]
-        accumulate(0, states[0], norms[0])
+        # every row's state at one grid point, and its norm^2
+        phi, phi_norms = np.tile(v0, (m, 1)), np.full(m, shared_norms[0])
+        accumulate(0, phi, phi_norms)
 
         def lift(rows: np.ndarray, ks: np.ndarray, x: np.ndarray, steps: list[np.ndarray]):
             """Carry ``rows`` from states ``x`` at the start of intervals ``ks``
@@ -545,51 +531,28 @@ def mcwf_unravel(
         ks = first_cross[rows]
         arrived_rows, arrived_ks, arrived_x = lift_all(rows, ks, shared[ks])
 
-        for k0 in range(0, len(t) - 1, WINDOW):
-            n = min(WINDOW, len(t) - 1 - k0)
-            # every row takes the shared row; the rows past their first
-            # crossing overwrite it as they sweep, each parking at the first
-            # interval where its norm^2 falls below r
-            states[1 : n + 1] = shared[k0 + 1 : k0 + n + 1, None]
-            norms[1 : n + 1] = shared_norms[k0 + 1 : k0 + n + 1, None]
-            rows = np.flatnonzero(first_cross < k0)
-            x = states[0, rows]
-            for w in range(n):
-                x = _rowwise(x, level0[k0 + w])
-                states[w + 1, rows] = x
-                norms[w + 1, rows] = _norm2(x)
-            crossed = norms[1 : n + 1, rows] < r[rows]
-            parked = crossed.any(axis=0)
-            rows = rows[parked]
-            ws = crossed[:, parked].argmax(axis=0)
-            rows, ks, x = lift_all(rows, k0 + ws, states[ws, rows])
-            # the rows whose first crossing ends in this window join them
-            here = arrived_ks // WINDOW == k0 // WINDOW
-            rows = np.concatenate([rows, arrived_rows[here]])
-            ks = np.concatenate([ks, arrived_ks[here]])
-            x = np.concatenate([x, arrived_x[here]])
-            while rows.size:
-                ws = ks - k0 + 1  # the grid point each row has reached
-                states[ws, rows] = x
-                norms[ws, rows] = _norm2(x)
-                # catch-up from there to the window's end, parking rows that cross again
-                parked = np.zeros(rows.size, dtype=bool)
-                r_rows = r[rows]
-                for w in range(ws.min(initial=n), n):
-                    on = ~parked & (ws <= w)
-                    cand = _rowwise(x, level0[k0 + w])
-                    norm2 = _norm2(cand)
-                    cross = on & (norm2 < r_rows)
-                    parked |= cross
-                    ws[cross] = w
-                    on &= ~cross
-                    np.copyto(x, cand, where=on[:, None])
-                    states[w + 1, rows[on]] = cand[on]
-                    norms[w + 1, rows[on]] = norm2[on]
-                rows, ks, x = lift_all(rows[parked], k0 + ws[parked], x[parked])
-            for w in range(1, n + 1):
-                accumulate(k0 + w, states[w], norms[w])
-            states[0] = states[n]
+        rows = arrived_rows[:0]  # the rows past their first crossing
+        for k, step in enumerate(level0):
+            x = phi[rows]
+            cand = _rowwise(x, step)
+            norm2 = _norm2(cand)
+            cross = norm2 < r[rows]
+            phi[:] = shared[k + 1]
+            phi[rows] = cand
+            phi_norms[:] = shared_norms[k + 1]
+            phi_norms[rows] = norm2
+            if cross.any():
+                n_cross = np.count_nonzero(cross)
+                lifted_rows, _, lifted_x = lift_all(rows[cross], np.full(n_cross, k), x[cross])
+                phi[lifted_rows] = lifted_x
+                phi_norms[lifted_rows] = _norm2(lifted_x)
+            here = arrived_ks == k  # first crossings that end at grid point k + 1
+            if here.any():
+                joining = arrived_rows[here]
+                rows = np.concatenate([rows, joining])
+                phi[joining] = arrived_x[here]
+                phi_norms[joining] = _norm2(arrived_x[here])
+            accumulate(k + 1, phi, phi_norms)
 
         records.extend(tuple(rec) for rec in chunk_records)
         if stop in counts:

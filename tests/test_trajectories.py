@@ -33,7 +33,6 @@ from cobath import trajectories
 from cobath.config import load_config
 from cobath.runner import build_model
 from cobath.trajectories import (
-    WINDOW,
     _block_system,
     _first_crossings,
     _norm2,
@@ -49,6 +48,8 @@ from cobath.trajectories import (
 )
 from conftest import CONFIGS, random_density, random_hermitian, random_unitary, rotate_model
 from mcwf_reference import reference_mcwf_unravel
+
+WINDOW = 8  # grid intervals per group in the grids and jump-record checks below
 
 
 def cavity_only_me(omega0=1.0, gamma=0.08, n_max=2):
@@ -710,6 +711,18 @@ def test_mcwf_window_edges_are_bitwise_the_reference(n_points, chunk_size, snaps
     assert sum(len(r) for r in res.jump_records) > n_traj // 2
 
 
+@pytest.mark.parametrize("n_exc", [1, 2])
+def test_mcwf_on_a_one_point_grid_is_bitwise_the_reference(n_exc):
+    # no interval to move through: every average is the initial projector
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.03, n_exc=n_exc)
+    res = assert_bitwise_the_reference(p, "atom", np.array([0.0]), 30, 7, (4, 20))
+    v0 = jc_initial_ket(p, "atom").amplitudes
+    assert res.counts == (4, 20, 30)
+    for avg in res.averages:
+        np.testing.assert_array_equal(avg, np.outer(v0, v0.conj())[None])
+    assert not any(res.jump_records)
+
+
 @pytest.mark.parametrize("chunk_size, snapshot_counts", [(1000, (30,)), (7, ()), (1, (5,))])
 def test_mcwf_rows_crossing_again_in_catch_up_are_bitwise_the_reference(chunk_size, snapshot_counts):
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.05, n_exc=3)
@@ -889,3 +902,17 @@ def test_mcwf_rejects_negative_seed():
     p, me, space = jc_setup()
     with pytest.raises(ValueError, match="seed must be >= 0"):
         mcwf_unravel(me, jc_initial_ket(p), np.linspace(0.0, 10.0, 3), 10, -1)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, math.inf], [math.nan], [-math.inf, 0.0]])
+def test_engines_reject_a_time_grid_that_is_not_finite(grid):
+    # NaN fails every comparison and an infinite time gives an infinite or
+    # NaN spacing, so an order check alone lets these grids through
+    p, me, space = jc_setup()
+    msg = "time grid must be finite and strictly increasing"
+    with pytest.raises(ValueError, match=msg):
+        integrate(me, jc_initial(p), grid)
+    with pytest.raises(ValueError, match=msg):
+        solve_hierarchy(me, jc_initial(p), grid, excitation_number(space))
+    with pytest.raises(ValueError, match=msg):
+        mcwf_unravel(me, jc_initial_ket(p), grid, 10, 1)
