@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jc import JCParams
-from .master_equation import FREQ_MATCH_TOL, SpectralTensor, apply_t0_filter
+from .master_equation import FREQ_MATCH_TOL, SpectralTensor, apply_t0_filter, time_grid
 
 __all__ = [
     "ConfigError",
@@ -242,6 +242,10 @@ def parse_config(text: str) -> RunConfig:
     if n_steps < 2:
         raise ConfigError("grid.n_steps: must be >= 2")
     grid = GridSpec(t_end, n_steps)
+    try:
+        time_grid(grid.times())
+    except ValueError as exc:
+        raise ConfigError(f"grid.t_end: {t_end!r} with {n_steps} points: {exc}") from exc
 
     outputs = obj.get("outputs", ["population"])
     if not isinstance(outputs, list) or not outputs:

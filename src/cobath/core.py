@@ -410,10 +410,16 @@ def embed(local: np.ndarray, space: HilbertSpace, factor: int, label: str = "") 
         raise ValueError(
             f"local matrix shape {local.shape} does not match factor dim {dims[factor]}"
         )
-    m = np.eye(prod(dims[:factor]), dtype=complex)
-    m = np.kron(m, local)
-    m = np.kron(m, np.eye(prod(dims[factor + 1:]), dtype=complex))
-    return Operator(space, m, label=label)
+    before = np.eye(prod(dims[:factor]), dtype=complex)
+    after = np.eye(prod(dims[factor + 1:]), dtype=complex)
+    # kron(kron(before, local), after) as one broadcast: the same products, in the same order
+    m = (
+        before[:, None, None, :, None, None]
+        * local[None, :, None, None, :, None]
+        * after[None, None, :, None, None, :]
+    )
+    n = space.total_dim
+    return Operator(space, m.reshape(n, n), label=label)
 
 
 def make_atom_ops(space: HilbertSpace, factor: int = 0) -> dict[str, Operator]:

@@ -466,10 +466,14 @@ def invariant_support(
     """
     d = y0.shape[-1]
     reached = (y0 != 0).reshape(-1, d, d)
-    pats = [(s, (x != 0).astype(float), (y != 0).astype(float)) for s, x, y in structure]
+    # the 0/1 patterns of each shift's terms, one (T, d, d) stack per side
+    pats = []
+    for shift in dict.fromkeys(s for s, _, _ in structure):
+        xs, ys = zip(*((x != 0, y != 0) for s, x, y in structure if s == shift))
+        pats.append((shift, np.array(xs, dtype=float), np.array(ys, dtype=float)))
     frontier = reached
     while frontier.any():
-        image = np.zeros(reached.shape)
+        image = np.zeros(reached.shape, dtype=bool)
         for b in np.flatnonzero(frontier.any(axis=(1, 2))):
             # only the rows and columns the new entries occupy enter the products
             rows = np.flatnonzero(frontier[b].any(axis=1))
@@ -477,8 +481,8 @@ def invariant_support(
             f = frontier[b][np.ix_(rows, cols)].astype(float)
             for shift, x, y in pats:
                 if 0 <= b + shift < len(image):
-                    image[b + shift] += x[:, rows] @ f @ y[cols]
-        frontier = (image > 0) & ~reached
+                    image[b + shift] |= (x[:, :, rows] @ f @ y[:, cols] > 0).any(axis=0)
+        frontier = image & ~reached
         reached = reached | frontier
     return np.flatnonzero(reached)
 
@@ -537,10 +541,14 @@ def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndar
 
 
 def time_grid(t_grid) -> np.ndarray:
-    """The grid as a float array; it must be 1-D, non-empty, finite, strictly increasing."""
+    """The grid as a float array; it must be 1-D, non-empty, finite, strictly
+    increasing and, past one point, have a nonzero :func:`grid_resolution`."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be finite and strictly increasing")
+    if len(t) > 1 and grid_resolution(t) == 0:
+        # subnormal times: spacings could not be told apart, nor keyed by resolution
+        raise ValueError("time grid is too fine: its float resolution underflows to 0")
     return t
 
 

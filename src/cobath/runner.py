@@ -30,7 +30,7 @@ from .jc import (
 )
 from .master_equation import MasterEquation, integrate
 from .svgplot import emit_svg
-from .trajectories import mcwf_unravel, reconstruct, solve_hierarchy
+from .trajectories import hierarchy_sector, mcwf_unravel
 
 __all__ = [
     "build_model",
@@ -53,16 +53,17 @@ def simulate_config(cfg: RunConfig) -> StateSeries:
     if cfg.engine == "closed-form":
         return closed_form_states(p, grid, cfg.initial)
     me = build_model(cfg)
-    space = jc_space(p)
-    if cfg.engine == "integrate":
-        return integrate(me, jc_initial(p, cfg.initial), grid)
-    if cfg.engine == "hierarchy":
-        h = solve_hierarchy(me, jc_initial(p, cfg.initial), grid, excitation_number(space))
-        return reconstruct(h, space=space)
+    if cfg.engine in ("integrate", "hierarchy"):
+        rho0 = jc_initial(p, cfg.initial)
+        if cfg.engine == "hierarchy":
+            # the blocks are the sectors of the master-equation state, and
+            # their sum is that state: check the split holds, then solve once
+            hierarchy_sector(me, rho0, excitation_number(me.space))
+        return integrate(me, rho0, grid)
     if cfg.engine == "mcwf":
         ket = jc_initial_ket(p, cfg.initial)
         res = mcwf_unravel(me, ket, grid, n_traj=cfg.mcwf.n_traj, seed=cfg.mcwf.seed)
-        return res.states(space)
+        return res.states(me.space)
     raise ConfigError(f"engine: unhandled engine {cfg.engine!r}")
 
 

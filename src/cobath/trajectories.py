@@ -50,6 +50,7 @@ __all__ = [
     "effective_generator",
     "propagate_deterministic",
     "jump_feed",
+    "hierarchy_sector",
     "solve_hierarchy",
     "reconstruct",
     "mcwf_unravel",
@@ -149,37 +150,15 @@ def _block_system(me: MasterEquation):
     return linear_system(me, -1)
 
 
-def solve_hierarchy(
-    me: MasterEquation,
-    rho0: DensityMatrix,
-    t_grid: np.ndarray,
-    number_op: Operator,
-    max_step: float | None = None,
-) -> TrajectoryHierarchy:
-    """Solve the coupled block system from a sector-pure initial state.
+def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operator) -> int:
+    """The excitation sector n of ``rho0``, once the hierarchy's preconditions hold.
 
-    ``number_op`` counts excitations and must have an integer spectrum.
-    The initial state must satisfy N rho0 = n rho0 for one n >= 0; for a
-    Hermitian rho0 that excludes weight in other sectors and coherence
-    between sectors alike (split mixed-sector states by linearity before
-    calling).  The Hamiltonian, Lamb shift included, must conserve the
-    count, [N, H] = 0, and every coupling component at positive frequency
-    must lower it by exactly one, [N, A(w)] = -A(w), which makes the
-    number of jumps and the number of lost excitations interchangeable
-    labels.  ``number_op`` serves only these checks and the block count
-    n + 1.
-
-    The blocks evolve under :func:`~cobath.master_equation.linear_system`
-    with shift -1: the master equation's generator, its feed one block down.
-    Without ``max_step`` the stack of blocks is propagated on its
-    invariant support (:func:`~cobath.master_equation.invariant_support`):
-    the entries the top block reaches by no-jump mixing inside a block and
-    by the jump feed from block i + 1 into block i, read from the exact
-    zeros of B and of the coupling components.  For a sector-pure JC state
-    that is 1 + 4 n entries, not (n + 1) dim^2; the restricted
-    block-bidiagonal generator is built directly and propagated exactly
-    up to ``EXACT_SIZE_LIMIT`` entries.  Above it, or with an explicit
-    ``max_step`` (> 0), fixed-step RK4 runs on the full stack.
+    These are the checks of :func:`solve_hierarchy`, in its order: a
+    filtered tensor, one space, an integer spectrum of ``number_op``,
+    [N, H] = 0 (Lamb shift included), [N, A(w)] = -A(w) at every w > 0,
+    and N rho0 = n rho0.  Under them every jump lowers the count by one,
+    so the master-equation state never mixes sectors and block i of the
+    hierarchy is its sector-i part.
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
@@ -202,13 +181,48 @@ def solve_hierarchy(
 
     weight = rho0.trace
     num_rho = num @ rho0.matrix
-    N = round(float(np.trace(num_rho).real) / weight) if weight > SECTOR_TOL else -1
-    if N < 0 or float(np.max(np.abs(num_rho - N * rho0.matrix))) > SECTOR_TOL:
+    n = round(float(np.trace(num_rho).real) / weight) if weight > SECTOR_TOL else -1
+    if n < 0 or float(np.max(np.abs(num_rho - n * rho0.matrix))) > SECTOR_TOL:
         raise ValueError(
             "initial state is not in one excitation sector (N rho0 != n rho0); "
             "split it by linearity"
         )
+    return n
 
+
+def solve_hierarchy(
+    me: MasterEquation,
+    rho0: DensityMatrix,
+    t_grid: np.ndarray,
+    number_op: Operator,
+    max_step: float | None = None,
+) -> TrajectoryHierarchy:
+    """Solve the coupled block system from a sector-pure initial state.
+
+    ``number_op`` counts excitations and must have an integer spectrum.
+    The initial state must satisfy N rho0 = n rho0 for one n >= 0; for a
+    Hermitian rho0 that excludes weight in other sectors and coherence
+    between sectors alike (split mixed-sector states by linearity before
+    calling).  The Hamiltonian, Lamb shift included, must conserve the
+    count, [N, H] = 0, and every coupling component at positive frequency
+    must lower it by exactly one, [N, A(w)] = -A(w), which makes the
+    number of jumps and the number of lost excitations interchangeable
+    labels.  :func:`hierarchy_sector` makes these checks; ``number_op``
+    serves only them and the block count n + 1.
+
+    The blocks evolve under :func:`~cobath.master_equation.linear_system`
+    with shift -1: the master equation's generator, its feed one block down.
+    Without ``max_step`` the stack of blocks is propagated on its
+    invariant support (:func:`~cobath.master_equation.invariant_support`):
+    the entries the top block reaches by no-jump mixing inside a block and
+    by the jump feed from block i + 1 into block i, read from the exact
+    zeros of B and of the coupling components.  For a sector-pure JC state
+    that is 1 + 4 n entries, not (n + 1) dim^2; the restricted
+    block-bidiagonal generator is built directly and propagated exactly
+    up to ``EXACT_SIZE_LIMIT`` entries.  Above it, or with an explicit
+    ``max_step`` (> 0), fixed-step RK4 runs on the full stack.
+    """
+    N = hierarchy_sector(me, rho0, number_op)
     t = time_grid(t_grid)
 
     dim = me.space.total_dim

@@ -764,6 +764,40 @@ def test_cli_rejects_non_finite_numbers(path, value, tmp_path, capsys):
     assert path in err and "must be a finite number" in err
 
 
+ENGINE_CONFIGS = {
+    "integrate": {},
+    "hierarchy": {"engine": "hierarchy"},
+    "closed-form": {"engine": "closed-form"},
+    "mcwf": {"engine": "mcwf", "mcwf": {"n_traj": 20, "seed": 1}},
+}
+
+
+@pytest.mark.parametrize("t_end, n_steps", [(1e-310, 3), (5e-324, 2), (5e-324, 3)])
+@pytest.mark.parametrize("engine", ENGINE_CONFIGS)
+def test_cli_rejects_a_subnormal_grid(engine, t_end, n_steps, tmp_path, capsys):
+    # the float resolution of these grids is 0, or linspace repeats a point:
+    # a config error at parse time, before any engine runs or any file is written
+    cfg = base_config(outputs=["population"], grid={"t_end": t_end, "n_steps": n_steps},
+                      **ENGINE_CONFIGS[engine])
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.t_end: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("engine", ENGINE_CONFIGS)
+def test_cli_runs_the_smallest_normal_grid(engine, tmp_path):
+    cfg = base_config(outputs=["population"], grid={"t_end": 2e-308, "n_steps": 3},
+                      **ENGINE_CONFIGS[engine])
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    header, data = read_csv(tmp_path / "tiny.csv")
+    assert data[:, 0].tolist() == [0.0, 1e-308, 2e-308]
+
+
 NON_POSITIVE_OMEGA0 = [
     ("simulate", {"omega0": -1.0}, "params.omega0"),
     ("simulate", {"omega0": 0}, "params.omega0"),

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from cobath.core import (
     _hermitian_parts,
     basis_ket,
     check_states,
+    embed,
     identity,
     make_atom_ops,
     make_cavity_ops,
@@ -79,6 +82,20 @@ def test_commutator_truncation():
     local = comm[:4, :4]  # atom-excited block, one copy of the mode factor
     np.testing.assert_allclose(np.diag(local)[:3], np.ones(3), atol=1e-15)
     assert local[3, 3] == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("dims", [(5,), (2, 4), (4, 2), (2, 3, 4)])
+def test_embed_is_bitwise_the_kron_chain(dims, rng):
+    space = HilbertSpace(dims)
+    for factor, n in enumerate(dims):
+        local = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        local[0, 0] = complex(-0.0, -0.0)  # signed zeros must come out the same
+        before = np.eye(prod(dims[:factor]), dtype=complex)
+        after = np.eye(prod(dims[factor + 1:]), dtype=complex)
+        want = np.kron(np.kron(before, local), after)
+        got = embed(local, space, factor).matrix
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_two_level_ceiling():

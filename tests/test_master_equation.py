@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cobath.config import load_config
 from cobath.core import (
     DensityMatrix,
     HilbertSpace,
@@ -34,12 +35,15 @@ from cobath.master_equation import (
     diagonalize_gamma,
     integrate,
     invariant_support,
+    linear_system,
     liouvillian_matrix,
     liouvillian_structure,
+    time_grid,
     validate_detailed_balance,
 )
-from cobath.runner import simulate_config
-from conftest import random_hermitian, random_unitary, rotate_model, shipped_runs
+from cobath.runner import build_model, simulate_config
+from conftest import CONFIGS, random_hermitian, random_unitary, rotate_model, shipped_runs
+from support_reference import reference_invariant_support
 
 
 # ---------------------------------------------------------------- tensors
@@ -456,6 +460,58 @@ def test_restricted_liouvillian_is_the_full_one_restricted():
     np.testing.assert_array_equal(liouvillian_matrix(me, everything), full)
 
 
+def block_stack(top, n_blocks):
+    stack = np.zeros((n_blocks, *top.shape), dtype=complex)
+    stack[-1] = top
+    return stack
+
+
+@pytest.mark.parametrize("shift", [0, -1])
+@pytest.mark.parametrize("k_mirror", [0.0, 0.05])
+@pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
+def test_support_search_is_the_per_term_reference_on_jc(n_exc, k_mirror, shift):
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, k_mirror=k_mirror,
+                 n_exc=n_exc)
+    me = build_jc(p)
+    structure = linear_system(me, shift)[2]
+    rho0 = jc_initial(p, "mix" if n_exc else "atom").matrix
+    y0 = rho0 if shift == 0 else block_stack(rho0, n_exc + 1)
+    got = invariant_support(y0, structure)
+    want = reference_invariant_support(y0, structure)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert got.size == 1 + 4 * n_exc
+
+
+@pytest.mark.parametrize("shift", [0, -1])
+def test_support_search_is_the_per_term_reference_off_jc(shift, rng):
+    # the rotated model has no exact zeros (full support); the custom tensor
+    # is the shipped one; a stack of zeros reaches nothing, and a lone bottom
+    # block feeds no block below it
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j, n_exc=2)
+    u = random_unitary(rng, jc_space(p).total_dim)
+    cfg = load_config(str(CONFIGS / "custom_tensor.json"))
+    cases = [
+        (rotate_model(build_jc(p), u), u @ jc_initial(p).matrix @ u.conj().T, 3),
+        (build_model(cfg), jc_initial(cfg.params, cfg.initial).matrix, 2),
+    ]
+    sizes = []
+    for me, rho0, n_blocks in cases:
+        structure = linear_system(me, shift)[2]
+        d = me.space.total_dim
+        top = rho0 if shift == 0 else block_stack(rho0, n_blocks)
+        for y0 in (top, np.zeros((n_blocks, d, d), dtype=complex), block_stack(rho0, n_blocks)[::-1]):
+            got = invariant_support(y0, structure)
+            want = reference_invariant_support(y0, structure)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            sizes.append(got.size)
+    # rotated: the whole stack, nothing, then the bottom block alone
+    d = jc_space(p).total_dim
+    assert sizes[:3] == [d * d if shift == 0 else 3 * d * d, 0, d * d]
+    assert sizes[4] == 0
+
+
 def counting_expm(monkeypatch):
     import cobath.master_equation as me_mod
 
@@ -584,7 +640,7 @@ def test_simulate_config_series_is_the_stack_its_engine_checked(monkeypatch):
         checked["hygiene"].clear()
         series = simulate_config(cfg)
         engines.add(cfg.engine)
-        if cfg.engine == "integrate":
+        if cfg.engine in ("integrate", "hierarchy"):
             rho0 = jc_initial(cfg.params, cfg.initial)
             states = [rho0.matrix, *checked["hygiene"][-1]]
         else:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -29,9 +31,9 @@ from cobath.master_equation import (
     linear_system,
     liouvillian_matrix,
 )
-from cobath import trajectories
-from cobath.config import load_config
-from cobath.runner import build_model
+from cobath import runner, trajectories
+from cobath.config import load_config, parse_config
+from cobath.runner import build_model, simulate_config
 from cobath.trajectories import (
     _block_system,
     _first_crossings,
@@ -289,6 +291,48 @@ def test_first_shell_matches_nested_quadrature():
         oracle = u @ f @ u.conj().T
         block = h.block_at(0, t)
         assert np.max(np.abs(block - oracle)) < 1e-5
+
+
+def mirror_config(engine, n_exc, initial):
+    return parse_config(json.dumps({
+        "model": "jc-mirror",
+        "params": {"omega0": 1.0, "eps": 0.1, "g11": 0.01, "g22": 0.0098, "g12": 0.008,
+                   "k_mirror": 0.05, "n_exc": n_exc},
+        "grid": {"t_end": 40.0, "n_steps": 21},
+        "outputs": ["population", "trace"],
+        "engine": engine,
+        "initial": initial,
+    }))
+
+
+@pytest.mark.parametrize("initial", ["atom", "photon", "mix"])
+@pytest.mark.parametrize("n_exc", [1, 2, 20])
+def test_hierarchy_engine_is_the_checked_master_equation(n_exc, initial):
+    # the blocks are the sectors of the master-equation state: the engine
+    # returns integrate's series bit for bit, and the block sum agrees
+    cfg = mirror_config("hierarchy", n_exc, initial)
+    series = simulate_config(cfg)
+    direct = simulate_config(dataclasses.replace(cfg, engine="integrate"))
+    assert series.matrices.tobytes() == direct.matrices.tobytes()
+    p, space = cfg.params, jc_space(cfg.params)
+    h = solve_hierarchy(build_model(cfg), jc_initial(p, initial), cfg.grid.times(),
+                        excitation_number(space))
+    assert np.max(np.abs(reconstruct(h, space=space).matrices - series.matrices)) <= 1e-12
+
+
+def test_hierarchy_engine_checks_the_sector_split(monkeypatch):
+    # a counter-rotating term breaks [N, H] = 0; the engine must still refuse
+    # it, although it no longer builds blocks
+    cfg = mirror_config("hierarchy", 1, "atom")
+    me = build_model(cfg)
+    space = me.space
+    atom, cav = make_atom_ops(space, 0), make_cavity_ops(space, 1)
+    extra = 0.1 * (cav["a"] @ atom["S_minus"] + cav["a_dag"] @ atom["S_plus"])
+    bad = MasterEquation(Operator(space, me.H_S.matrix + extra.matrix), me.couplings, me.tensor)
+    monkeypatch.setattr(runner, "build_model", lambda cfg: bad)
+    with pytest.raises(ValueError, match="Hamiltonian does not conserve the excitation count"):
+        simulate_config(cfg)
+    simulate_config(dataclasses.replace(cfg, engine="integrate"))  # integrate runs it
 
 
 def test_reconstruct_matches_direct_integration():
@@ -916,3 +960,18 @@ def test_engines_reject_a_time_grid_that_is_not_finite(grid):
         solve_hierarchy(me, jc_initial(p), grid, excitation_number(space))
     with pytest.raises(ValueError, match=msg):
         mcwf_unravel(me, jc_initial_ket(p), grid, 10, 1)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 5e-311, 1e-310], [0.0, 5e-324], [-1e-310, 0.0]])
+def test_engines_reject_a_time_grid_whose_resolution_underflows(grid):
+    # 64 ulp of a subnormal largest time is 0: no spacing could be keyed by it
+    p, me, space = jc_setup()
+    msg = "time grid is too fine: its float resolution underflows to 0"
+    with pytest.raises(ValueError, match=msg):
+        integrate(me, jc_initial(p), grid)
+    with pytest.raises(ValueError, match=msg):
+        solve_hierarchy(me, jc_initial(p), grid, excitation_number(space))
+    with pytest.raises(ValueError, match=msg):
+        mcwf_unravel(me, jc_initial_ket(p), grid, 10, 1)
+    # one point propagates nothing, and at t = 0 its resolution is 0 too
+    assert len(integrate(me, jc_initial(p), grid[:1])) == 1
