@@ -1,8 +1,8 @@
 """Run-configuration parsing: strict JSON tree, path-qualified errors.
 
-Unknown keys are rejected everywhere.  Complex-valued entries are written
-as a plain number (real) or a two-element ``[re, im]`` list.  See
-docs/config.md for the full schema and one annotated example per model.
+Unknown and repeated keys are rejected everywhere.  Complex-valued entries
+are written as a plain number (real) or a two-element ``[re, im]`` list.
+See docs/config.md for the full schema and one annotated example per model.
 """
 
 from __future__ import annotations
@@ -72,6 +72,34 @@ class RunConfig:
     mcwf: McwfSpec | None = None
     sweep: SweepSpec | None = None
     tensor: SpectralTensor | None = None  # custom-tensor model only
+
+
+class _Object(dict):
+    """A JSON object, with the first key it repeats (None if it repeats none)."""
+
+    repeated: str | None = None
+
+
+def _object(pairs: list[tuple[str, object]]) -> _Object:
+    obj = _Object(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
+
+
+def _repeated_key(obj: _Object, path: str) -> str | None:
+    """The path of the first repeated key in ``obj`` or an object under it.
+
+    No list of the schema holds objects, so lists are not searched.
+    """
+    if obj.repeated is not None:
+        return path + obj.repeated
+    for key, value in obj.items():
+        found = _repeated_key(value, f"{path}{key}.") if isinstance(value, _Object) else None
+        if found is not None:
+            return found
+    return None
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
@@ -213,11 +241,14 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("top level: expected an object")
+    repeated = _repeated_key(obj, "")
+    if repeated is not None:
+        raise ConfigError(f"{repeated}: duplicate key")
     _require_keys(
         obj,
         {"model", "params", "grid", "outputs", "engine", "initial", "mcwf", "sweep"},

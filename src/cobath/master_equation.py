@@ -405,51 +405,43 @@ def jump_superoperator(terms: tuple[ChannelTerm, ...], kron) -> np.ndarray:
     return out
 
 
-def linear_system(me: MasterEquation, shift: int):
-    """The zero-temperature generator on a stack of d x d blocks,
+def linear_system(me: MasterEquation):
+    """The zero-temperature master equation as a linear system,
 
-        d rho_i / dt = -i (B rho_i - rho_i B^dag) + J(rho_{i - shift}),
+        d rho / dt = -i (B rho - rho B^dag) + J(rho),
 
-    from ``me.B`` and ``me.terms``: ``shift`` 0 is the master equation (one
-    block), -1 the excitation hierarchy.  Returns ``rhs`` on a block stack,
-    ``generator(support)`` (the matrix on those flat row-major stack
-    entries, with the products of the ``kron`` assembly) and the
-    ``structure`` that :func:`invariant_support` reads.
+    from ``me.B`` and ``me.terms``.  Returns ``rhs`` on a state (a stack is
+    mapped matrix by matrix), ``generator(support)`` (the matrix on those
+    flat row-major entries of vec(rho), with the products of the ``kron``
+    assembly) and the ``structure`` that :func:`invariant_support` reads.
     """
     d = me.space.total_dim
     b, b_dag = me.B, me.B.conj().T
     feed = jump_feed(me)
 
-    def rhs(stack: np.ndarray) -> np.ndarray:
-        out = -1j * (b @ stack - stack @ b_dag)
-        out[: len(stack) + shift] += feed(stack[-shift:])
-        return out
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        return -1j * (b @ rho - rho @ b_dag) + feed(rho)
 
     def generator(support: np.ndarray) -> np.ndarray:
-        block, entry = np.divmod(support, d * d)
-        kron = kron_on(d, entry)
+        kron = kron_on(d, support)
         eye = np.eye(d, dtype=complex)
-        nojump = -1j * (kron(b, eye) - kron(eye, b.conj()))
-        jumps = jump_superoperator(me.terms, kron)
-        return np.where(block[:, None] == block, nojump, 0) + np.where(
-            block[:, None] == block + shift, jumps, 0
-        )
+        return -1j * (kron(b, eye) - kron(eye, b.conj())) + jump_superoperator(me.terms, kron)
 
     eye = np.eye(d)
-    jumps = [(shift, term.A_b, term.A_a_dag) for term in me.terms]
-    return rhs, generator, [(0, b, eye), (0, eye, b_dag), *jumps]
+    structure = [(0, b, eye), (0, eye, b_dag)] + [(0, t.A_b, t.A_a_dag) for t in me.terms]
+    return rhs, generator, structure
 
 
 def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) -> np.ndarray:
-    """The one-block :func:`linear_system` as a matrix on row-major vec(rho),
+    """The :func:`linear_system` as a matrix on row-major vec(rho),
     on the flat indices ``support`` (default: all of them)."""
     everything = np.arange(me.space.total_dim**2)
-    return linear_system(me, 0)[1](everything if support is None else support)
+    return linear_system(me)[1](everything if support is None else support)
 
 
 def liouvillian_structure(me: MasterEquation) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The terms of :func:`liouvillian_matrix` as rho -> X rho Y, for :func:`invariant_support`."""
-    return linear_system(me, 0)[2]
+    return linear_system(me)[2]
 
 
 def invariant_support(
@@ -566,11 +558,10 @@ def propagate_linear(
     y0: np.ndarray,
     t: np.ndarray,
     max_step: float | None,
-    shift: int,
 ) -> np.ndarray:
-    """y(t_1), y(t_2), ... of dy/dt = L y for the block stack ``y0``, as one
-    ``(len(t) - 1, *y0.shape)`` array, with L the :func:`linear_system` of
-    ``me`` and ``shift``.
+    """rho(t_1), rho(t_2), ... of d rho/dt = L rho from the d x d state ``y0``,
+    as one ``(len(t) - 1, d, d)`` array, with L the :func:`linear_system` of
+    ``me``.
 
     Without ``max_step`` the state's support S (:func:`invariant_support`
     of ``y0``, read from the exact nonzeros of B and of the jump terms)
@@ -579,15 +570,15 @@ def propagate_linear(
     of row-major ``y.reshape(-1)``, computed once per distinct spacing,
     and the results are scattered into zeros.  Since S is invariant this
     is exact, not an approximation.  Otherwise fixed-step RK4 applies L
-    to the full stack with substeps of at most ``max_step`` (default
+    to the full state with substeps of at most ``max_step`` (default
     :func:`default_max_step`, which counts the Lamb shift); an explicit
     ``max_step`` makes it the oracle for the exact path and must be > 0.
     """
     if max_step is not None and not max_step > 0:
         raise ValueError("max_step must be > 0")
-    rhs, generator, structure = linear_system(me, shift)
+    rhs, generator, structure = linear_system(me)
     support = invariant_support(y0, structure) if max_step is None else None
-    out = np.zeros((len(t) - 1, y0.size), dtype=complex)
+    out = np.zeros((len(t) - 1, *y0.shape), dtype=complex)
     if support is not None and support.size <= EXACT_SIZE_LIMIT:
         L = generator(support)
         resolution = grid_resolution(t)
@@ -599,10 +590,9 @@ def propagate_linear(
             if key not in cache:
                 cache[key] = expm(L * dt)
             y = np.matmul(cache[key], y, out=ys[k])
-        out[:, support] = ys
-        return out.reshape(len(t) - 1, *y0.shape)
+        out.reshape(len(t) - 1, -1)[:, support] = ys
+        return out
     h_max = default_max_step(me) if max_step is None else float(max_step)
-    out = out.reshape(len(t) - 1, *y0.shape)
     y = y0
     for k in range(1, len(t)):
         y = out[k - 1] = _rk4_span(rhs, y, t[k - 1], t[k], h_max)
@@ -661,7 +651,7 @@ def integrate(
 ) -> StateSeries:
     """Evolve a state over an increasing time grid.
 
-    The master equation is the one-block :func:`linear_system`.  Without
+    The master equation is the :func:`linear_system`.  Without
     ``max_step`` the state is propagated on its invariant support (the
     entries ``rho0`` reaches under the exact nonzeros of B and of the jump
     terms, see :func:`invariant_support`): up to ``EXACT_SIZE_LIMIT``
@@ -686,7 +676,9 @@ def integrate(
     stack = rho0.matrix[None]
     if len(t) > 1:
         # the series is freed once checked: at most two stacks of states are alive at once
-        parts = check_hygiene(propagate_linear(me, stack, t, max_step, 0), t[1:], rho0.trace, target)
+        parts = check_hygiene(
+            propagate_linear(me, rho0.matrix, t, max_step)[:, None], t[1:], rho0.trace, target
+        )
         stack = np.concatenate([stack, parts])
     return StateSeries(me.space, stack, 1e-7, target, rho0)
 

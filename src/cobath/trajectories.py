@@ -1,22 +1,24 @@
 """Deterministic trajectory decomposition and Monte Carlo unraveling.
 
-At zero temperature the master-equation solution splits into a finite
-family of sub-normalized blocks indexed by how many excitations remain:
+At zero temperature every jump lowers the excitation count N by one, so
+from a start in sector n the master-equation state splits into the
+sub-normalized blocks of its sectors,
 
-    rho(t) = sum_{i=0}^{N} rho_i(t),
+    rho(t) = sum_{i=0}^{n} rho_i(t),    rho_i = P_i rho P_i,
 
-where the top block evolves purely under the non-Hermitian no-jump
-generator B = H0 - (i/2) H' and each lower block is fed by quantum jumps
-out of the block above it:
+the n-jump decomposition of photon counting: block i carries the records
+with n - i jumps.  The top block evolves purely under the non-Hermitian
+no-jump generator B = H0 - (i/2) H', and each lower block is fed by quantum
+jumps out of the block above it:
 
     d rho_i / dt = -i (B rho_i - rho_i B^dag) + J(rho_{i+1}),
     J(rho) = sum_{w>0} sum_{a,b} gamma_{a,b}(w) A_b(w) rho A_a(w)^dag.
 
-With the feed sent back into the same block this is the master equation
-itself; :func:`~cobath.master_equation.linear_system` builds both forms.
-This coupled linear system is the time-local equivalent of the nested
-jump-time integrals of the underlying piecewise-deterministic process;
-the j = 1 shell is cross-checked against direct quadrature in the tests.
+Summed over i this is the master equation, so the blocks are read off its
+state by sector (:func:`solve_hierarchy`), not propagated on their own.
+The coupled system is the time-local equivalent of the nested jump-time
+integrals of the underlying piecewise-deterministic process; the j = 1
+shell is cross-checked against direct quadrature in the tests.
 Conditioning on "no jump up to t" retains the normalized top block, which
 is what a perfect photodetector that has registered nothing prepares.
 """
@@ -33,13 +35,11 @@ from .core import DensityMatrix, HilbertSpace, KetState, Operator, StateSeries
 from .master_equation import (
     FREQ_MATCH_TOL,
     MasterEquation,
-    check_hygiene,
     expm,
     grid_resolution,
+    integrate,
     jump_feed,
     jump_operators,
-    linear_system,
-    propagate_linear,
     time_grid,
 )
 
@@ -106,30 +106,27 @@ def propagate_deterministic(gen: EffectiveGenerator, f: np.ndarray, t: float) ->
 
 @dataclass(frozen=True)
 class TrajectoryHierarchy:
-    """Sub-normalized blocks rho_i(t), i = 0..N, summing to the full state."""
+    """The master-equation states of a start in sector ``n_max_exc``, read by sector.
+
+    ``states`` is the checked series on ``grid`` and ``projectors[i]`` the
+    projector P_i onto sector i of the number operator: a 0/1 mask of the
+    basis states when N is diagonal, else a dense matrix.  Block i at t_k,
+    rho_i(t_k) = P_i rho(t_k) P_i, is formed when read, and the blocks
+    i = 0..N sum to the state.
+    """
 
     n_max_exc: int
     grid: np.ndarray
-    blocks: tuple[np.ndarray, ...]  # blocks[i][k] = rho_i(t_k)
+    states: StateSeries
+    projectors: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        if len(self.blocks) != self.n_max_exc + 1:
-            raise ValueError("need one block per excitation count 0..N")
-        g = np.asarray(self.grid, dtype=float)
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        frozen = []
-        for b in self.blocks:
-            b = np.asarray(b, dtype=complex)
-            if b.shape[0] != len(g):
-                raise ValueError("block time axis does not match grid")
-            b.setflags(write=False)
-            frozen.append(b)
-        object.__setattr__(self, "blocks", tuple(frozen))
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """``blocks[i][k]`` = rho_i(t_k), every block formed at this call."""
+        return tuple(self._project(i, self.states.matrices) for i in range(self.n_max_exc + 1))
 
     def block_at(self, i: int, t: float) -> np.ndarray:
-        k = self.index_of(t)
-        return self.blocks[i][k]
+        return self._project(i, self.states.matrices[self.index_of(t)])
 
     def index_of(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.grid - t)))
@@ -138,27 +135,36 @@ class TrajectoryHierarchy:
         return k
 
     def total(self, k: int | slice = slice(None)) -> np.ndarray:
-        """Sum of the blocks at grid index k (default: the whole grid)."""
-        out = np.zeros_like(self.blocks[0][k])
-        for b in self.blocks:
-            out = out + b[k]
-        return out
+        """The state at grid index k (default: the whole grid), the sum of its blocks."""
+        return self.states.matrices[k]
+
+    def _project(self, i: int, rho: np.ndarray) -> np.ndarray:
+        p = self.projectors[i]
+        if p.ndim == 1:  # a basis mask: keep the rows and columns of sector i
+            return np.where(p[:, None] & p, rho, 0)
+        return p @ rho @ p
 
 
-def _block_system(me: MasterEquation):
-    """The hierarchy's :func:`~cobath.master_equation.linear_system`: feed from block i + 1 into i."""
-    return linear_system(me, -1)
+def _sector_projectors(number_op: Operator, n: int) -> tuple[np.ndarray, ...]:
+    """P_0 .. P_n of ``number_op`` (integer spectrum): basis masks if it is diagonal."""
+    num = number_op.matrix
+    if not np.any(num - np.diag(np.diag(num))):
+        counts = np.round(np.diag(num).real)
+        return tuple(counts == i for i in range(n + 1))
+    evals, vecs = np.linalg.eigh(num)
+    sectors = (vecs[:, np.round(evals) == i] for i in range(n + 1))
+    return tuple(v @ v.conj().T for v in sectors)
 
 
 def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operator) -> int:
     """The excitation sector n of ``rho0``, once the hierarchy's preconditions hold.
 
     These are the checks of :func:`solve_hierarchy`, in its order: a
-    filtered tensor, one space, an integer spectrum of ``number_op``,
-    [N, H] = 0 (Lamb shift included), [N, A(w)] = -A(w) at every w > 0,
-    and N rho0 = n rho0.  Under them every jump lowers the count by one,
-    so the master-equation state never mixes sectors and block i of the
-    hierarchy is its sector-i part.
+    filtered tensor, one space, an integer spectrum of ``number_op`` with
+    no negative count, [N, H] = 0 (Lamb shift included), [N, A(w)] = -A(w)
+    at every w > 0, and N rho0 = n rho0.  Under them every jump lowers the
+    count by one and none leaves sector 0, so the master-equation state
+    never mixes sectors and block i of the hierarchy is its sector-i part.
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
@@ -168,6 +174,8 @@ def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operato
     evals = np.linalg.eigvalsh(num)
     if np.max(np.abs(evals - np.round(evals))) > 1e-6:
         raise ValueError("number operator must have integer spectrum")
+    if round(evals[0]) < 0:  # a jump out of sector 0 would leave the blocks 0..n
+        raise ValueError("number operator must have no negative eigenvalue")
     # [N, X] = c X: the Hamiltonian keeps the count, each emitting coupling lowers it by one
     checks = [(me.hamiltonian_matrix(), 0, "Hamiltonian does not conserve the excitation count")]
     for fam in me.couplings:
@@ -197,7 +205,7 @@ def solve_hierarchy(
     number_op: Operator,
     max_step: float | None = None,
 ) -> TrajectoryHierarchy:
-    """Solve the coupled block system from a sector-pure initial state.
+    """The excitation-resolved blocks of a sector-pure initial state.
 
     ``number_op`` counts excitations and must have an integer spectrum.
     The initial state must satisfy N rho0 = n rho0 for one n >= 0; for a
@@ -207,39 +215,27 @@ def solve_hierarchy(
     count, [N, H] = 0, and every coupling component at positive frequency
     must lower it by exactly one, [N, A(w)] = -A(w), which makes the
     number of jumps and the number of lost excitations interchangeable
-    labels.  :func:`hierarchy_sector` makes these checks; ``number_op``
-    serves only them and the block count n + 1.
+    labels.  :func:`hierarchy_sector` makes these checks.
 
-    The blocks evolve under :func:`~cobath.master_equation.linear_system`
-    with shift -1: the master equation's generator, its feed one block down.
-    Without ``max_step`` the stack of blocks is propagated on its
-    invariant support (:func:`~cobath.master_equation.invariant_support`):
-    the entries the top block reaches by no-jump mixing inside a block and
-    by the jump feed from block i + 1 into block i, read from the exact
-    zeros of B and of the coupling components.  For a sector-pure JC state
-    that is 1 + 4 n entries, not (n + 1) dim^2; the restricted
-    block-bidiagonal generator is built directly and propagated exactly
-    up to ``EXACT_SIZE_LIMIT`` entries.  Above it, or with an explicit
-    ``max_step`` (> 0), fixed-step RK4 runs on the full stack.
+    Under them the master-equation state never mixes sectors, and block i
+    is its sector-i projection P_i rho P_i.  So the state is propagated
+    once, by :func:`~cobath.master_equation.integrate` with ``max_step``
+    (its exact path on the invariant support, or fixed-step RK4), and the
+    hierarchy keeps that checked series with the sector projectors of
+    ``number_op``; no block is stored.
     """
-    N = hierarchy_sector(me, rho0, number_op)
+    n = hierarchy_sector(me, rho0, number_op)
     t = time_grid(t_grid)
-
-    dim = me.space.total_dim
-    stack = np.zeros((N + 1, dim, dim), dtype=complex)
-    stack[N] = rho0.matrix
-    series = np.concatenate([stack[None], propagate_linear(me, stack, t, max_step, -1)])
-    check_hygiene(series, t, rho0.trace, None)
-    return TrajectoryHierarchy(N, t, tuple(series[:, i] for i in range(N + 1)))
+    states = integrate(me, rho0, t, max_step)
+    return TrajectoryHierarchy(n, t, states, _sector_projectors(number_op, n))
 
 
 def reconstruct(h: TrajectoryHierarchy, space: HilbertSpace) -> StateSeries:
-    """Sum the blocks at every grid point back into full states on ``space``.
-
-    The series holds the Hermitian parts of the sums, checked as one
-    stack (tolerance 1e-7, trace in [0, 1]).
-    """
-    return DensityMatrix.stack(space, h.total(), 1e-7, None)
+    """The blocks summed back into full states on ``space``: the checked
+    master-equation series itself (tolerance 1e-7)."""
+    if space != h.states.space:
+        raise ValueError("space mismatch between hierarchy and target space")
+    return h.states
 
 
 @dataclass(frozen=True)

@@ -764,6 +764,52 @@ def test_cli_rejects_non_finite_numbers(path, value, tmp_path, capsys):
     assert path in err and "must be a finite number" in err
 
 
+def _repeat_key(cfg, path, value):
+    """``cfg`` as JSON text in which the key at ``path`` appears a second time, with ``value``."""
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    first = f"{json.dumps(key)}: {json.dumps(node[key])}"
+    text = json.dumps(cfg)
+    assert text.count(first) == 1
+    return text.replace(first, f"{first}, {json.dumps(key)}: {json.dumps(value)}")
+
+
+REPEATED = [
+    ("engine", "hierarchy"),
+    ("params.g12", 0.0),
+    ("grid.n_steps", 11),
+    ("mcwf.seed", 2),
+    ("sweep.param", "g11"),
+    ("params.tensor.frequencies", [2.0]),
+]
+
+
+@pytest.mark.parametrize("path, value", REPEATED, ids=[path for path, _ in REPEATED])
+def test_cli_rejects_a_repeated_key(path, value, tmp_path, capsys):
+    # json.loads keeps the last value of a repeated key: a second params.g12
+    # of 0.0 would turn the shared-bath run into an uncorrelated one unseen
+    cfg = _custom_tensor_config() if path.startswith("params.tensor") else base_config()
+    command = "simulate"
+    if path.startswith("mcwf"):
+        cfg.update(engine="mcwf", mcwf={"n_traj": 20, "seed": 1})
+        command = "trajectories"
+    if path.startswith("sweep"):
+        cfg["sweep"] = {"param": "g12", "values": [0.0, 0.005]}
+        command = "sweep"
+    text = _repeat_key(cfg, path, value)
+    parse_config(json.dumps(cfg))  # valid without the repeat
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: duplicate key$"):
+        parse_config(text)
+    cfg_path = tmp_path / "repeated.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{path}: duplicate key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 ENGINE_CONFIGS = {
     "integrate": {},
     "hierarchy": {"engine": "hierarchy"},

@@ -35,7 +35,6 @@ from cobath.master_equation import (
     diagonalize_gamma,
     integrate,
     invariant_support,
-    linear_system,
     liouvillian_matrix,
     liouvillian_structure,
     time_grid,
@@ -43,6 +42,7 @@ from cobath.master_equation import (
 )
 from cobath.runner import build_model, simulate_config
 from conftest import CONFIGS, random_hermitian, random_unitary, rotate_model, shipped_runs
+from hierarchy_reference import linear_system
 from support_reference import reference_invariant_support
 
 

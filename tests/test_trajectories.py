@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from cobath import runner, trajectories
 from cobath.config import load_config, parse_config
 from cobath.runner import build_model, simulate_config
 from cobath.trajectories import (
-    _block_system,
     _first_crossings,
     _norm2,
     _rowwise,
@@ -49,6 +49,7 @@ from cobath.trajectories import (
     solve_hierarchy,
 )
 from conftest import CONFIGS, random_density, random_hermitian, random_unitary, rotate_model
+from hierarchy_reference import _block_system
 from mcwf_reference import reference_mcwf_unravel
 
 WINDOW = 8  # grid intervals per group in the grids and jump-record checks below
@@ -203,6 +204,15 @@ def test_hierarchy_rejects_mixed_sectors():
         solve_hierarchy(me, empty, np.linspace(0, 1, 2), excitation_number(space))
 
 
+def test_hierarchy_rejects_a_count_with_negative_eigenvalues():
+    # with N - 1 as the count, the jump out of its sector 0 lands in sector -1,
+    # which no block holds: the blocks would not sum to the state
+    p, me, space = jc_setup()
+    shifted = Operator(space, excitation_number(space).matrix - np.eye(space.total_dim))
+    with pytest.raises(ValueError, match="number operator must have no negative eigenvalue"):
+        solve_hierarchy(me, jc_initial(p), np.linspace(0.0, 20.0, 3), shifted)
+
+
 @pytest.mark.parametrize("where", ["H_S", "H_LS"])
 def test_hierarchy_rejects_non_conserving_hamiltonian(where):
     # a counter-rotating term breaks [N, H] = 0; the check must fire up
@@ -320,6 +330,26 @@ def test_hierarchy_engine_is_the_checked_master_equation(n_exc, initial):
     assert np.max(np.abs(reconstruct(h, space=space).matrices - series.matrices)) <= 1e-12
 
 
+@pytest.mark.parametrize("initial", ["atom", "photon", "mix"])
+@pytest.mark.parametrize("n_exc", [1, 2, 20])
+def test_hierarchy_keeps_one_state_series(n_exc, initial):
+    # the blocks are read off integrate's checked series, which the
+    # hierarchy keeps as it is: no stack of blocks beside it
+    cfg = mirror_config("hierarchy", n_exc, initial)
+    me, p = build_model(cfg), cfg.params
+    rho0, t, number = jc_initial(p, initial), cfg.grid.times(), excitation_number(jc_space(p))
+    h = solve_hierarchy(me, rho0, t, number)
+    assert h.total().tobytes() == integrate(me, rho0, t).matrices.tobytes()
+    if n_exc == 20:
+        peaks = []
+        for run in (lambda: integrate(me, rho0, t), lambda: solve_hierarchy(me, rho0, t, number)):
+            tracemalloc.start()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+
 def test_hierarchy_engine_checks_the_sector_split(monkeypatch):
     # a counter-rotating term breaks [N, H] = 0; the engine must still refuse
     # it, although it no longer builds blocks
@@ -356,23 +386,27 @@ def test_exact_hierarchy_matches_rk4_with_mirror_loss():
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
-def test_hierarchy_above_size_limit_runs_rk4(monkeypatch):
+def test_rotated_hierarchy_runs_one_expm_on_the_master_equation_support(monkeypatch):
     import cobath.master_equation as me_mod
 
-    def no_expm(a):
-        raise AssertionError(f"expm called on a {a.shape} generator")
+    shapes = []
 
-    # n_exc = 2 in a random basis: no exact zeros, so the support is all
-    # three blocks of dim 10, 300 entries, above the exact-path limit
+    def counting_expm(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    # n_exc = 2 in a random basis: no exact zeros, so the support is the
+    # whole state of dim 10, 100 entries, not a stack of three blocks
     p, me, space = jc_setup(n_exc=2)
     u = random_unitary(np.random.default_rng(20240817), space.total_dim)
     me = rotate_model(me, u)
     rho0 = DensityMatrix(space, u @ jc_initial(p).matrix @ u.conj().T)
     number = Operator(space, u @ excitation_number(space).matrix @ u.conj().T)
     t = np.linspace(0.0, 20.0, 11)
-    monkeypatch.setattr(me_mod, "expm", no_expm)
+    monkeypatch.setattr(me_mod, "expm", counting_expm)
     h = solve_hierarchy(me, rho0, t, number)
     monkeypatch.undo()
+    assert shapes == [(100, 100)]
     direct = integrate(me, rho0, t)
     rec = reconstruct(h, space=space)
     assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rec, direct)) <= 1e-8
@@ -416,6 +450,28 @@ def test_block_generator_is_the_kron_assembly_restricted():
     np.testing.assert_array_equal(generator(np.arange(stack.size)), full)
 
 
+@pytest.mark.parametrize("basis", ["bare", "rotated"])
+def test_projected_blocks_are_the_propagated_block_stack(basis):
+    # the reference: the block-bidiagonal system, exponentiated on its full
+    # stack; the number operator is diagonal (masks) or rotated (dense projectors)
+    p, me, space, stack = block_case(2, 0.05)
+    rho0, number = jc_initial(p), excitation_number(space)
+    if basis == "rotated":
+        u = random_unitary(np.random.default_rng(7), space.total_dim)
+        me = rotate_model(me, u)
+        rho0 = DensityMatrix(space, u @ rho0.matrix @ u.conj().T)
+        number = Operator(space, u @ number.matrix @ u.conj().T)
+        stack = u @ stack @ u.conj().T
+    t = np.linspace(0.0, 80.0, 9)
+    h = solve_hierarchy(me, rho0, t, number)
+    L = _block_system(me)[1](np.arange(stack.size))
+    for k, tk in enumerate(t):
+        want = (expm(L * tk) @ stack.reshape(-1)).reshape(stack.shape)
+        for i in range(3):
+            assert np.max(np.abs(h.blocks[i][k] - want[i])) <= 1e-12
+            np.testing.assert_array_equal(h.block_at(i, tk), h.blocks[i][k])
+
+
 def test_one_builder_matches_the_pair_sum_and_the_kron_assembly(rng):
     # n_exc = 2 in a random basis with a Hermitian Lamb shift: no exact zeros,
     # and B carries H_LS.  The rates stay real: a complex scalar times an array
@@ -437,7 +493,7 @@ def test_one_builder_matches_the_pair_sum_and_the_kron_assembly(rng):
     rho = random_density(rng, d)
     want = me.rhs(rho)
     via_matrix = (liouvillian_matrix(me) @ rho.reshape(-1)).reshape(d, d)
-    rhs, _, _ = linear_system(me, 0)
+    rhs, _, _ = linear_system(me)
     assert np.max(np.abs(via_matrix - want)) <= 1e-13
     assert np.max(np.abs(rhs(rho[None])[0] - want)) <= 1e-13
 
@@ -554,6 +610,24 @@ def test_mcwf_zero_jump_fraction_matches_block_weight():
     frac = sum(1 for r in res.jump_records if len(r) == 0) / n_traj
     sigma = math.sqrt(surv * (1 - surv) / n_traj)
     assert abs(frac - surv) <= 3 * sigma
+
+
+def test_mcwf_jump_counts_match_every_block_weight():
+    # the independent oracle for the projected blocks: block i carries the
+    # records with n_exc - i jumps, which the MCWF jump records count
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, k_mirror=0.05, n_exc=2)
+    me, space = build_jc(p), jc_space(p)
+    t = np.linspace(0.0, 150.0, 16)
+    n_traj = 600
+    res = mcwf_unravel(me, jc_initial_ket(p), t, n_traj=n_traj, seed=17)
+    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    jumps = np.array([np.searchsorted([tj for tj, _ in rec], t, side="right")
+                      for rec in res.jump_records])
+    for i, block in enumerate(h.blocks):
+        weight = np.trace(block, axis1=1, axis2=2).real
+        frac = np.mean(jumps == p.n_exc - i, axis=0)
+        assert np.max(weight) > 0.2
+        assert np.all(np.abs(frac - weight) <= 5 * 0.5 / math.sqrt(n_traj))
 
 
 def test_mcwf_requires_normalized_ket():
