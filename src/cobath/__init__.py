@@ -29,6 +29,7 @@ from .master_equation import (
     build_lamb_shift,
     diagonalize_gamma,
     integrate,
+    jump_feed,
     jump_operators,
     validate_detailed_balance,
 )
@@ -37,7 +38,6 @@ from .trajectories import (
     McwfResult,
     TrajectoryHierarchy,
     effective_generator,
-    jump_feed,
     mcwf_unravel,
     propagate_deterministic,
     reconstruct,

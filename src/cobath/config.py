@@ -160,6 +160,12 @@ def _parse_tensor(obj, path: str) -> SpectralTensor:
     for i, m in enumerate(mats):
         if not isinstance(m, list) or any(not isinstance(row, list) for row in m):
             raise ConfigError(f"{path}.gamma[{i}]: expected a nested list matrix")
+        for r, row in enumerate(m):
+            if len(row) != len(m):
+                raise ConfigError(
+                    f"{path}.gamma[{i}][{r}]: expected {len(m)} entries, one per row, "
+                    f"got {len(row)}"
+                )
         g = np.array(
             [[_complex(v, f"{path}.gamma[{i}][{r}][{c}]") for c, v in enumerate(row)]
              for r, row in enumerate(m)],

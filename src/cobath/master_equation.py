@@ -413,7 +413,8 @@ def linear_system(me: MasterEquation):
     from ``me.B`` and ``me.terms``.  Returns ``rhs`` on a state (a stack is
     mapped matrix by matrix), ``generator(support)`` (the matrix on those
     flat row-major entries of vec(rho), with the products of the ``kron``
-    assembly) and the ``structure`` that :func:`invariant_support` reads.
+    assembly) and the ``structure`` that :func:`invariant_support` reads:
+    the generator's terms as (X, Y) pairs, each mapping rho to X rho Y.
     """
     d = me.space.total_dim
     b, b_dag = me.B, me.B.conj().T
@@ -428,7 +429,7 @@ def linear_system(me: MasterEquation):
         return -1j * (kron(b, eye) - kron(eye, b.conj())) + jump_superoperator(me.terms, kron)
 
     eye = np.eye(d)
-    structure = [(0, b, eye), (0, eye, b_dag)] + [(0, t.A_b, t.A_a_dag) for t in me.terms]
+    structure = [(b, eye), (eye, b_dag)] + [(t.A_b, t.A_a_dag) for t in me.terms]
     return rhs, generator, structure
 
 
@@ -439,42 +440,30 @@ def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) ->
     return linear_system(me)[1](everything if support is None else support)
 
 
-def liouvillian_structure(me: MasterEquation) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def liouvillian_structure(me: MasterEquation) -> list[tuple[np.ndarray, np.ndarray]]:
     """The terms of :func:`liouvillian_matrix` as rho -> X rho Y, for :func:`invariant_support`."""
     return linear_system(me)[2]
 
 
-def invariant_support(
-    y0: np.ndarray, structure: list[tuple[int, np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Flat indices of the smallest coordinate subspace that holds ``y0`` and
-    that the generator maps into itself.
+def invariant_support(y0: np.ndarray, structure: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Flat row-major indices of the smallest coordinate subspace that holds
+    the d x d state ``y0`` and that the generator maps into itself.
 
-    ``y0`` is one d x d block or a stack of them.  ``structure`` lists the
-    generator's terms as (shift, X, Y): block b feeds X rho_b Y into block
-    b + shift.  Only exact zeros of X and Y are read, so an entry at
-    roundoff level counts.  On an invariant subspace S,
+    ``structure`` lists the generator's terms as (X, Y) pairs, each
+    mapping rho to X rho Y.  Only exact zeros of X and Y are read, so an
+    entry at roundoff level counts.  On an invariant subspace S,
     expm(L)[S, S] = expm(L[S, S]) and entries outside S stay exactly 0.
     """
-    d = y0.shape[-1]
-    reached = (y0 != 0).reshape(-1, d, d)
-    # the 0/1 patterns of each shift's terms, one (T, d, d) stack per side
-    pats = []
-    for shift in dict.fromkeys(s for s, _, _ in structure):
-        xs, ys = zip(*((x != 0, y != 0) for s, x, y in structure if s == shift))
-        pats.append((shift, np.array(xs, dtype=float), np.array(ys, dtype=float)))
-    frontier = reached
+    # the 0/1 patterns of the terms, one (T, d, d) stack per side
+    xs = np.array([x != 0 for x, _ in structure], dtype=float)
+    ys = np.array([y != 0 for _, y in structure], dtype=float)
+    reached = frontier = y0 != 0
     while frontier.any():
-        image = np.zeros(reached.shape, dtype=bool)
-        for b in np.flatnonzero(frontier.any(axis=(1, 2))):
-            # only the rows and columns the new entries occupy enter the products
-            rows = np.flatnonzero(frontier[b].any(axis=1))
-            cols = np.flatnonzero(frontier[b].any(axis=0))
-            f = frontier[b][np.ix_(rows, cols)].astype(float)
-            for shift, x, y in pats:
-                if 0 <= b + shift < len(image):
-                    image[b + shift] |= (x[:, :, rows] @ f @ y[:, cols] > 0).any(axis=0)
-        frontier = image & ~reached
+        # only the rows and columns the new entries occupy enter the products
+        rows = np.flatnonzero(frontier.any(axis=1))
+        cols = np.flatnonzero(frontier.any(axis=0))
+        f = frontier[np.ix_(rows, cols)].astype(float)
+        frontier = (xs[:, :, rows] @ f @ ys[:, cols] > 0).any(axis=0) & ~reached
         reached = reached | frontier
     return np.flatnonzero(reached)
 
@@ -605,42 +594,39 @@ def check_hygiene(
     target_trace: float,
     trace_target: float | None,
 ) -> np.ndarray:
-    """Hygiene of propagated states: ``series[k, i]`` is block i at time ``t[k]``.
+    """Hygiene of propagated states: ``series[k]`` is the d x d state at time ``t[k]``.
 
-    The summed trace at each time must stay within ``HYGIENE_TOL`` of
-    ``target_trace`` and each block within ``HYGIENE_TOL`` of Hermitian;
-    the blocks must then pass :func:`check_states` at 1e-7 with
+    Each state's trace must stay within ``HYGIENE_TOL`` of
+    ``target_trace`` and the state within ``HYGIENE_TOL`` of Hermitian;
+    the states must then pass :func:`check_states` at 1e-7 with
     ``trace_target``.  One :class:`StatePattern` of the whole series
     serves both, and the Hermiticity defect is computed once.  The
-    first failure in time order, then block order, raises
-    :class:`IntegrationError`.  Returns the checked Hermitian parts as
-    one ``(n_t * n_b, d, d)`` stack, for a :class:`~cobath.core.StateSeries`.
+    first failure in time order raises :class:`IntegrationError`; at
+    one time, trace drift is reported before any other failure.
+    Returns the checked Hermitian parts as one ``(n_t, d, d)`` stack,
+    for a :class:`~cobath.core.StateSeries`.
     """
-    _, n_b, d, _ = series.shape
     pattern = StatePattern.of(series)
     defect = pattern.hermiticity_defect(series)
-    tr = np.trace(series, axis1=-2, axis2=-1).sum(axis=1)
+    tr = np.trace(series, axis1=-2, axis2=-1)
     drift = np.abs(tr.real - target_trace) + np.abs(tr.imag)
-    # NaN fails every test written this way; a time's trace comes before its blocks
-    bad = ~(defect <= HYGIENE_TOL)
-    bad[:, 0] |= ~(drift <= HYGIENE_TOL)
-    first = int(np.argmax(bad)) if bad.any() else bad.size
+    # NaN fails every test written this way
+    bad = ~(defect <= HYGIENE_TOL) | ~(drift <= HYGIENE_TOL)
+    first = int(np.argmax(bad)) if bad.any() else len(bad)
     try:
-        # the blocks before the first failure, with their defect (all <= HYGIENE_TOL)
-        blocks = series.reshape(-1, d, d)[:first]
-        parts = pattern.check(blocks, defect.reshape(-1)[:first], 1e-7, trace_target)
+        # the states before the first failure, with their defect (all <= HYGIENE_TOL)
+        parts = pattern.check(series[:first], defect[:first], 1e-7, trace_target)
     except StateError as exc:
         first, reason = exc.index, str(exc)
     else:
-        if first == bad.size:
+        if first == len(bad):
             return parts
-        k, i = divmod(first, n_b)
-        if not drift[k] <= HYGIENE_TOL:
-            raise IntegrationError(f"state hygiene lost: trace drift {drift[k]:.3e}", float(t[k]))
-        reason = f"hermiticity {defect[k, i]:.3e}"
-    k, i = divmod(first, n_b)
-    where = f" in block {i}" if n_b > 1 else ""
-    raise IntegrationError(f"state hygiene lost{where}: {reason}", float(t[k]))
+        if not drift[first] <= HYGIENE_TOL:
+            raise IntegrationError(
+                f"state hygiene lost: trace drift {drift[first]:.3e}", float(t[first])
+            )
+        reason = f"hermiticity {defect[first]:.3e}"
+    raise IntegrationError(f"state hygiene lost: {reason}", float(t[first]))
 
 
 def integrate(
@@ -677,7 +663,7 @@ def integrate(
     if len(t) > 1:
         # the series is freed once checked: at most two stacks of states are alive at once
         parts = check_hygiene(
-            propagate_linear(me, rho0.matrix, t, max_step)[:, None], t[1:], rho0.trace, target
+            propagate_linear(me, rho0.matrix, t, max_step), t[1:], rho0.trace, target
         )
         stack = np.concatenate([stack, parts])
     return StateSeries(me.space, stack, 1e-7, target, rho0)

@@ -38,7 +38,6 @@ from .master_equation import (
     expm,
     grid_resolution,
     integrate,
-    jump_feed,
     jump_operators,
     time_grid,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "McwfResult",
     "effective_generator",
     "propagate_deterministic",
-    "jump_feed",
     "hierarchy_sector",
     "solve_hierarchy",
     "reconstruct",

@@ -22,7 +22,7 @@ def linear_system(me: MasterEquation, shift: int):
     block), -1 the excitation hierarchy.  Returns ``rhs`` on a block stack,
     ``generator(support)`` (the matrix on those flat row-major stack
     entries, with the products of the ``kron`` assembly) and the
-    ``structure`` that :func:`invariant_support` reads.
+    (shift, X, Y) ``structure`` that ``support_reference`` reads.
     """
     d = me.space.total_dim
     b, b_dag = me.B, me.B.conj().T

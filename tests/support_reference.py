@@ -1,16 +1,22 @@
-"""The per-term support search that ``cobath.master_equation.invariant_support`` replaced.
+"""The per-term support search on a stack of blocks.
 
 One 0/1 product per term of the structure and per block of the frontier,
-summed into a float image.  The batched implementation must return the
-same index array on every input; ``tests/test_master_equation.py``
-compares the two.
+summed into a float image.  ``cobath.master_equation.invariant_support``
+searches one state with one batched product per step; on one state (every
+term at shift 0) it must return the same index array, which
+``tests/test_master_equation.py`` checks.  The hierarchy tests read the
+support of block stacks from this search.
 """
 
 import numpy as np
 
 
 def reference_invariant_support(y0, structure):
-    """``invariant_support`` as it was: same arguments, same flat indices."""
+    """Flat indices of the support of ``y0``, one d x d block or a stack of them.
+
+    ``structure`` lists the generator's terms as (shift, X, Y): block b
+    feeds X rho_b Y into block b + shift.
+    """
     d = y0.shape[-1]
     reached = (y0 != 0).reshape(-1, d, d)
     pats = [(s, (x != 0).astype(float), (y != 0).astype(float)) for s, x, y in structure]

@@ -216,6 +216,21 @@ def test_custom_tensor_rejects_rate_without_coupling_component():
     assert parse_config(json.dumps(cfg)).tensor.frequencies == (1.0,)
 
 
+@pytest.mark.parametrize("gamma, path", [
+    ([[[0.01, 0.0], [0.0]]], "params.tensor.gamma[0][1]"),  # ragged: numpy cannot stack it
+    ([[[0.01, 0.0, 0.0], [0.0, 0.02, 0.0]]], "params.tensor.gamma[0][0]"),  # 2 rows of 3
+])
+def test_custom_tensor_rejects_a_row_of_the_wrong_length(gamma, path, tmp_path, capsys):
+    cfg = _custom_tensor_config()
+    cfg["params"]["tensor"]["gamma"] = gamma
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected 2 entries"):
+        parse_config(json.dumps(cfg))
+    cfg_path = tmp_path / "ragged.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: expected 2 entries" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ engines
 
 def test_engines_agree_columnwise(tmp_path):

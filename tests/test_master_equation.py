@@ -32,6 +32,7 @@ from cobath.master_equation import (
     apply_t0_filter,
     build_dissipator,
     build_lamb_shift,
+    check_hygiene,
     diagonalize_gamma,
     integrate,
     invariant_support,
@@ -42,7 +43,6 @@ from cobath.master_equation import (
 )
 from cobath.runner import build_model, simulate_config
 from conftest import CONFIGS, random_hermitian, random_unitary, rotate_model, shipped_runs
-from hierarchy_reference import linear_system
 from support_reference import reference_invariant_support
 
 
@@ -460,56 +460,42 @@ def test_restricted_liouvillian_is_the_full_one_restricted():
     np.testing.assert_array_equal(liouvillian_matrix(me, everything), full)
 
 
-def block_stack(top, n_blocks):
-    stack = np.zeros((n_blocks, *top.shape), dtype=complex)
-    stack[-1] = top
-    return stack
-
-
-@pytest.mark.parametrize("shift", [0, -1])
 @pytest.mark.parametrize("k_mirror", [0.0, 0.05])
 @pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
-def test_support_search_is_the_per_term_reference_on_jc(n_exc, k_mirror, shift):
+def test_support_search_is_the_per_term_reference_on_jc(n_exc, k_mirror):
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, k_mirror=k_mirror,
                  n_exc=n_exc)
-    me = build_jc(p)
-    structure = linear_system(me, shift)[2]
-    rho0 = jc_initial(p, "mix" if n_exc else "atom").matrix
-    y0 = rho0 if shift == 0 else block_stack(rho0, n_exc + 1)
+    structure = liouvillian_structure(build_jc(p))
+    y0 = jc_initial(p, "mix" if n_exc else "atom").matrix
     got = invariant_support(y0, structure)
-    want = reference_invariant_support(y0, structure)
+    want = reference_invariant_support(y0, [(0, x, y) for x, y in structure])
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     assert got.size == 1 + 4 * n_exc
 
 
-@pytest.mark.parametrize("shift", [0, -1])
-def test_support_search_is_the_per_term_reference_off_jc(shift, rng):
+def test_support_search_is_the_per_term_reference_off_jc(rng):
     # the rotated model has no exact zeros (full support); the custom tensor
-    # is the shipped one; a stack of zeros reaches nothing, and a lone bottom
-    # block feeds no block below it
+    # is the shipped one; a state of zeros reaches nothing
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j, n_exc=2)
     u = random_unitary(rng, jc_space(p).total_dim)
     cfg = load_config(str(CONFIGS / "custom_tensor.json"))
     cases = [
-        (rotate_model(build_jc(p), u), u @ jc_initial(p).matrix @ u.conj().T, 3),
-        (build_model(cfg), jc_initial(cfg.params, cfg.initial).matrix, 2),
+        (rotate_model(build_jc(p), u), u @ jc_initial(p).matrix @ u.conj().T),
+        (build_model(cfg), jc_initial(cfg.params, cfg.initial).matrix),
     ]
     sizes = []
-    for me, rho0, n_blocks in cases:
-        structure = linear_system(me, shift)[2]
-        d = me.space.total_dim
-        top = rho0 if shift == 0 else block_stack(rho0, n_blocks)
-        for y0 in (top, np.zeros((n_blocks, d, d), dtype=complex), block_stack(rho0, n_blocks)[::-1]):
+    for me, rho0 in cases:
+        structure = liouvillian_structure(me)
+        for y0 in (rho0, np.zeros_like(rho0)):
             got = invariant_support(y0, structure)
-            want = reference_invariant_support(y0, structure)
+            want = reference_invariant_support(y0, [(0, x, y) for x, y in structure])
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
             sizes.append(got.size)
-    # rotated: the whole stack, nothing, then the bottom block alone
     d = jc_space(p).total_dim
-    assert sizes[:3] == [d * d if shift == 0 else 3 * d * d, 0, d * d]
-    assert sizes[4] == 0
+    assert sizes[:2] == [d * d, 0]
+    assert sizes[3] == 0
 
 
 def counting_expm(monkeypatch):
@@ -677,6 +663,30 @@ def test_integrate_reports_non_finite_state_at_its_time():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
         integrate(me, rho0, np.array([0.0, 1e-82, 1.0]), max_step=1.0)
     assert err.value.t == 1.0
+
+
+def test_hygiene_check_reports_the_first_failing_time():
+    me, space = cavity_only_me()
+    rho0 = DensityMatrix(space, np.diag([0.0, 0.0, 1.0, 0.0]))
+    t = np.linspace(0.0, 20.0, 8)
+    series = integrate(me, rho0, t).matrices
+    assert len(check_hygiene(series, t, 1.0, None)) == len(t)
+    bad = series.copy()
+    bad[3] += np.diag([-1.0, 1.0, 0.0, 0.0])  # negative eigenvalue, trace kept
+    bad[5, 0, 0] = np.nan  # later: non-finite, never reached
+    with pytest.raises(IntegrationError, match="negative eigenvalue") as err:
+        check_hygiene(bad, t, 1.0, None)
+    assert err.value.t == t[3]
+    bad[2, 1, 0] += 1e-6  # an earlier Hermiticity defect wins
+    with pytest.raises(IntegrationError, match="hermiticity") as err:
+        check_hygiene(bad, t, 1.0, None)
+    assert err.value.t == t[2]
+    bad[2, 1, 0] = 0.0
+    bad[2] += np.diag([-1.0, 1.0, 0.0, 0.0])
+    bad[2, 2, 2] += 0.1  # the trace of a time is checked before its state
+    with pytest.raises(IntegrationError, match="trace drift") as err:
+        check_hygiene(bad, t, 1.0, None)
+    assert err.value.t == t[2]
 
 
 def test_integrate_rejects_finite_temperature_mode():

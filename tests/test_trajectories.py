@@ -22,12 +22,10 @@ from cobath.jc import (
     solve_jc_hierarchy,
 )
 from cobath.master_equation import (
-    IntegrationError,
     MasterEquation,
     SpectralTensor,
-    check_hygiene,
     integrate,
-    invariant_support,
+    jump_feed,
     jump_superoperator,
     linear_system,
     liouvillian_matrix,
@@ -42,7 +40,6 @@ from cobath.trajectories import (
     _Streams,
     _unit_rows,
     effective_generator,
-    jump_feed,
     mcwf_unravel,
     propagate_deterministic,
     reconstruct,
@@ -51,6 +48,7 @@ from cobath.trajectories import (
 from conftest import CONFIGS, random_density, random_hermitian, random_unitary, rotate_model
 from hierarchy_reference import _block_system
 from mcwf_reference import reference_mcwf_unravel
+from support_reference import reference_invariant_support
 
 WINDOW = 8  # grid intervals per group in the grids and jump-record checks below
 
@@ -247,31 +245,6 @@ def test_hierarchy_blocks_stay_psd():
             assert np.linalg.eigvalsh(m)[0] > -1e-7
 
 
-def test_hierarchy_check_reports_first_time_then_first_block():
-    me, space, number = cavity_only_me(n_max=2)
-    rho0 = basis_ket(space, (2,)).projector()
-    t = np.linspace(0.0, 20.0, 8)
-    h = solve_hierarchy(me, rho0, t, number)
-    series = np.stack(h.blocks, axis=1)
-    assert len(check_hygiene(series, t, 1.0, None)) == len(t) * 3
-    bad = series.copy()
-    bad[3, 1] += np.diag([-1e-3, 1e-3, 0.0])  # block 1: negative eigenvalue, trace kept
-    bad[3, 2, 0, 1] += 1e-6  # block 2 at the same time: not Hermitian
-    bad[5, 0, 0, 0] = np.nan  # block 0 later: non-finite
-    with pytest.raises(IntegrationError, match="block 1") as err:
-        check_hygiene(bad, t, 1.0, None)
-    assert err.value.t == t[3]
-    bad[2, 2, 1, 0] += 1e-6  # an earlier time wins over any block
-    with pytest.raises(IntegrationError, match="block 2") as err:
-        check_hygiene(bad, t, 1.0, None)
-    assert err.value.t == t[2]
-    bad[2, 1] += np.diag([-1e-3, 1e-3, 0.0])
-    bad[2, 2, 2, 2] += 0.1  # the trace of that time is checked before any of its blocks
-    with pytest.raises(IntegrationError, match="trace drift") as err:
-        check_hygiene(bad, t, 1.0, None)
-    assert err.value.t == t[2]
-
-
 def test_first_shell_matches_nested_quadrature():
     # Duhamel check: the one-jump block from direct trapezoid quadrature of
     #   f(t) = int_0^t U(s)^-1 J(rho_top(s)) U(s)^-dag ds,  rho(t) = U f U^dag
@@ -425,7 +398,7 @@ def block_case(n_exc, k_mirror=0.0):
 def test_block_support_is_invariant_under_the_full_rhs(n_exc, k_mirror, rng):
     _, me, _, stack = block_case(n_exc, k_mirror)
     rhs, _, structure = _block_system(me)
-    support = invariant_support(stack, structure)
+    support = reference_invariant_support(stack, structure)
     assert support.size == 1 + 4 * n_exc  # block i holds sector i only
     y = np.zeros(stack.size, dtype=complex)
     y[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
@@ -445,7 +418,7 @@ def test_block_generator_is_the_kron_assembly_restricted():
     nojump = -1j * (np.kron(b, eye) - np.kron(eye, b.conj()))
     jumps = jump_superoperator(me.terms, np.kron)
     full = np.kron(np.eye(3), nojump) + np.kron(np.eye(3, k=1), jumps)
-    support = invariant_support(stack, structure)
+    support = reference_invariant_support(stack, structure)
     np.testing.assert_array_equal(generator(support), full[np.ix_(support, support)])
     np.testing.assert_array_equal(generator(np.arange(stack.size)), full)
 
