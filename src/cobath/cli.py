@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -28,7 +29,10 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared after it:
+    parsing leaves it unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cobath",
         description="Open-system simulations with a shared (cross-correlated) reservoir.",

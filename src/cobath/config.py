@@ -396,9 +396,12 @@ def check_engine(cfg: RunConfig):
 
 
 def load_config(path: str) -> RunConfig:
+    """Read and parse a config file.  A file that cannot be read or is not
+    UTF-8 text is a ConfigError naming it (UnicodeDecodeError is a
+    ValueError, which would otherwise pass for a numerical failure)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -542,6 +542,20 @@ def grid_resolution(t: np.ndarray) -> float:
     return 64 * np.finfo(float).eps * float(np.max(np.abs(t)))
 
 
+def spacing_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spacings of the grid ``t`` grouped by their key
+    round(dt / :func:`grid_resolution`), half to even, all keyed in one
+    array operation: ``first[c]`` is the index of the first spacing of
+    class c and ``of[k]`` the class of spacing k.
+
+    The spacings of a class share one cached propagator, built from the
+    class's first spacing.
+    """
+    keys = np.rint(np.diff(t) / grid_resolution(t))
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    return first, of
+
+
 def propagate_linear(
     me: MasterEquation,
     y0: np.ndarray,
@@ -556,12 +570,13 @@ def propagate_linear(
     of ``y0``, read from the exact nonzeros of B and of the jump terms)
     is found first.  Exact path (S of at most ``EXACT_SIZE_LIMIT``
     entries): each grid step applies expm(L[S, S] dt) to the entries S
-    of row-major ``y.reshape(-1)``, computed once per distinct spacing,
-    and the results are scattered into zeros.  Since S is invariant this
-    is exact, not an approximation.  Otherwise fixed-step RK4 applies L
-    to the full state with substeps of at most ``max_step`` (default
-    :func:`default_max_step`, which counts the Lamb shift); an explicit
-    ``max_step`` makes it the oracle for the exact path and must be > 0.
+    of row-major ``y.reshape(-1)``, computed once per class of
+    :func:`spacing_classes`, and the results are scattered into zeros.
+    Since S is invariant this is exact, not an approximation.  Otherwise
+    fixed-step RK4 applies L to the full state with substeps of at most
+    ``max_step`` (default :func:`default_max_step`, which counts the Lamb
+    shift); an explicit ``max_step`` makes it the oracle for the exact
+    path and must be > 0.
     """
     if max_step is not None and not max_step > 0:
         raise ValueError("max_step must be > 0")
@@ -570,15 +585,15 @@ def propagate_linear(
     out = np.zeros((len(t) - 1, *y0.shape), dtype=complex)
     if support is not None and support.size <= EXACT_SIZE_LIMIT:
         L = generator(support)
-        resolution = grid_resolution(t)
-        cache: dict[int, np.ndarray] = {}
+        dts = np.diff(t)
+        first, of = spacing_classes(t)
+        steps = [expm(L * dts[k]) for k in first]
         ys = np.empty((len(t) - 1, support.size), dtype=complex)
         y = y0.reshape(-1)[support]
-        for k, dt in enumerate(np.diff(t)):
-            key = round(dt / resolution)
-            if key not in cache:
-                cache[key] = expm(L * dt)
-            y = np.matmul(cache[key], y, out=ys[k])
+        # ndarray.dot: one gemv per step into its output row, the bits of
+        # np.matmul without the ufunc dispatch
+        for k, c in enumerate(of.tolist()):
+            y = steps[c].dot(y, out=ys[k])
         out.reshape(len(t) - 1, -1)[:, support] = ys
         return out
     h_max = default_max_step(me) if max_step is None else float(max_step)

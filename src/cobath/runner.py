@@ -112,10 +112,14 @@ def write_csv(path: Path, t: np.ndarray, cols: list[tuple[str, np.ndarray]]):
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Parse an emitted CSV back into (header, columns-as-rows array).
 
-    An empty file, a row not as wide as the header or a cell that is not a
-    number raises ConfigError naming the file (and the line).
+    A file that is not UTF-8, an empty file, a row not as wide as the
+    header or a cell that is not a number raises ConfigError naming the
+    file (and the line).
     """
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [(k, ln) for k, ln in enumerate(text.split("\n"), start=1) if ln]
     if not lines:
         raise ConfigError(f"{path}: empty file")

@@ -39,6 +39,7 @@ from .master_equation import (
     grid_resolution,
     integrate,
     jump_operators,
+    spacing_classes,
     time_grid,
 )
 
@@ -439,16 +440,14 @@ def mcwf_unravel(
     jumps_T = [op.matrix.T for op in jump_operators(me)]
     b = effective_generator(me).B.matrix
     resolution = grid_resolution(t)
-    ladders: dict[int, list[np.ndarray]] = {}  # exp(-iB dt 2^-j)^T, j = 0..J
-    keys = []  # the ladder of each interval
-    for dt in dts:
-        key = round(dt / resolution)  # spacings within the resolution share a ladder
-        if key not in ladders:
-            levels = max(0, math.ceil(math.log2(dt / resolution)))
-            ladders[key] = [expm(-1j * b * (dt / 2**j)).T for j in range(levels + 1)]
-        keys.append(key)
-    level0 = [ladders[key][0] for key in keys]
-    keys = np.array(keys)
+    # one ladder exp(-iB dt 2^-j)^T, j = 0..J, per class of spacings; keys[k]
+    # is the ladder of interval k
+    first, keys = spacing_classes(t)
+    ladders = []
+    for dt in dts[first]:
+        levels = max(0, math.ceil(math.log2(dt / resolution)))
+        ladders.append([expm(-1j * b * (dt / 2**j)).T for j in range(levels + 1)])
+    level0 = [ladders[key][0] for key in keys.tolist()]
 
     # the no-jump row every trajectory carries until its first crossing, one
     # row for all: _rowwise gives a row the same bits in any batch

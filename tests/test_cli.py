@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cobath.cli import main
+from cobath.cli import _build_parser, main
 from cobath.config import OUTPUTS, ConfigError, load_config, parse_config
 from cobath.jc import (
     excited_population,
@@ -687,6 +687,71 @@ def test_cli_seed_override_changes_output(tmp_path):
     a = (tmp_path / "a" / "run.csv").read_bytes()
     b = (tmp_path / "b" / "run.csv").read_bytes()
     assert a != b
+
+
+def test_cli_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_cli_calls_in_one_process_share_the_parser_without_leaking(tmp_path, capsys):
+    # an option given to one call must not reach the next: each call's
+    # artefacts are byte for byte those of the same call in its own process
+    mc = tmp_path / "mc.json"
+    mc.write_text(
+        json.dumps(
+            base_config(
+                engine="mcwf",
+                mcwf={"n_traj": 40, "seed": 2024},
+                outputs=["population", "trace"],
+                grid={"t_end": 60.0, "n_steps": 31},
+            )
+        )
+    )
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(base_config(outputs=["population", "concurrence"])))
+    calls = {
+        "seeded": ["trajectories", "--config", str(mc), "--seed", "7", "--format", "csv"],
+        "closed_form": ["simulate", "--config", str(run), "--engine", "closed-form"]
+        + ["--format", "svg"],
+        "defaults": ["simulate", "--config", str(run)],
+        "config_seed": ["trajectories", "--config", str(mc)],
+    }
+    for name, args in calls.items():
+        assert main([*args, "--out", str(tmp_path / "shared" / name)]) == 0
+    for name, args in calls.items():
+        r = run_cli(*args, "--out", str(tmp_path / "lone" / name), timeout=120)
+        assert r.returncode == 0, r.stderr
+
+    def artefacts(side, name):
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / side / name).iterdir())}
+
+    shared = {name: artefacts("shared", name) for name in calls}
+    assert shared == {name: artefacts("lone", name) for name in calls}
+    assert {name: sorted(files) for name, files in shared.items()} == {
+        "seeded": ["mc.csv"],
+        "closed_form": ["run.svg"],
+        "defaults": ["run.csv", "run.svg"],
+        "config_seed": ["mc.csv", "mc.svg"],
+    }
+    assert shared["seeded"]["mc.csv"] != shared["config_seed"]["mc.csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "plot"])
+def test_cli_file_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError; it must not read as a numerical failure
+    if command == "simulate":
+        src = tmp_path / "run.json"
+        src.write_bytes(b'{"model": "jc-common\xff"}\n')
+        args = ["simulate", "--config", str(src)]
+    else:
+        src = tmp_path / "run.csv"
+        src.write_bytes(b"t,a\n0.0,1.0\n1.0,\xff\n")
+        args = ["plot", str(src)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(src) in err
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_plot_subcommand(tmp_path):

@@ -34,10 +34,13 @@ from cobath.master_equation import (
     build_lamb_shift,
     check_hygiene,
     diagonalize_gamma,
+    grid_resolution,
     integrate,
     invariant_support,
     liouvillian_matrix,
     liouvillian_structure,
+    propagate_linear,
+    spacing_classes,
     time_grid,
     validate_detailed_balance,
 )
@@ -398,6 +401,65 @@ def test_exact_integrate_caches_one_propagator_per_spacing(monkeypatch):
     monkeypatch.setattr(me_mod, "expm", expm)
     rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
     assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+
+
+def reference_propagate_linear(me, y0, t):
+    """The exact path step by step: a dict keyed by round(dt / resolution),
+    filled at a key's first spacing, and one ``@`` per grid step."""
+    support = invariant_support(y0, liouvillian_structure(me))
+    L = liouvillian_matrix(me, support)
+    resolution = grid_resolution(t)
+    cache = {}
+    out = np.zeros((len(t) - 1, *y0.shape), dtype=complex)
+    y = y0.reshape(-1)[support]
+    for k, dt in enumerate(np.diff(t)):
+        key = round(dt / resolution)
+        if key not in cache:
+            cache[key] = expm(L * dt)
+        y = cache[key] @ y
+        out[k].reshape(-1)[support] = y
+    return out
+
+
+def mixed_grid():
+    """np.linspace spacings (one key, last bits apart), distinct spacings, the
+    linspace spacing again, computed another way, then another linspace."""
+    head = np.linspace(0.0, 10.3, 41)
+    mid = head[-1] + np.cumsum([0.3, 0.7, 0.3, 1.1, 0.7])
+    again = mid[-1] + 0.2575 * np.arange(1, 30)
+    tail = np.linspace(again[-1], 40.0, 17)[1:]
+    return time_grid(np.concatenate([head, mid, again, tail]))
+
+
+@pytest.mark.parametrize("n_exc, k_mirror, size", [(1, 0.0, 5), (13, 0.05, 53)])
+def test_exact_path_is_bitwise_the_per_step_reference(n_exc, k_mirror, size):
+    p = JCParams(
+        omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j, k_mirror=k_mirror, n_exc=n_exc
+    )
+    me, y0 = build_jc(p), jc_initial(p).matrix
+    t = mixed_grid()
+    assert invariant_support(y0, liouvillian_structure(me)).size == size
+    dts = np.diff(t)
+    assert len(set(dts[:40].tolist())) > 1  # the linspace spacings differ in their last bits
+    first, of = spacing_classes(t)
+    assert len(first) == 5 and np.all(of[45:74] == of[0]) and len(set(of[:40].tolist())) == 1
+    got = propagate_linear(me, y0, t, None)
+    assert got.tobytes() == reference_propagate_linear(me, y0, t).tobytes()
+
+
+def test_spacing_classes_key_as_round_half_to_even():
+    r = grid_resolution(np.array([1.0]))  # 2^-46; just below 1 floats are r / 128 apart
+    steps = [2.5, 2.0, 3.5, 4.0, 1.5, 2.0, 2.625, 0.5, 7.0]
+    t = 1.0 - r * np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]])
+    assert np.array_equal(np.diff(t), r * np.array(steps))
+    keys = [round(dt / r) for dt in np.diff(t)]
+    assert keys == [2, 2, 4, 4, 2, 2, 3, 0, 7]  # ties go to the even neighbour
+    first, of = spacing_classes(t)
+    assert [keys.index(key) for key in keys] == first[of].tolist()
+    for j, key in enumerate(keys):
+        assert [keys[k] for k in np.flatnonzero(of == of[j])] == [key] * keys.count(key)
+    first, of = spacing_classes(np.array([2.5]))
+    assert first.size == of.size == 0
 
 
 # ------------------------------------------------------ invariant support
