@@ -112,12 +112,15 @@ def write_csv(path: Path, t: np.ndarray, cols: list[tuple[str, np.ndarray]]):
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Parse an emitted CSV back into (header, columns-as-rows array).
 
-    A file that is not UTF-8, an empty file, a row not as wide as the
-    header or a cell that is not a number raises ConfigError naming the
-    file (and the line).
+    A file that cannot be read or is not UTF-8, an empty file, a row not
+    as wide as the header or a cell that is not a number raises
+    ConfigError naming the file (and the line), as ``load_config`` does
+    for a config.
     """
     try:
         text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [(k, ln) for k, ln in enumerate(text.split("\n"), start=1) if ln]

@@ -407,17 +407,21 @@ def mcwf_unravel(
     whose shared norm^2 falls below its r (found on the running minimum of
     those norms; a NaN norm never crosses), and each chunk of trajectories
     lifts all its first crossings from the shared row in one pass per
-    ladder.  The chunk then moves one grid interval at a time: the rows
-    past their first crossing take one interval product, those whose
-    norm^2 falls below r lift to the interval's end together, and the rows
-    whose first crossing ends there join them.  So a run costs one lifting
-    pass per chunk and ladder for first crossings, plus one per grid
-    interval in which a row crosses again.  At every grid point the rows
-    not yet past their first crossing take the shared row, and all rows of
-    the chunk are accumulated in row order.  Products are row by row, so a
-    row's bits do not depend on which rows share its batch, and every row
-    meets the same products, draws and normalizations in the same order
-    whatever the schedule, so no result depends on it.
+    ladder.  The chunk then moves one grid interval at a time on the rows
+    past their first crossing, kept as one compact array in join order
+    with each row's slot in the chunk: they take one interval product,
+    those whose norm^2 falls below r lift to the interval's end together
+    and are written back by slot, and the rows whose first crossing ends
+    there are appended.  After a jump, a lifting round takes at each
+    ladder level only the rows that still fit in the interval.  So a run
+    costs one lifting pass per chunk and ladder for first crossings, plus
+    one per grid interval in which a row crosses again.  At every grid
+    point the chunk's unit rows are the shared row's, normalized once per
+    run, with the compact rows' scattered over them by slot, and are
+    accumulated in row order.  Products are row by row, so a row's bits
+    do not depend on which rows share its batch, and every row meets the
+    same products, draws and normalizations in the same order whatever
+    the schedule, so no result depends on it.
     Nor do the jump records depend on ``chunk_size`` (at least 1); the
     averages are ordered sums over chunks, which moves them with
     ``chunk_size`` at roundoff level only.
@@ -466,10 +470,15 @@ def mcwf_unravel(
     snapshots: list[np.ndarray] = []
     records: list[tuple[tuple[float, int], ...]] = []
 
-    def accumulate(k: int, phi: np.ndarray, norm2: np.ndarray):
-        psi = _unit_rows(phi, norm2)
-        p = psi.real**2 + psi.imag**2
-        sums[k] += psi.T @ psi.conj()
+    # _unit_rows is elementwise: the shared row's unit rows are every row's bits
+    shared_units = _unit_rows(shared, shared_norms)
+
+    def accumulate(k: int, units: np.ndarray, slot: np.ndarray, x: np.ndarray, norm2: np.ndarray):
+        # every row of the chunk in row order: the shared row, but rows ``slot`` are ``x``
+        units[:] = shared_units[k]
+        units[slot] = _unit_rows(x, norm2)
+        p = units.real**2 + units.imag**2
+        sums[k] += units.T @ units.conj()
         squares[k] += p.T @ p
 
     for start, stop in zip(boundaries, boundaries[1:]):
@@ -477,9 +486,7 @@ def mcwf_unravel(
         streams = _Streams(seed, np.arange(start, stop))
         r = streams.random(slice(None))
         chunk_records: list[list[tuple[float, int]]] = [[] for _ in range(m)]
-        # every row's state at one grid point, and its norm^2
-        phi, phi_norms = np.tile(v0, (m, 1)), np.full(m, shared_norms[0])
-        accumulate(0, phi, phi_norms)
+        units = np.empty((m, v0.size), dtype=complex)
 
         def lift(rows: np.ndarray, ks: np.ndarray, x: np.ndarray, steps: list[np.ndarray]):
             """Carry ``rows`` from states ``x`` at the start of intervals ``ks``
@@ -492,17 +499,19 @@ def mcwf_unravel(
             pos = np.zeros(rows.size, dtype=np.int64)  # units of dt 2^-J
             finished = []
             # round one skips level 0, the product that just failed; its other
-            # levels add up to less than dt, so only after a jump can one overshoot
+            # levels add up to less than dt, so every row walks them all.  After
+            # a jump a level takes only the rows it still fits: popcount(full -
+            # pos) levels for a row that does not cross again
             first = 1
             while True:
                 r_rows = r[rows]
                 for j in range(first, len(steps)):
-                    cand = _rowwise(x, steps[j])
-                    keep = _norm2(cand) >= r_rows
-                    if not first:
-                        keep &= pos <= full - (full >> j)
-                    np.copyto(x, cand, where=keep[:, None])
-                    np.add(pos, full >> j, out=pos, where=keep)
+                    fit = slice(None) if first else (pos <= full - (full >> j)).nonzero()[0]
+                    cand = _rowwise(x[fit], steps[j])
+                    keep = (_norm2(cand) >= r_rows[fit]).nonzero()[0]
+                    take = keep if first else fit[keep]
+                    x[take] = cand[keep]
+                    pos[take] += full >> j
                 if not first:
                     done = pos == full
                     finished.append((rows[done], ks[done], x[done]))
@@ -538,28 +547,28 @@ def mcwf_unravel(
         ks = first_cross[rows]
         arrived_rows, arrived_ks, arrived_x = lift_all(rows, ks, shared[ks])
 
-        rows = arrived_rows[:0]  # the rows past their first crossing
+        # the rows past their first crossing, in join order: states, norm^2 and
+        # slots in the chunk, with at[slot] a row's place among them
+        slot, x, norm2 = arrived_rows[:0], arrived_x[:0], np.empty(0)
+        at = np.empty(m, dtype=np.int64)
+        accumulate(0, units, slot, x, norm2)
         for k, step in enumerate(level0):
-            x = phi[rows]
             cand = _rowwise(x, step)
-            norm2 = _norm2(cand)
-            cross = norm2 < r[rows]
-            phi[:] = shared[k + 1]
-            phi[rows] = cand
-            phi_norms[:] = shared_norms[k + 1]
-            phi_norms[rows] = norm2
-            if cross.any():
-                n_cross = np.count_nonzero(cross)
-                lifted_rows, _, lifted_x = lift_all(rows[cross], np.full(n_cross, k), x[cross])
-                phi[lifted_rows] = lifted_x
-                phi_norms[lifted_rows] = _norm2(lifted_x)
+            cand_norm2 = _norm2(cand)
+            cross = (cand_norm2 < r[slot]).nonzero()[0]
+            if cross.size:
+                lifted_rows, _, lifted_x = lift_all(slot[cross], np.full(cross.size, k), x[cross])
+                cand[at[lifted_rows]] = lifted_x
+                cand_norm2[at[lifted_rows]] = _norm2(lifted_x)
+            x, norm2 = cand, cand_norm2
             here = arrived_ks == k  # first crossings that end at grid point k + 1
             if here.any():
                 joining = arrived_rows[here]
-                rows = np.concatenate([rows, joining])
-                phi[joining] = arrived_x[here]
-                phi_norms[joining] = _norm2(arrived_x[here])
-            accumulate(k + 1, phi, phi_norms)
+                at[joining] = slot.size + np.arange(joining.size)
+                slot = np.concatenate([slot, joining])
+                x = np.concatenate([x, arrived_x[here]])
+                norm2 = np.concatenate([norm2, _norm2(arrived_x[here])])
+            accumulate(k + 1, units, slot, x, norm2)
 
         records.extend(tuple(rec) for rec in chunk_records)
         if stop in counts:

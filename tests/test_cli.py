@@ -754,6 +754,20 @@ def test_cli_file_that_is_not_utf8_is_config_error(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "plot"])
+def test_cli_input_file_that_cannot_be_read_is_config_error(command, kind, tmp_path, capsys):
+    # an input that cannot be read is the caller's fault, not an i/o failure
+    src = tmp_path / ("run.json" if command == "simulate" else "run.csv")
+    if kind == "directory":
+        src.mkdir()
+    args = ["simulate", "--config", str(src)] if command == "simulate" else ["plot", str(src)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read ") and str(src) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_plot_subcommand(tmp_path):
     cfg_path = tmp_path / "p.json"
     cfg_path.write_text(json.dumps(base_config(outputs=["population"])))

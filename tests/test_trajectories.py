@@ -24,6 +24,7 @@ from cobath.jc import (
 from cobath.master_equation import (
     MasterEquation,
     SpectralTensor,
+    grid_resolution,
     integrate,
     jump_feed,
     jump_superoperator,
@@ -837,7 +838,7 @@ def assert_same_bytes(a, b):
     assert a.stderr.tobytes() == b.stderr.tobytes()
 
 
-@pytest.mark.parametrize("name", ["mcwf_dfs", "mcwf_mirror"])
+@pytest.mark.parametrize("name", ["mcwf_dfs", "mcwf_mirror", "mcwf_mirror_two_quanta"])
 def test_shipped_mcwf_configs_are_bytewise_the_reference(name):
     cfg = load_config(CONFIGS / f"{name}.json")
     me, psi0 = build_model(cfg), jc_initial_ket(cfg.params, cfg.initial)
@@ -846,6 +847,8 @@ def test_shipped_mcwf_configs_are_bytewise_the_reference(name):
     assert_same_bytes(res, reference_mcwf_unravel(*args))
     never = sum(1 for rec in res.jump_records if not rec) / cfg.mcwf.n_traj
     assert never > 0.4 if name == "mcwf_dfs" else never == 0.0
+    if name == "mcwf_mirror_two_quanta":  # every row lifts after a second jump
+        assert {len(rec) for rec in res.jump_records} == {2}
 
 
 def test_mcwf_advances_unjumped_trajectories_as_one_row(monkeypatch):
@@ -862,6 +865,22 @@ def test_mcwf_advances_unjumped_trajectories_as_one_row(monkeypatch):
     res = mcwf_unravel(me, jc_initial_ket(p), t, n_traj=1000, seed=5)
     assert not any(res.jump_records)
     assert sum(rows) == len(t) - 1
+
+
+def test_mcwf_normalizes_unjumped_trajectories_once_per_run(monkeypatch):
+    # the shared row's unit rows serve every unjumped trajectory at every grid point
+    p, me, space = jc_setup(g11=0.0, g22=0.0, g12=0.0)
+    t = np.linspace(0.0, 300.0, 31)
+    rows = []
+
+    def counted(x, norm2):
+        rows.append(len(x))
+        return _unit_rows(x, norm2)
+
+    monkeypatch.setattr(trajectories, "_unit_rows", counted)
+    res = mcwf_unravel(me, jc_initial_ket(p), t, n_traj=1000, seed=5)
+    assert not any(res.jump_records)
+    assert sum(rows) == len(t)
 
 
 def test_first_crossings_match_a_scan():
@@ -919,6 +938,30 @@ def script_draws(monkeypatch, scripts):
 
     monkeypatch.setattr(trajectories, "_Streams", Streams)
     monkeypatch.setattr(np.random, "default_rng", Rng)
+
+
+def test_mcwf_lifts_after_a_jump_only_the_levels_that_fit(monkeypatch):
+    # |1> decays once, at t ~ 3.3 in interval 0, to |0>, which never crosses again
+    me, space, _ = cavity_only_me(gamma=0.08)
+    t = np.linspace(0.0, 100.0, 11)
+    script_draws(monkeypatch, {0: [math.exp(-0.08 * 3.3), 0.5, 0.5]})
+    rows = []
+
+    def counted(x, m):
+        rows.append(len(x))
+        return _rowwise(x, m)
+
+    monkeypatch.setattr(trajectories, "_rowwise", counted)
+    res = mcwf_unravel(me, KetState(space, np.eye(3)[1]), t, n_traj=1, seed=0)
+    [(t_jump, channel)] = res.jump_records[0]
+    assert channel == 0 and 3.2 < t_jump <= 3.3
+    levels = math.ceil(math.log2(10.0 / grid_resolution(t)))  # J
+    pos = round((t_jump - t[0]) * 2**levels / 10.0)
+    post_jump = (2**levels - pos).bit_count()  # one product per level that fits
+    # the shared row, round one (levels 1..J), the jump target, the rest of
+    # interval 0 and one product per later interval
+    assert sum(rows) == 10 + levels + 1 + post_jump + 9
+    assert post_jump < levels + 1
 
 
 @pytest.mark.parametrize("n_points", [31, 34])
