@@ -4,10 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobath.cli import _build_parser, main
 from cobath.config import OUTPUTS, ConfigError, load_config, parse_config
@@ -21,6 +25,7 @@ from cobath.jc import (
     x_state_concurrence,
 )
 from cobath.runner import (
+    ARRAY_CELLS,
     observable_columns,
     read_csv,
     run_to_files,
@@ -374,16 +379,30 @@ def test_observable_columns_match_state_by_state(n_exc, engine, initial, outputs
     assert 0 < nan_rows < len(states)
 
 
+def per_cell_csv(path, t, cols):
+    # the reference layout: repr(float(.)) of every cell, row by row
+    lines = ["t," + ",".join(name for name, _ in cols)]
+    for k in range(len(t)):
+        lines.append(",".join([repr(float(t[k]))] + [repr(float(c[k])) for _, c in cols]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def csv_bytes(writer, table):
+    """The bytes ``writer`` writes for a 2-D table whose first column is t."""
+    cols = [(f"c{j}", table[:, j]) for j in range(1, table.shape[1])]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "table.csv"
+        writer(path, table[:, 0], cols)
+        return path.read_bytes()
+
+
+def as_table(values, width=8):
+    """The values, repeated as needed, as a table of at least ARRAY_CELLS cells."""
+    rows = max(-(-len(values) // width), -(-ARRAY_CELLS // width))
+    return np.resize(np.asarray(values, dtype=float), (rows, width))
+
+
 def test_write_csv_matches_per_cell_repr(tmp_path):
-    from cobath.runner import write_csv
-
-    def per_cell(path, t, cols):
-        # the reference layout: repr(float(.)) of every cell, row by row
-        lines = ["t," + ",".join(name for name, _ in cols)]
-        for k in range(len(t)):
-            lines.append(",".join([repr(float(t[k]))] + [repr(float(c[k])) for _, c in cols]))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
     t = np.linspace(0.0, 1.0, 8)
     cols = [
         ("special", np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e308])),
@@ -391,7 +410,7 @@ def test_write_csv_matches_per_cell_repr(tmp_path):
         ("mixed", np.array([0.1, 1 / 3, -1e-17, 123456789.0, np.nan, 2.5, -np.inf, 7.0])),
     ]
     write_csv(tmp_path / "new.csv", t, cols)
-    per_cell(tmp_path / "ref.csv", t, cols)
+    per_cell_csv(tmp_path / "ref.csv", t, cols)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     rows = (tmp_path / "new.csv").read_text().splitlines()
     assert rows[2] == "0.14285714285714285,inf,-2.0,0.3333333333333333"
@@ -400,21 +419,124 @@ def test_write_csv_matches_per_cell_repr(tmp_path):
         write_csv(tmp_path / "short.csv", t, [("short", np.zeros(3))])
 
 
-def test_csv_roundtrip_full_precision(tmp_path):
-    cfg = parse_config(json.dumps(base_config()))
-    from cobath.runner import observable_columns, simulate_config, write_csv
+def boundary_values():
+    """Cells at the decisions of the shortest-digit search, and their negatives."""
+    rng = np.random.default_rng(26)
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers_of_ten]
+    up = down = powers_of_ten
+    for _ in range(4):  # 10^k +- j ulp, j = 1..4
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    # dyadics m / 2^e (m odd) whose exact decimal m 5^e / 10^e has 18 significant
+    # digits: the scaled value N sits exactly halfway between two 17-digit integers
+    halfway = []
+    for e in range(2, 26):
+        m = rng.integers(-(-10**17 // 5**e) // 2, min(10**18 // 5**e, 2**53) // 2, 20) * 2 + 1
+        halfway += np.ldexp(m.astype(float), -e).tolist()
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in halfway)
+    # decimals whose 18th significant digit is 5, read to the nearest double
+    ties = [float(f"{m}5e{e}") for m in rng.integers(10**16, 10**17, 300).tolist()
+            for e in (-40, -21, -17, -5, 0, 3)]
+    ties += [float(f"{m}5e{e}") for m in (1, 12, 125, 99999) for e in range(-30, 20)]
+    small = [k / 2.0**m for k in range(1, 64) for m in range(1, 40, 3)]
+    integers = [*rng.integers(0, 10**16, 500).astype(float).tolist(), 2.0**53 - 1, 2.0**53,
+                *(10.0**j + d for j in range(16) for d in (-1.0, 0.0, 1.0))]
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    special = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               *(rng.integers(1, 2**52, 50).astype(np.uint64).view(np.float64)).tolist(),
+               1.7976931348623157e308]
+    switches = [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 9.999999999999999e-05,
+                1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e15,
+                9999999999999998.0, 999999999999999.9, 0.00010000000000000002]
+    cells = np.concatenate([*near, halfway, ties, small, integers, powers_of_two, special, switches])
+    return np.concatenate([cells, -cells])
 
-    states = simulate_config(cfg)
-    cols = observable_columns(cfg, states)
-    grid = cfg.grid.times()
-    path = tmp_path / "rt.csv"
-    write_csv(path, grid, cols)
-    header, data = read_csv(path)
-    assert header[0] == "t"
-    np.testing.assert_array_equal(data[:, 0], grid)
-    for j, (name, col) in enumerate(cols):
-        assert header[j + 1] == name
-        np.testing.assert_array_equal(data[:, j + 1], col)
+
+def test_write_csv_on_arrays_matches_per_cell_repr_on_boundary_classes():
+    table = as_table(boundary_values(), width=15)
+    assert table.size >= ARRAY_CELLS
+    assert csv_bytes(write_csv, table) == csv_bytes(per_cell_csv, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=400),
+       floats=st.lists(st.floats(), min_size=1, max_size=400))
+def test_write_csv_on_arrays_matches_per_cell_repr_on_any_float(bits, floats):
+    cells = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), floats])
+    table = as_table(cells)
+    assert csv_bytes(write_csv, table) == csv_bytes(per_cell_csv, table)
+
+
+@pytest.mark.parametrize("cells", [ARRAY_CELLS - 1, ARRAY_CELLS, ARRAY_CELLS + 1])
+def test_write_csv_formats_as_arrays_from_the_threshold(cells, monkeypatch):
+    import cobath.csvcells
+
+    calls = []
+    rows_bytes = cobath.csvcells.rows_bytes
+
+    def spy(table):
+        calls.append(table.shape)
+        return rows_bytes(table)
+
+    monkeypatch.setattr(cobath.csvcells, "rows_bytes", spy)
+    table = (np.linspace(-1.0, 1.0, cells) ** 3)[:, None]
+    assert csv_bytes(write_csv, table) == csv_bytes(per_cell_csv, table)
+    assert calls == ([(cells, 1)] if cells >= ARRAY_CELLS else [])
+
+
+def test_write_csv_on_arrays_of_no_row_and_of_one_row(tmp_path):
+    from cobath.csvcells import rows_bytes
+
+    assert rows_bytes(np.empty((0, 3))) == b""
+    write_csv(tmp_path / "empty.csv", np.empty(0), [("a", np.empty(0))])
+    assert (tmp_path / "empty.csv").read_bytes() == b"t,a\n"
+    row = np.linspace(-3.0, 3.0, ARRAY_CELLS + 1)[None, :] ** 5
+    assert csv_bytes(write_csv, row) == csv_bytes(per_cell_csv, row)
+
+
+@pytest.mark.parametrize("bad", ["complex", "two-columns", "short", "scalar", "t-two-d"])
+def test_write_csv_rejects_a_column_that_is_not_real_1d_of_len_t(bad, tmp_path):
+    t = np.linspace(0.0, 1.0, 5)
+    col = {"complex": t + 1j, "two-columns": np.ones((5, 2)), "short": np.zeros(4),
+           "scalar": np.float64(1.0), "t-two-d": t}[bad]
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="'t'" if bad == "t-two-d" else "'bad'"):
+        write_csv(path, t[:, None] if bad == "t-two-d" else t, [("ok", t), ("bad", col)])
+    assert not path.exists()
+
+
+def test_csv_roundtrip_full_precision(tmp_path):
+    # the shipped test grid, then the dense-output traffic: a 4001-point
+    # closed-form run of each JC model with every output, through the arrays
+    dense = {"t_end": 1000.0, "n_steps": 4001}
+    mirror = {"g11": 0.01, "g22": 0.0098, "g12": 0.0075, "k_mirror": 0.05, "n_exc": 1}
+    configs = [
+        base_config(),
+        base_config(grid=dense, outputs=list(OUTPUTS), engine="closed-form",
+                    params={"omega0": 1.0, "eps": 0.1, "g11": 0.01, "g22": 0.01, "g12": 0.01}),
+        base_config(model="jc-mirror", grid=dense, outputs=list(OUTPUTS), engine="closed-form",
+                    params={"omega0": 1.0, "eps": 0.1, **mirror}),
+        base_config(model="jc-two-bath", grid=dense, outputs=list(OUTPUTS), engine="closed-form",
+                    params={"omega0": 1.0, "eps": 0.1, "g11": 0.0101, "g22": 0.0196, "n_exc": 1}),
+    ]
+    for raw in configs:
+        cfg = parse_config(json.dumps(raw))
+        states = simulate_config(cfg)
+        cols = observable_columns(cfg, states)
+        grid = cfg.grid.times()
+        path = tmp_path / "rt.csv"
+        write_csv(path, grid, cols)
+        if len(grid) == 4001:
+            assert len(grid) * (len(cols) + 1) >= ARRAY_CELLS
+            per_cell_csv(tmp_path / "ref.csv", grid, cols)
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), raw["model"]
+        header, data = read_csv(path)
+        assert header[0] == "t"
+        np.testing.assert_array_equal(data[:, 0], grid)
+        for j, (name, col) in enumerate(cols):
+            assert header[j + 1] == name
+            np.testing.assert_array_equal(data[:, j + 1], col)
 
 
 def test_x_state_concurrence_matches_the_spin_flip_route_on_shipped_series():
@@ -1083,13 +1205,14 @@ import sys
 from cobath.config import load_config
 from cobath.runner import build_model
 build_model(load_config(sys.argv[1]))
-print(sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
+print(sorted(m for m in ("scipy", "numpy.ma", "cobath.csvcells") if m in sys.modules))
 """
 
 
 def test_model_setup_loads_neither_scipy_nor_numpy_ma():
     # the set-up path (import, load_config, build_model) a fresh process
-    # times: numpy.ma alone costs ~15 ms on its first import
+    # times: numpy.ma alone costs ~15 ms on its first import; the CSV cell
+    # formatter and its tables are loaded at the first large table written
     cfg = CONFIGS / "jc_mirror_many_quanta.json"
     r = run_python("-c", SETUP_PATH, str(cfg), timeout=120)
     assert r.returncode == 0, r.stderr
