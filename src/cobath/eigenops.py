@@ -13,6 +13,7 @@ the dissipator and of the non-Hermitian no-jump generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,17 @@ class SpectralDecomposition:
         runs = np.split(self.vectors, self.starts[1:], axis=1)
         return tuple(Operator(self.space, v @ v.conj().T) for v in runs)
 
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        """The basis index of each eigenvector column when every column is a
+        basis vector, exactly 1 at one index and 0 elsewhere (every block of
+        a diagonal H is 1 x 1); None otherwise."""
+        d = len(self.vectors)
+        cols, rows = np.divmod(np.flatnonzero(self.vectors.T), d)
+        if len(cols) != d or not np.array_equal(cols, np.arange(d)):
+            return None
+        return rows if np.all(self.vectors[rows, cols] == 1) else None
+
 
 @dataclass(frozen=True)
 class EigenOperator:
@@ -83,8 +95,10 @@ def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecom
     exact zeros is one block.  Eigenpairs are sorted by eigenvalue (stable):
     exactly equal eigenvalues keep the order the blocks are diagonalized in,
     smaller blocks first, blocks of one size by their least index, and
-    each block's own ``eigh`` order.
+    each block's own ``eigh`` order.  A non-finite entry is a ValueError.
     """
+    if not np.isfinite(H.matrix).all():
+        raise ValueError("Hamiltonian has non-finite entries")
     herm_defect = float(np.max(np.abs(H.matrix - H.matrix.conj().T)))
     if herm_defect > 1e-9 * max(1.0, float(np.max(np.abs(H.matrix)))):
         raise ValueError(f"Hamiltonian not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
@@ -100,10 +114,33 @@ def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecom
     order = np.argsort(evals, kind="stable")
     evals, vecs = evals[order], vecs[:, order]
     tol = _default_tol(evals) if degeneracy_tol is None else float(degeneracy_tol)
-    # sorted ascending, so each cluster is a contiguous run of columns
-    starts = np.flatnonzero(np.diff(evals) > tol) + 1
-    clustered = tuple(float(np.mean(run)) for run in np.split(evals, starts))
-    return SpectralDecomposition(H.space, clustered, _freeze(vecs), (0, *starts.tolist()), tol)
+    # sorted ascending, so each cluster is a contiguous run of columns; the
+    # means are taken per run length, each row the bits of np.mean of its run
+    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > tol)
+    sizes = np.diff(starts, append=d)
+    means = np.empty(len(starts))
+    for s in np.flatnonzero(np.bincount(sizes)):  # each run length once
+        runs = np.flatnonzero(sizes == s)
+        means[runs] = evals[starts[runs, None] + np.arange(s)].mean(axis=1)
+    return SpectralDecomposition(
+        H.space, tuple(means.tolist()), _freeze(vecs), tuple(starts.tolist()), tol
+    )
+
+
+def _frequency_keys(w: np.ndarray, tol: float) -> tuple[np.ndarray, list[float]]:
+    """Each frequency of ``w`` joins the first earlier one within ``tol``
+    that opened a group; returns the group of each entry and each group's
+    frequency.  Equal values join one group, so the rule runs once per
+    distinct value, in the order the values first appear."""
+    values, first, inverse = np.unique(w, return_index=True, return_inverse=True)
+    freqs: list[float] = []
+    key = np.empty(len(values), dtype=int)
+    for u in np.argsort(first, kind="stable").tolist():
+        wu = float(values[u])
+        key[u] = next((k for k, f in enumerate(freqs) if abs(f - wu) <= tol), len(freqs))
+        if key[u] == len(freqs):
+            freqs.append(wu)
+    return key[inverse], freqs
 
 
 def eigenoperators(
@@ -119,28 +156,42 @@ def eigenoperators(
     and joins the first frequency (row-major) within the decomposition's
     tolerance.  A(w) = V (mask_w o A~) V^dag; components with Frobenius norm
     below ``drop_tol`` are dropped.  Ascending in w; they sum back to A.
+    When every eigenvector is a basis vector (:attr:`SpectralDecomposition.basis`)
+    V is a permutation: the products are re-indexings and A(w) is A with
+    the entries outside its cluster pairs set to 0.  A non-finite entry
+    is a ValueError.
     """
     if A.space != decomp.space:
         raise ValueError("coupling operator and decomposition live on different spaces")
-    V = decomp.vectors
-    a = V.conj().T @ A.matrix @ V
-    starts = np.asarray(decomp.starts)
-    peak = np.maximum.reduceat(np.maximum.reduceat(np.abs(a), starts, axis=0), starts, axis=1)
-    cluster = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(V)))
+    if not np.isfinite(A.matrix).all():
+        raise ValueError("coupling operator has non-finite entries")
+    V, basis = decomp.vectors, decomp.basis
+    n = len(decomp.starts)
+    cluster = np.repeat(np.arange(n), np.diff(decomp.starts, append=len(V)))
+    if basis is None:
+        a = V.conj().T @ A.matrix @ V
+    else:
+        # A~ is A re-indexed: the components are masked in the basis of A
+        a = A.matrix
+        of_index = np.empty_like(cluster)
+        of_index[basis] = cluster
+        cluster = of_index  # the cluster of each basis index, the rows of a
 
-    freqs: list[float] = []
-    group = np.full(peak.shape, -1)  # frequency index of each kept cluster pair
-    for i, j in zip(*np.nonzero(peak >= drop_tol)):
-        w = decomp.eigenvalues[j] - decomp.eigenvalues[i]
-        near = (k for k, f in enumerate(freqs) if abs(f - w) <= decomp.degeneracy_tol)
-        group[i, j] = next(near, len(freqs))
-        if group[i, j] == len(freqs):
-            freqs.append(w)
-    group = group[np.ix_(cluster, cluster)]  # now per entry of A~
+    # the kept cluster pairs, row-major: those with an entry of modulus >= drop_tol
+    rows, cols = np.divmod(np.flatnonzero(np.abs(a) >= drop_tol), len(a))
+    pairs = np.bincount(cluster[rows] * n + cluster[cols], minlength=n * n)
+    i, j = np.divmod(np.flatnonzero(pairs), n)
+    ev = np.asarray(decomp.eigenvalues)
+    keys, freqs = _frequency_keys(ev[j] - ev[i], decomp.degeneracy_tol)
+    group = np.full((n, n), -1)  # frequency index of each kept cluster pair
+    group[i, j] = keys
+    group = group[np.ix_(cluster, cluster)]  # now per entry of a
 
     out = []
     for key, w in sorted(enumerate(freqs), key=lambda kw: kw[1]):
-        m = V @ np.where(group == key, a, 0.0) @ V.conj().T
+        m = np.where(group == key, a, 0.0)
+        if basis is None:
+            m = V @ m @ V.conj().T
         if float(np.linalg.norm(m)) < drop_tol:
             continue
         out.append(

@@ -37,8 +37,6 @@ from .core import (
     basis_index,
     basis_ket,
     embed,
-    make_atom_ops,
-    make_cavity_ops,
 )
 from .eigenops import decompose, eigenoperators
 from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor, integrate
@@ -100,17 +98,26 @@ class JCParams:
         # one "<field>: <rule>" message per field, in the order the config
         # parser reads them; a frequency at or below FREQ_MATCH_TOL counts
         # as 0, where no coupling splits
+        n_max = self.n_exc + 2 if self.n_max is None else int(self.n_max)
         if self.omega0 <= FREQ_MATCH_TOL:
             raise ValueError(
                 f"omega0: must be > 0 (above the frequency resolution {FREQ_MATCH_TOL!r})"
             )
+        if not math.isfinite(self.omega0 * (n_max + 1)):
+            raise ValueError(
+                "omega0: must be a finite number with omega0 * (n_max + 1) finite "
+                f"(n_max = {n_max})"
+            )
+        if not cmath.isfinite(self.eps):
+            raise ValueError("eps: must be a finite number")
         if self.n_exc < 0:
             raise ValueError("n_exc: must be >= 0")
-        n_max = self.n_exc + 2 if self.n_max is None else int(self.n_max)
         if n_max < self.n_exc + 2:
             raise ValueError(f"n_max: must be at least n_exc + 2 = {self.n_exc + 2}")
-        for name in ("g11", "g22", "k_mirror"):
-            if getattr(self, name) < 0:
+        for name in ("g11", "g22", "g12", "k_mirror"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be a finite number")
+            if name != "g12" and getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
         if abs(self.g12) ** 2 > self.g11 * self.g22 + PSD_SLACK:
             raise ValueError(
@@ -133,13 +140,43 @@ def jc_space(p: JCParams) -> HilbertSpace:
     return HilbertSpace((2, p.n_max + 1))
 
 
+def _on(space: HilbertSpace, rows, cols, values, label: str = "") -> Operator:
+    """The operator with ``values`` at (rows, cols) and exact zeros elsewhere."""
+    m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    m[rows, cols] = values
+    return Operator(space, m, label=label)
+
+
+def _photons(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(k) for k = 1 .. levels - 1, and the photon count at each flat
+    index |+, k> = k, |-, k> = levels + k as the embedded a_dag a holds
+    it: sqrt(k) * sqrt(k)."""
+    root = np.sqrt(np.arange(1.0, levels))
+    count = np.zeros(levels)
+    count[1:] = root * root
+    return root, np.tile(count, 2)
+
+
 def _hamiltonians(p: JCParams, space: HilbertSpace):
-    atom = make_atom_ops(space, 0)
-    cav = make_cavity_ops(space, 1)
-    h_bare = 0.5 * p.omega0 * atom["S_z"] + p.omega0 * cav["n_op"]
-    h_int = p.eps * (cav["a"] @ atom["S_plus"]) + np.conj(p.eps) * (
-        cav["a_dag"] @ atom["S_minus"]
-    )
+    """S_+, S_-, a, a_dag and the bare and full Hamiltonians, each set on
+    its nonzeros: the bits of the embedded operators and their products,
+    without a product of d x d matrices."""
+    levels = space.factor_dims[1]
+    plus = np.arange(levels)  # |+, k>; |-, k> is levels + k
+    root, count = _photons(levels)
+    atom = {"S_plus": _on(space, plus, plus + levels, 1.0, "S_plus"),
+            "S_minus": _on(space, plus + levels, plus, 1.0, "S_minus")}
+    lower = np.concatenate([plus[:-1], plus[:-1] + levels])  # a takes index + 1 to it
+    roots = np.tile(root, 2)
+    cav = {"a": _on(space, lower, lower + 1, roots, "a"),
+           "a_dag": _on(space, lower + 1, lower, roots, "a_dag")}
+    h_bare = Operator(space, np.diag(
+        np.repeat([0.5 * p.omega0, -0.5 * p.omega0], levels) + p.omega0 * count
+    ))
+    # eps a S_+ + conj(eps) a_dag S_-: |-, k> <-> |+, k - 1>
+    pairs = (plus[:-1], plus[1:] + levels)
+    h_int = _on(space, np.concatenate(pairs), np.concatenate(pairs[::-1]),
+                np.concatenate([p.eps * root, np.conj(p.eps) * root]))
     return atom, cav, h_bare, h_bare + h_int
 
 
@@ -187,13 +224,10 @@ def build_jc(
 
 def excitation_number(space: HilbertSpace) -> Operator:
     """Total excitation count: atomic inversion projector plus photon number."""
-    atom = make_atom_ops(space, 0)
-    cav = make_cavity_ops(space, 1)
-    return Operator(
-        space,
-        (atom["S_plus"] @ atom["S_minus"] + cav["n_op"]).matrix,
-        label="N_exc",
-    )
+    levels = space.factor_dims[1]
+    count = _photons(levels)[1]
+    count[:levels] += 1.0
+    return Operator(space, np.diag(count), label="N_exc")
 
 
 def jc_initial_ket(p: JCParams, kind: str = "atom") -> KetState:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -173,11 +174,12 @@ def _channel_terms(
     terms = []
     for w, c in zip(frequencies, coefficients):
         ops = [_coupling_at(couplings, a, w, dim) for a in range(c.shape[0])]
+        dags = [op.conj().T for op in ops]
         for a in range(c.shape[0]):
             for b in range(c.shape[0]):
                 rate = complex(c[a, b])
                 if rate != 0:
-                    terms.append(ChannelTerm(w, rate, ops[b], ops[a].conj().T))
+                    terms.append(ChannelTerm(w, rate, ops[b], dags[a]))
     return tuple(terms)
 
 
@@ -198,7 +200,7 @@ class MasterEquation:
     sum gamma_ab A_a^dag A_b and ``B`` = H_S + H_LS - (i/2) (K + K^dag)/2
     the no-jump generator; every generator form is built from these.
     Immutable after assembly; integrations of the same object may run
-    concurrently.
+    concurrently.  A B with a non-finite entry is a ValueError.
     """
 
     H_S: Operator
@@ -229,6 +231,8 @@ class MasterEquation:
         terms = _channel_terms(fams, self.tensor.frequencies, self.tensor.gamma, dim)
         K = _pair_sum(terms, dim)
         B = self.hamiltonian_matrix() - 0.5j * ((K + K.conj().T) / 2.0)
+        if not np.isfinite(B).all():
+            raise ValueError("no-jump generator B has non-finite entries")
         K.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "terms", terms)
@@ -383,14 +387,17 @@ def validate_detailed_balance(
     return DetailedBalanceReport(worst <= tol, worst)
 
 
-def kron_on(dim: int, idx: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(X, Y) -> kron(X, Y)[ix(idx, idx)] for flat row-major indices of a dim x dim matrix.
+def kron_on(
+    dim: int, rows: np.ndarray, cols: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(X, Y) -> kron(X, Y)[rows, cols] for flat row-major indices of a dim x dim
+    matrix, ``rows`` and ``cols`` broadcast together.
 
     Entry for entry the same products as ``np.kron``, without building it.
     """
-    i, j = np.divmod(idx, dim)
-    rows, cols = np.ix_(i, i), np.ix_(j, j)
-    return lambda x, y: x[rows] * y[cols]
+    i, j = np.divmod(rows, dim)
+    k, l = np.divmod(cols, dim)
+    return lambda x, y: x[i, k] * y[j, l]
 
 
 def jump_superoperator(terms: tuple[ChannelTerm, ...], kron) -> np.ndarray:
@@ -405,6 +412,51 @@ def jump_superoperator(terms: tuple[ChannelTerm, ...], kron) -> np.ndarray:
     return out
 
 
+class Structure(tuple):
+    """The terms of a generator as (X, Y) pairs, each mapping rho to X rho Y,
+    and their one-step reach: the flat row-major entry i d + j of a d x d
+    matrix reaches k d + l when X[k, i] != 0 and Y[j, l] != 0 for some term.
+    Only exact zeros are read (NaN counts as nonzero), once per array the
+    terms hold; the set an entry reaches is kept once computed, for the
+    support search and the restricted generator alike."""
+
+    def reach(self, e: int) -> set[int]:
+        """The entries that entry ``e`` reaches in one step."""
+        if e not in self._seen:
+            d, terms, lists = self._patterns
+            i, j = divmod(e, d)
+            self._seen[e] = {
+                k + l for x, y in terms for k in lists[x + i] for l in lists[y + j]
+            }
+        return self._seen[e]
+
+    @cached_property
+    def _seen(self) -> dict[int, set[int]]:
+        return {}
+
+    @cached_property
+    def _patterns(self) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+        """d, each term's two slots as row offsets, and the stacked rows: row
+        s d + r of a slot lists, for X, the rows k with X[k, r] != 0 as k d,
+        and for Y the columns l with Y[r, l] != 0."""
+        d = len(self[0][0])
+        slots: dict[tuple[int, bool], int] = {}  # terms share their arrays
+        mats, scale = [], []
+
+        def slot(m: np.ndarray, is_x: bool) -> int:
+            if (id(m), is_x) not in slots:
+                slots[id(m), is_x] = len(mats)
+                mats.append((m != 0).T if is_x else m != 0)
+                scale.append(d if is_x else 1)
+            return slots[id(m), is_x] * d
+
+        terms = [(slot(x, True), slot(y, False)) for x, y in self]
+        rows, cols = np.divmod(np.flatnonzero(mats), d)  # one call: np.nonzero is slower
+        ends = np.cumsum(np.bincount(rows, minlength=len(mats) * d)).tolist()
+        cols = (cols * np.repeat(scale, d)[rows]).tolist()
+        return d, terms, [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def linear_system(me: MasterEquation):
     """The zero-temperature master equation as a linear system,
 
@@ -412,24 +464,37 @@ def linear_system(me: MasterEquation):
 
     from ``me.B`` and ``me.terms``.  Returns ``rhs`` on a state (a stack is
     mapped matrix by matrix), ``generator(support)`` (the matrix on those
-    flat row-major entries of vec(rho), with the products of the ``kron``
-    assembly) and the ``structure`` that :func:`invariant_support` reads:
-    the generator's terms as (X, Y) pairs, each mapping rho to X rho Y.
+    flat row-major entries of vec(rho)) and the :class:`Structure` that
+    :func:`invariant_support` reads: the generator's terms as (X, Y) pairs,
+    each mapping rho to X rho Y.  The generator is computed only at the
+    entries (p, q) that some term maps q to, with the products and sums of
+    the ``kron`` assembly at each; every other entry of that assembly is
+    exactly +0 (its products are zeros, and the jump sum starts from 0.0).
     """
     d = me.space.total_dim
     b, b_dag = me.B, me.B.conj().T
     feed = jump_feed(me)
+    eye = np.eye(d)
+    structure = Structure([(b, eye), (eye, b_dag)] + [(t.A_b, t.A_a_dag) for t in me.terms])
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         return -1j * (b @ rho - rho @ b_dag) + feed(rho)
 
     def generator(support: np.ndarray) -> np.ndarray:
-        kron = kron_on(d, support)
+        entries = support.tolist()
+        at = {e: n for n, e in enumerate(entries)}
+        # column q holds the entries of the support that entry q reaches
+        reached = [structure.reach(e) & at.keys() for e in entries]
+        cols = np.repeat(np.arange(len(entries)), [len(r) for r in reached])
+        rows = np.fromiter((at[p] for r in reached for p in r), dtype=np.intp, count=len(cols))
+        kron = kron_on(d, support[rows], support[cols])
         eye = np.eye(d, dtype=complex)
-        return -1j * (kron(b, eye) - kron(eye, b.conj())) + jump_superoperator(me.terms, kron)
+        out = np.zeros((support.size, support.size), dtype=complex)
+        out[rows, cols] = -1j * (kron(b, eye) - kron(eye, b.conj())) + jump_superoperator(
+            me.terms, kron
+        )
+        return out
 
-    eye = np.eye(d)
-    structure = [(b, eye), (eye, b_dag)] + [(t.A_b, t.A_a_dag) for t in me.terms]
     return rhs, generator, structure
 
 
@@ -440,32 +505,30 @@ def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) ->
     return linear_system(me)[1](everything if support is None else support)
 
 
-def liouvillian_structure(me: MasterEquation) -> list[tuple[np.ndarray, np.ndarray]]:
+def liouvillian_structure(me: MasterEquation) -> Structure:
     """The terms of :func:`liouvillian_matrix` as rho -> X rho Y, for :func:`invariant_support`."""
     return linear_system(me)[2]
 
 
-def invariant_support(y0: np.ndarray, structure: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def invariant_support(y0: np.ndarray, structure: Structure) -> np.ndarray:
     """Flat row-major indices of the smallest coordinate subspace that holds
     the d x d state ``y0`` and that the generator maps into itself.
 
-    ``structure`` lists the generator's terms as (X, Y) pairs, each
-    mapping rho to X rho Y.  Only exact zeros of X and Y are read, so an
-    entry at roundoff level counts.  On an invariant subspace S,
-    expm(L)[S, S] = expm(L[S, S]) and entries outside S stay exactly 0.
+    ``structure`` is the generator's :class:`Structure` (its terms as
+    (X, Y) pairs, each mapping rho to X rho Y).  Only exact zeros of X and
+    Y are read, so an entry at roundoff level counts.  On an invariant
+    subspace S, expm(L)[S, S] = expm(L[S, S]) and entries outside S stay
+    exactly 0.  A worklist search: each entry reached is expanded once, at
+    the cost of the terms' nonzeros in its row and column.
     """
-    # the 0/1 patterns of the terms, one (T, d, d) stack per side
-    xs = np.array([x != 0 for x, _ in structure], dtype=float)
-    ys = np.array([y != 0 for _, y in structure], dtype=float)
-    reached = frontier = y0 != 0
-    while frontier.any():
-        # only the rows and columns the new entries occupy enter the products
-        rows = np.flatnonzero(frontier.any(axis=1))
-        cols = np.flatnonzero(frontier.any(axis=0))
-        f = frontier[np.ix_(rows, cols)].astype(float)
-        frontier = (xs[:, :, rows] @ f @ ys[:, cols] > 0).any(axis=0) & ~reached
-        reached = reached | frontier
-    return np.flatnonzero(reached)
+    d = y0.shape[-1]
+    reached = set(np.flatnonzero(y0).tolist())
+    todo = list(reached)
+    while todo and len(reached) < d * d:
+        new = structure.reach(todo.pop()) - reached
+        reached |= new
+        todo.extend(new)
+    return np.sort(np.fromiter(reached, dtype=np.intp, count=len(reached)))
 
 
 def default_max_step(me: MasterEquation) -> float:

@@ -35,7 +35,7 @@ def linear_system(me: MasterEquation, shift: int):
 
     def generator(support: np.ndarray) -> np.ndarray:
         block, entry = np.divmod(support, d * d)
-        kron = kron_on(d, entry)
+        kron = kron_on(d, entry[:, None], entry[None, :])
         eye = np.eye(d, dtype=complex)
         nojump = -1j * (kron(b, eye) - kron(eye, b.conj()))
         jumps = jump_superoperator(me.terms, kron)

@@ -1,14 +1,19 @@
-"""The per-term support search on a stack of blocks.
+"""Dense support searches and the dense restricted generator, as oracles.
 
-One 0/1 product per term of the structure and per block of the frontier,
-summed into a float image.  ``cobath.master_equation.invariant_support``
-searches one state with one batched product per step; on one state (every
-term at shift 0) it must return the same index array, which
-``tests/test_master_equation.py`` checks.  The hierarchy tests read the
-support of block stacks from this search.
+``reference_invariant_support`` takes one 0/1 product per term of the
+structure and per block of the frontier, summed into a float image; the
+hierarchy tests read the support of block stacks from it.
+``dense_invariant_support`` searches one state with one batched 0/1
+product of all terms per step.  ``cobath.master_equation.invariant_support``
+(a worklist over the terms' nonzeros) must return the same index array,
+dtype included, as both.  ``dense_generator`` assembles L[S, S] from
+|S| x |S| products of every term; the library's generator, which fills
+only the entries some term reaches, must be bitwise the same.
 """
 
 import numpy as np
+
+from cobath.master_equation import jump_superoperator, kron_on
 
 
 def reference_invariant_support(y0, structure):
@@ -33,3 +38,30 @@ def reference_invariant_support(y0, structure):
         frontier = (image > 0) & ~reached
         reached = reached | frontier
     return np.flatnonzero(reached)
+
+
+def dense_invariant_support(y0, structure):
+    """Flat indices of the support of the d x d state ``y0``; ``structure``
+    lists the generator's terms as (X, Y), each mapping rho to X rho Y."""
+    # the 0/1 patterns of the terms, one (T, d, d) stack per side
+    xs = np.array([x != 0 for x, _ in structure], dtype=float)
+    ys = np.array([y != 0 for _, y in structure], dtype=float)
+    reached = frontier = y0 != 0
+    while frontier.any():
+        # only the rows and columns the new entries occupy enter the products
+        rows = np.flatnonzero(frontier.any(axis=1))
+        cols = np.flatnonzero(frontier.any(axis=0))
+        f = frontier[np.ix_(rows, cols)].astype(float)
+        frontier = (xs[:, :, rows] @ f @ ys[:, cols] > 0).any(axis=0) & ~reached
+        reached = reached | frontier
+    return np.flatnonzero(reached)
+
+
+def dense_generator(me, support):
+    """L[S, S] of the master equation ``me`` on the flat row-major entries
+    ``support``, every entry from the products of the kron assembly."""
+    d = me.space.total_dim
+    b = me.B
+    kron = kron_on(d, support[:, None], support[None, :])
+    eye = np.eye(d, dtype=complex)
+    return -1j * (kron(b, eye) - kron(eye, b.conj())) + jump_superoperator(me.terms, kron)

@@ -980,6 +980,16 @@ def test_cli_rejects_non_finite_numbers(path, value, tmp_path, capsys):
     assert path in err and "must be a finite number" in err
 
 
+def test_cli_rejects_omega0_whose_top_level_overflows(tmp_path, capsys):
+    # omega0 (n_max + 1) overflows: a config error, not a numerical failure
+    cfg = base_config()
+    cfg["params"]["omega0"] = 1e308
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "params.omega0: must be a finite number" in capsys.readouterr().err
+
+
 def _repeat_key(cfg, path, value):
     """``cfg`` as JSON text in which the key at ``path`` appears a second time, with ``value``."""
     *parents, key = path.split(".")

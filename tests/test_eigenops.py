@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cobath.core import HilbertSpace, Operator, make_atom_ops, make_cavity_ops
@@ -13,6 +15,8 @@ from cobath.eigenops import (
 from cobath.jc import JCParams, _hamiltonians, build_jc, excitation_number, jc_initial, jc_space
 from cobath.master_equation import invariant_support, liouvillian_structure
 from conftest import random_hermitian
+from split_reference import embedded_hamiltonians, full_product_eigenoperators
+from support_reference import dense_invariant_support, reference_invariant_support
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -411,3 +415,160 @@ def test_dressed_split_keeps_excitation_sectors_exact(omega0, support_size, rais
     emitting = [eo.op.matrix for fam in me.couplings for eo in fam if eo.frequency > 0]
     assert all(np.all(np.isin(delta_n[m != 0], (-1, 1))) for m in emitting)
     assert sum(np.count_nonzero(delta_n[m != 0] == 1) for m in emitting) == raising
+
+
+# ------------------------------------------------- full-product split oracle
+
+def bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def _assert_same_components(parts, want, exact=True):
+    assert [e.frequency for e in parts] == [e.frequency for e in want]
+    assert [(e.op.label, e.source_index) for e in parts] == [
+        (e.op.label, e.source_index) for e in want
+    ]
+    for e, w in zip(parts, want):
+        if exact:
+            np.testing.assert_array_equal(bits(e.op.matrix), bits(w.op.matrix))
+        else:
+            np.testing.assert_array_equal(e.op.matrix, w.op.matrix)
+
+
+def _jc_couplings(p):
+    atom, cav, h_bare, h_full = _hamiltonians(p, jc_space(p))
+    return (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"]), h_bare, h_full
+
+
+@pytest.mark.parametrize("dressed", [False, True])
+@pytest.mark.parametrize("eps", [0.1, -0.07 + 0.05j])
+@pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3])
+@pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
+def test_jc_split_is_bitwise_the_full_product_split(n_exc, omega0, eps, dressed):
+    p = JCParams(omega0=omega0, eps=eps, g11=0.01, g22=0.01, n_exc=n_exc)
+    couplings, h_bare, h_full = _jc_couplings(p)
+    d = decompose(h_full if dressed else h_bare)
+    if not dressed:
+        assert d.basis is not None  # the bare H is diagonal: the re-indexing path
+    for k, a in enumerate(couplings):
+        _assert_same_components(eigenoperators(a, d, k), full_product_eigenoperators(a, d, k))
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_random_split_is_the_full_product_split(dim, rng):
+    # dense and sparse couplings against a dense, a sparse and a diagonal H
+    for kind in ("dense", "sparse", "diagonal"):
+        h = random_hermitian(rng, dim)
+        if kind == "sparse":
+            h[rng.random((dim, dim)) < 0.7] = 0
+            h = h + h.conj().T
+        if kind == "diagonal":
+            h = np.diag(rng.integers(0, 3, size=dim) + 1e-10 * rng.normal(size=dim))
+        H = Operator(HilbertSpace((dim,)), h)
+        a = random_hermitian(rng, dim)
+        a[rng.random((dim, dim)) < 0.4] = 0
+        a = Operator(H.space, a + a.conj().T)
+        for tol in (None, 0.05, 0.5):
+            d = decompose(H, tol)
+            assert d.basis is not None or kind != "diagonal"
+            # against a permutation, only the sign of a zero may differ
+            _assert_same_components(
+                eigenoperators(a, d), full_product_eigenoperators(a, d), exact=d.basis is None
+            )
+
+
+def test_basis_is_set_only_for_a_permutation_of_unit_columns():
+    space = HilbertSpace((3,))
+    perm = np.eye(3)[:, [2, 0, 1]]
+    d = SpectralDecomposition(space, (0.0, 1.0, 2.0), perm, (0, 1, 2), 1e-8)
+    np.testing.assert_array_equal(d.basis, [2, 0, 1])
+    for v in (-perm, 1j * perm, perm + 1e-300 * np.eye(3)[:, [1, 2, 0]]):
+        assert SpectralDecomposition(space, (0.0, 1.0, 2.0), v, (0, 1, 2), 1e-8).basis is None
+
+
+@pytest.mark.parametrize("eps", [0.1, -0.1, 0.1j, -0.1 - 0.05j, 0.0, -0.0, complex(-0.0, -0.0)])
+@pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3, 123.456])
+@pytest.mark.parametrize("n_exc, n_max", [(0, None), (1, None), (2, 7), (13, None), (30, None)])
+def test_jc_operators_are_bitwise_the_embedded_products(n_exc, n_max, omega0, eps):
+    p = JCParams(omega0=omega0, eps=eps, g11=0.01, g22=0.01, n_exc=n_exc, n_max=n_max)
+    space = jc_space(p)
+    atom, cav, h_bare, h_full = _hamiltonians(p, space)
+    want_atom, want_cav, want_bare, want_full = embedded_hamiltonians(p, space)
+    pairs = [(atom[k], want_atom[k]) for k in ("S_plus", "S_minus")]
+    pairs += [(cav[k], want_cav[k]) for k in ("a", "a_dag")]
+    pairs += [(h_bare, want_bare), (h_full, want_full)]
+    n_op = want_atom["S_plus"] @ want_atom["S_minus"] + want_cav["n_op"]
+    pairs.append((excitation_number(space), n_op))
+    for got, want in pairs:
+        np.testing.assert_array_equal(bits(got.matrix), bits(want.matrix))
+
+
+def test_cluster_means_are_each_runs_mean():
+    # clusters of many lengths: each mean must carry the bits of np.mean of its run
+    rng = np.random.default_rng(7)
+    sizes = [1, 2, 3, 7, 8, 9, 17, 2, 1, 40]
+    centres = np.cumsum(rng.uniform(1.0, 2.0, size=len(sizes)))
+    diag = np.concatenate([c + 1e-12 * rng.normal(size=s) for c, s in zip(centres, sizes)])
+    d = decompose(Operator(HilbertSpace((len(diag),)), np.diag(rng.permutation(diag))))
+    runs = np.split(np.sort(diag), np.cumsum(sizes)[:-1])
+    assert d.eigenvalues == tuple(float(np.mean(run)) for run in runs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_decompose_rejects_non_finite_entries(bad):
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    h[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        decompose(Operator(HilbertSpace((3,)), h))
+
+
+def test_eigenoperators_rejects_non_finite_entries():
+    d = decompose(qubit_h())
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenoperators(Operator(HilbertSpace((2,)), np.array([[0.0, np.nan], [np.nan, 0.0]])), d)
+
+
+# --------------------------------------------- random JC models (property)
+
+RATE = st.one_of(st.just(0.0), st.floats(1e-3, 0.05))
+PHASE = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def jc_models(draw):
+    g11, g22 = draw(RATE), draw(RATE)
+    cross = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) * np.sqrt(g11 * g22)
+    return JCParams(
+        omega0=draw(st.floats(0.5, 2.0)),
+        eps=draw(st.floats(0.01, 0.5)) * np.exp(1j * draw(PHASE)),
+        g11=g11,
+        g22=g22,
+        g12=cross * np.exp(1j * draw(PHASE)),
+        k_mirror=draw(RATE),
+        n_exc=draw(st.integers(1, 3)),
+    ), draw(st.sampled_from(["atom", "photon", "mix"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jc_models())
+def test_random_jc_models_agree_with_the_oracles(model):
+    # no engine disagreement: the support search is the per-term and the
+    # dense search, and the bare split is the pairwise projector oracle
+    p, initial = model
+    me = build_jc(p)
+    structure = liouvillian_structure(me)
+    y0 = jc_initial(p, initial).matrix
+    got = invariant_support(y0, structure)
+    for want in (
+        reference_invariant_support(y0, [(0, x, y) for x, y in structure]),
+        dense_invariant_support(y0, structure),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    couplings, h_bare, _ = _jc_couplings(p)
+    d = decompose(h_bare)
+    for a in couplings:
+        parts, want = eigenoperators(a, d), pairwise_eigenoperators(a, d)
+        assert [e.frequency for e in parts] == [w for w, _ in want]
+        for e, (_, m) in zip(parts, want):
+            np.testing.assert_array_equal(bits(e.op.matrix), bits(m))

@@ -63,6 +63,23 @@ def test_params_reject_negative_rates():
         JCParams(omega0=1.0, eps=0.1, g11=-0.01, g22=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("field", ["eps", "g11", "g22", "g12", "k_mirror"])
+def test_params_reject_non_finite_values(field, value):
+    # the config parser's wording; NaN passes every "< 0" and PSD check
+    if field in ("g11", "g22", "k_mirror") and isinstance(value, complex):
+        value = value.imag
+    with pytest.raises(ValueError, match=f"^{field}: must be a finite number$"):
+        JCParams(**{**DFS, field: value})
+
+
+@pytest.mark.parametrize("omega0, n_max", [(1e308, None), (4e307, 5), (math.nan, None), (math.inf, None)])
+def test_params_reject_omega0_whose_top_level_is_not_finite(omega0, n_max):
+    with pytest.raises(ValueError, match=r"^omega0: .*omega0 \* \(n_max \+ 1\) finite"):
+        JCParams(**{**DFS, "omega0": omega0, "n_max": n_max})
+    JCParams(**{**DFS, "omega0": 1e307})  # 1e307 * 4 is finite
+
+
 # ---------------------------------------------------------------- assembly
 
 def test_independent_baths_limit_is_exact(rng):

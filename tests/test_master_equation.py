@@ -37,6 +37,7 @@ from cobath.master_equation import (
     grid_resolution,
     integrate,
     invariant_support,
+    linear_system,
     liouvillian_matrix,
     liouvillian_structure,
     propagate_linear,
@@ -46,7 +47,11 @@ from cobath.master_equation import (
 )
 from cobath.runner import build_model, simulate_config
 from conftest import CONFIGS, random_hermitian, random_unitary, rotate_model, shipped_runs
-from support_reference import reference_invariant_support
+from support_reference import (
+    dense_generator,
+    dense_invariant_support,
+    reference_invariant_support,
+)
 
 
 # ---------------------------------------------------------------- tensors
@@ -522,6 +527,19 @@ def test_restricted_liouvillian_is_the_full_one_restricted():
     np.testing.assert_array_equal(liouvillian_matrix(me, everything), full)
 
 
+def assert_support_is_both_dense_searches(y0, structure):
+    """The worklist search of ``y0`` against the per-term and the batched
+    dense 0/1 searches: the same index array, dtype included."""
+    got = invariant_support(y0, structure)
+    for want in (
+        reference_invariant_support(y0, [(0, x, y) for x, y in structure]),
+        dense_invariant_support(y0, structure),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    return got
+
+
 @pytest.mark.parametrize("k_mirror", [0.0, 0.05])
 @pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
 def test_support_search_is_the_per_term_reference_on_jc(n_exc, k_mirror):
@@ -529,10 +547,7 @@ def test_support_search_is_the_per_term_reference_on_jc(n_exc, k_mirror):
                  n_exc=n_exc)
     structure = liouvillian_structure(build_jc(p))
     y0 = jc_initial(p, "mix" if n_exc else "atom").matrix
-    got = invariant_support(y0, structure)
-    want = reference_invariant_support(y0, [(0, x, y) for x, y in structure])
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    got = assert_support_is_both_dense_searches(y0, structure)
     assert got.size == 1 + 4 * n_exc
 
 
@@ -550,14 +565,107 @@ def test_support_search_is_the_per_term_reference_off_jc(rng):
     for me, rho0 in cases:
         structure = liouvillian_structure(me)
         for y0 in (rho0, np.zeros_like(rho0)):
-            got = invariant_support(y0, structure)
-            want = reference_invariant_support(y0, [(0, x, y) for x, y in structure])
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-            sizes.append(got.size)
+            sizes.append(assert_support_is_both_dense_searches(y0, structure).size)
     d = jc_space(p).total_dim
     assert sizes[:2] == [d * d, 0]
     assert sizes[3] == 0
+
+
+def support_oracle_inputs(name, rng):
+    """(me, y0) of a support-search oracle input: each SUPPORT_CASES start, a
+    lone coherence, the rotated full-support model (its state and a lone
+    entry) and a sector-pure start at n_exc 128."""
+    if name in SUPPORT_CASES:
+        _, me, rho0 = support_case(name)
+        return me, rho0.matrix
+    if name == "coherence":
+        _, me, _ = support_case("mirror_n3_mix")
+        y0 = np.zeros((me.space.total_dim,) * 2, dtype=complex)
+        y0[0, -1] = 1.0
+        return me, y0
+    if name.startswith("rotated"):
+        p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j)
+        u = random_unitary(rng, jc_space(p).total_dim)
+        me = rotate_model(build_jc(p), u)
+        rho0 = u @ jc_initial(p).matrix @ u.conj().T
+        return me, rho0 if name == "rotated" else np.eye(len(u))[:, :1] @ np.eye(len(u))[:1]
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, n_exc=128)
+    return build_jc(p), jc_initial(p).matrix
+
+
+@pytest.mark.parametrize("name", [*SUPPORT_CASES, "coherence", "rotated", "rotated_entry", "n128"])
+def test_support_search_is_both_dense_searches(name, rng):
+    me, y0 = support_oracle_inputs(name, rng)
+    got = assert_support_is_both_dense_searches(y0, liouvillian_structure(me))
+    d = me.space.total_dim
+    assert got.size == {"rotated": d * d, "rotated_entry": d * d, "n128": 513}.get(name, got.size)
+
+
+def bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+# the many-quanta benchmark's models: jc-common at n_exc 13, 14 and 30,
+# g11 and g22 in [0.0095, 0.0105], g12 = c sqrt(g11 g22) with c in [0.5, 0.95]
+MANY_QUANTA = [
+    (n_exc, g11, g22, cross * math.sqrt(g11 * g22))
+    for n_exc in (13, 14, 30)
+    for g11, g22, cross in ((0.0095, 0.0105, 0.5), (0.0101, 0.0098, 0.73), (0.0105, 0.0095, 0.95))
+]
+
+
+def restricted_generator_cases():
+    """(name, me, y0) of every shipped config and of the many-quanta models."""
+    cases = {}
+    for name, cfg in shipped_runs():
+        me = build_model(cfg)
+        cases[name.removesuffix("[closed-form]")] = (me, jc_initial(cfg.params, cfg.initial).matrix)
+    for n_exc, g11, g22, g12 in MANY_QUANTA:
+        p = JCParams(omega0=1.0, eps=0.1, g11=g11, g22=g22, g12=g12, n_exc=n_exc)
+        cases[f"many_quanta_{n_exc}_{g11}"] = (build_jc(p), jc_initial(p).matrix)
+    return cases
+
+
+def test_restricted_generator_is_bitwise_the_dense_assembly():
+    # L[S, S] from the reached entries only, against every entry from the
+    # |S| x |S| products: equal under a uint64 view, so signed zeros count
+    for name, (me, y0) in restricted_generator_cases().items():
+        _, generator, structure = linear_system(me)
+        support = invariant_support(y0, structure)
+        got, want = generator(support), dense_generator(me, support)
+        assert got.shape == want.shape == (support.size, support.size), name
+        assert np.array_equal(bits(got), bits(want)), name
+
+
+def test_generator_on_any_support_is_bitwise_the_dense_assembly(rng):
+    # supports that are not invariant, unsorted, or empty: entries outside
+    # them are not read
+    _, me, rho0 = support_case("mirror_n3_mix")
+    d = me.space.total_dim
+    generator = linear_system(me)[1]
+    for support in (
+        rng.permutation(d * d)[:40],
+        np.sort(rng.permutation(d * d)[:60]),
+        np.arange(d * d),
+        np.zeros(0, dtype=np.intp),
+    ):
+        got, want = generator(support), dense_generator(me, support)
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("where", ["hamiltonian", "coupling"])
+def test_master_equation_rejects_a_non_finite_generator(where):
+    me = build_jc(JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01))
+    h, fams = me.H_S, me.couplings
+    if where == "hamiltonian":
+        h = Operator(h.space, h.matrix + np.diag([np.inf] + [0.0] * (h.space.total_dim - 1)))
+    else:
+        eo = fams[0][-1]  # the lowering component, at +omega0
+        m = eo.op.matrix.copy()
+        m[m != 0] = np.nan
+        fams = ((*fams[0][:-1], EigenOperator(eo.frequency, Operator(eo.op.space, m))), fams[1])
+    with pytest.raises(ValueError, match="non-finite"):
+        MasterEquation(h, fams, me.tensor)
 
 
 def counting_expm(monkeypatch):
