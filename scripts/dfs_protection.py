@@ -57,7 +57,7 @@ def main():
         (OUT / f"dfs_{name}.svg").write_text(
             emit_svg(grid, cols, title=f"shared bath, {name}"), encoding="utf-8"
         )
-        state, label = asymptotic_state(p, verify=False)
+        state, label = asymptotic_state(p)
         print(
             f"{name:>12}: classified {label!r}; final envelope C = {env[-1]:.4f}, "
             f"conditional C = {cond[-1]:.4f}, P+ = {pop[-1]:.4f}"

@@ -7,48 +7,32 @@ from .core import (
     Operator,
     basis_index,
     basis_ket,
-    make_atom_ops,
-    make_cavity_ops,
-    partial_trace,
-    tensor_product,
 )
 from .eigenops import (
     EigenOperator,
     SpectralDecomposition,
     decompose,
     eigenoperators,
-    verify_rwa_conservation,
 )
 from .master_equation import (
-    DetailedBalanceReport,
     IntegrationError,
     MasterEquation,
     SpectralTensor,
     apply_t0_filter,
-    build_dissipator,
-    build_lamb_shift,
     diagonalize_gamma,
     integrate,
     jump_feed,
     jump_operators,
-    validate_detailed_balance,
 )
 from .trajectories import (
-    EffectiveGenerator,
     McwfResult,
-    TrajectoryHierarchy,
-    effective_generator,
+    hierarchy_sector,
     mcwf_unravel,
-    propagate_deterministic,
-    reconstruct,
-    solve_hierarchy,
 )
 from .jc import (
     BlockSolution,
     JCParams,
     asymptotic_state,
-    block_concurrence_exact,
-    block_concurrence_variant,
     build_jc,
     closed_form_block,
     closed_form_states,
@@ -61,9 +45,7 @@ from .jc import (
     jc_initial,
     jc_initial_ket,
     jc_space,
-    no_jump_postselect,
     sector_entries,
-    solve_jc_hierarchy,
     two_qubit_projection,
     wootters_concurrence,
     x_state_concurrence,

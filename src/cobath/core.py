@@ -25,11 +25,6 @@ __all__ = [
     "StatePattern",
     "hermiticity_defect",
     "KetState",
-    "tensor_product",
-    "make_atom_ops",
-    "make_cavity_ops",
-    "partial_trace",
-    "identity",
     "embed",
     "basis_index",
     "basis_ket",
@@ -389,17 +384,6 @@ class KetState:
         return DensityMatrix(self.space, m, tolerance=tolerance, trace_target=target)
 
 
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker composition; factor order is a's factors then b's."""
-    space = HilbertSpace(a.space.factor_dims + b.space.factor_dims)
-    label = f"{a.label}(x){b.label}" if a.label or b.label else ""
-    return Operator(space, np.kron(a.matrix, b.matrix), label=label)
-
-
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.total_dim), label="I")
-
-
 def embed(local: np.ndarray, space: HilbertSpace, factor: int, label: str = "") -> Operator:
     """Lift a single-factor matrix into the full space: I (x) ... (x) local (x) ... (x) I."""
     dims = space.factor_dims
@@ -422,42 +406,6 @@ def embed(local: np.ndarray, space: HilbertSpace, factor: int, label: str = "") 
     return Operator(space, m.reshape(n, n), label=label)
 
 
-def make_atom_ops(space: HilbertSpace, factor: int = 0) -> dict[str, Operator]:
-    """Two-level operators on the given factor, embedded in the full space.
-
-    Basis convention: index 0 is the excited state |+>, index 1 the ground
-    state |->, so S_z = diag(+1, -1) and S_plus = |+><-|.
-    """
-    if space.factor_dims[factor] != 2:
-        raise ValueError(f"factor {factor} has dim {space.factor_dims[factor]}, need a 2-level factor")
-    s_z = np.diag([1.0, -1.0]).astype(complex)
-    s_plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    s_minus = s_plus.conj().T
-    return {
-        "S_z": embed(s_z, space, factor, label="S_z"),
-        "S_plus": embed(s_plus, space, factor, label="S_plus"),
-        "S_minus": embed(s_minus, space, factor, label="S_minus"),
-    }
-
-
-def make_cavity_ops(space: HilbertSpace, factor: int = 1) -> dict[str, Operator]:
-    """Truncated-mode ladder operators on the given factor (dim = n_max + 1).
-
-    a|n> = sqrt(n)|n-1> with hard truncation: a_dag|n_max> = 0. Below the
-    truncation level the canonical commutator [a, a_dag] = 1 holds exactly.
-    """
-    dim = space.factor_dims[factor]
-    if dim < 2:
-        raise ValueError(f"cavity factor needs n_max >= 1, got dim {dim}")
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-    a_dag = a.conj().T
-    return {
-        "a": embed(a, space, factor, label="a"),
-        "a_dag": embed(a_dag, space, factor, label="a_dag"),
-        "n_op": embed(a_dag @ a, space, factor, label="n"),
-    }
-
-
 def basis_index(space: HilbertSpace, indices: tuple[int, ...]) -> int:
     """Flat index of |i_0, i_1, ...>: mixed radix, first factor slowest (np.kron order)."""
     if len(indices) != space.n_factors:
@@ -475,26 +423,3 @@ def basis_ket(space: HilbertSpace, indices: tuple[int, ...]) -> KetState:
     v = np.zeros(space.total_dim, dtype=complex)
     v[basis_index(space, indices)] = 1.0
     return KetState(space, v)
-
-
-def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
-    """Trace out all factors not listed in ``keep`` (trace- and Hermiticity-preserving)."""
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    dims = rho.space.factor_dims
-    if not keep or any(not 0 <= k < len(dims) for k in keep):
-        raise ValueError(f"keep must be a non-empty subset of factor indices 0..{len(dims) - 1}")
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    # contract each traced factor with its bra-side partner
-    traced = [i for i in range(n) if i not in keep]
-    for count, i in enumerate(traced):
-        # after each trace the tensor loses one ket and one bra axis
-        offset = sum(1 for j in traced[:count] if j < i)
-        ket_ax = i - offset
-        bra_ax = ket_ax + (n - count)
-        t = np.trace(t, axis1=ket_ax, axis2=bra_ax)
-    d_keep = prod(dims[k] for k in keep)
-    m = t.reshape(d_keep, d_keep)
-    sub = HilbertSpace(tuple(dims[k] for k in keep))
-    return DensityMatrix(sub, m, tolerance=rho.tolerance, trace_target=rho.trace_target)
-

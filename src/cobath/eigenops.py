@@ -17,14 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import HilbertSpace, Operator, StatePattern, _freeze, identity, tensor_product
+from .core import HilbertSpace, Operator, StatePattern, _freeze
 
 __all__ = [
     "SpectralDecomposition",
     "EigenOperator",
     "decompose",
     "eigenoperators",
-    "verify_rwa_conservation",
 ]
 
 # zero-norm frequency blocks would pollute the dissipator sums
@@ -198,29 +197,3 @@ def eigenoperators(
             EigenOperator(w, Operator(A.space, m, label=f"{A.label}({w:g})"), source_index)
         )
     return out
-
-
-def verify_rwa_conservation(
-    H_S: Operator,
-    H_B: Operator,
-    pairs: list[tuple[Operator, Operator]],
-) -> float:
-    """Residual norm of the free-energy conservation check.
-
-    Builds the interaction H_I = sum_k A_k (x) B_k from the given
-    system/bath operator pairs and returns ||[H_S (x) I + I (x) H_B, H_I]||
-    (Frobenius).  The residual vanishes when every pair matches a
-    lowering component A(w) with a raising bath component B(-w) at the
-    same frequency, and reports the mismatch scale otherwise.
-    """
-    if not pairs:
-        raise ValueError("need at least one (system, bath) operator pair")
-    for a, b in pairs:
-        if a.space != H_S.space or b.space != H_B.space:
-            raise ValueError("pair operators do not match the system/bath spaces")
-    H_free = tensor_product(H_S, identity(H_B.space)) + tensor_product(identity(H_S.space), H_B)
-    H_I = tensor_product(pairs[0][0], pairs[0][1])
-    for a, b in pairs[1:]:
-        H_I = H_I + tensor_product(a, b)
-    comm = H_free @ H_I - H_I @ H_free
-    return float(np.linalg.norm(comm.matrix))

@@ -39,8 +39,7 @@ from .core import (
     embed,
 )
 from .eigenops import decompose, eigenoperators
-from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor, integrate
-from .trajectories import TrajectoryHierarchy, solve_hierarchy
+from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor
 
 __all__ = [
     "JCParams",
@@ -56,8 +55,6 @@ __all__ = [
     "closed_form_states",
     "wootters_concurrence",
     "x_state_concurrence",
-    "block_concurrence_exact",
-    "block_concurrence_variant",
     "CONDITIONAL_FLOOR",
     "ConditionalState",
     "conditional_state",
@@ -66,8 +63,6 @@ __all__ = [
     "excited_population",
     "ground_population",
     "asymptotic_state",
-    "no_jump_postselect",
-    "solve_jc_hierarchy",
 ]
 
 PSD_SLACK = 1e-12
@@ -180,45 +175,38 @@ def _hamiltonians(p: JCParams, space: HilbertSpace):
     return atom, cav, h_bare, h_bare + h_int
 
 
-def build_jc(
-    p: JCParams, dressed: bool = False, tensor: SpectralTensor | None = None
-) -> MasterEquation:
+def build_jc(p: JCParams, tensor: SpectralTensor | None = None) -> MasterEquation:
     """Assemble the master equation for the shared-bath model.
 
     The coupling channels are the frequency components of S_+ + S_- and
-    a + a_dag.  By default they are split against the bare (uncoupled)
-    Hamiltonian, which yields the plain lowering operators S_- and a at
-    the resonance frequency; ``dressed=True`` splits against the full
-    Hamiltonian instead (sensitivity studies only).  The rate matrix is
-    applied flat across all positive frequencies, the tensor is built
-    already filtered for zero temperature, and no Lamb shift is included.
-    A given ``tensor`` (zero-temperature, channels atom and mode) replaces
-    that flat rate matrix; the rates in ``p`` are then unused.
+    a + a_dag, split against the bare (uncoupled) Hamiltonian, which
+    yields the plain lowering operators S_- and a at the resonance
+    frequency.  The rate matrix is applied flat across all positive
+    frequencies, and the tensor is built already filtered for zero
+    temperature.  A given ``tensor`` (zero-temperature, channels atom and
+    mode) replaces that flat rate matrix; the rates in ``p`` are then
+    unused.  Each of its positive frequencies must carry a coupling
+    component: a rate anywhere else would act on no operator and
+    silently vanish, so it is a ValueError.
     """
     space = jc_space(p)
     atom, cav, h_bare, h_full = _hamiltonians(p, space)
-    ref = h_full if dressed else h_bare
-    decomp = decompose(ref)
+    decomp = decompose(h_bare)
     fam1 = tuple(eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, source_index=0))
     fam2 = tuple(eigenoperators(cav["a"] + cav["a_dag"], decomp, source_index=1))
+    emitting = [eo.frequency for fam in (fam1, fam2) for eo in fam if eo.frequency > FREQ_MATCH_TOL]
+    freqs = sorted({round(w, 12) for w in emitting})
 
     if tensor is None:
         g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
-        freqs = sorted(
-            {
-                round(eo.frequency, 12)
-                for fam in (fam1, fam2)
-                for eo in fam
-                if eo.frequency > FREQ_MATCH_TOL
-            }
-        )
         tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
+    for w in tensor.frequencies:
+        if w > FREQ_MATCH_TOL and not any(abs(f - w) <= FREQ_MATCH_TOL for f in freqs):
+            raise ValueError(
+                f"no coupling component at tensor frequency {w!r} (the channels act at {freqs})"
+            )
     return MasterEquation(
-        H_S=Operator(space, h_full.matrix, label="H_S"),
-        couplings=(fam1, fam2),
-        tensor=tensor,
-        H_LS=None,
-        temperature_mode="zero",
+        H_S=Operator(space, h_full.matrix, label="H_S"), couplings=(fam1, fam2), tensor=tensor
     )
 
 
@@ -521,51 +509,6 @@ def x_state_concurrence(rho4: np.ndarray) -> float | np.ndarray:
     return _per_state(2.0 * np.maximum(0.0, np.maximum(outer, inner)))
 
 
-def block_concurrence_exact(r11: float, r12: complex, r22: float) -> float:
-    """Concurrence of the normalized conditional one-excitation state.
-
-    For a state supported on {|0,+>, |1,->} the spin-flip construction
-    collapses to 2 |r12| / (r11 + r22); kept as an independent algebraic
-    cross-check of the eigenvalue route.
-    """
-    tr = r11 + r22
-    if tr <= CONDITIONAL_FLOOR:
-        raise ValueError("conditional block has vanishing weight")
-    return float(2.0 * abs(r12) / tr)
-
-
-def block_concurrence_variant(r11: float, r12: complex, r22: float) -> float:
-    """Alternative closed-form candidate retained only for the discrepancy report.
-
-    Reads the conditional concurrence as a difference of two square roots
-    built from the block entries.  It does NOT agree with the spin-flip
-    value (see docs/concurrence_discrepancy.md); shipped results always
-    use :func:`x_state_concurrence` / :func:`block_concurrence_exact`.
-    """
-    tr = r11 + r22
-    if tr <= CONDITIONAL_FLOOR:
-        raise ValueError("conditional block has vanishing weight")
-    core = 2.0 * (r11 * r22 + abs(r12) ** 2)
-    cross = 4.0 * r22 * abs(r12)
-    hi = max(core + cross, 0.0) / tr
-    lo = max(core - cross, 0.0) / tr
-    return float(math.sqrt(hi) - math.sqrt(lo))
-
-
-def _conditional_two_qubit(r11: float, r12: complex, r22: float) -> np.ndarray:
-    tr = r11 + r22
-    if tr <= CONDITIONAL_FLOOR:
-        raise ValueError("conditional block has vanishing weight")
-    rho = np.zeros((4, 4), dtype=complex)
-    # basis of two_qubit_projection, |+,0>, |+,1>, |-,0>, |-,1>: the
-    # excitation lives on |+,0> (index 0) and |-,1> (index 3)
-    rho[0, 0] = r11 / tr
-    rho[0, 3] = r12 / tr
-    rho[3, 0] = np.conj(r12) / tr
-    rho[3, 3] = r22 / tr
-    return rho
-
-
 def two_qubit_projection(rho: DensityMatrix | np.ndarray, space: HilbertSpace) -> np.ndarray:
     """Restrict a full atom (x) mode state to the {0, 1}-photon two-qubit block.
 
@@ -662,10 +605,7 @@ def _is_dfs(p: JCParams, tol: float = 1e-9) -> bool:
 
 
 def asymptotic_state(
-    p: JCParams,
-    initial: KetState | None = None,
-    verify: bool = True,
-    horizon_factor: float = 20.0,
+    p: JCParams, initial: KetState | None = None
 ) -> tuple[DensityMatrix, str]:
     """Long-time state for a single injected excitation, with classification.
 
@@ -674,9 +614,7 @@ def asymptotic_state(
     the initial state survives and the rest decays, leaving the mixture
     w |psi_dark><psi_dark| + (1 - w) |ground><ground| with w the initial
     dark-state overlap; any other rates decay to the ground state.  The
-    default initial state |0 photons, +> has w = 1/2 exactly.  With
-    ``verify=True`` the prediction is checked against direct integration
-    to t = horizon_factor / (g11 + g22) at 1e-3.
+    default initial state |0 photons, +> has w = 1/2 exactly.
     """
     if p.n_exc != 1:
         raise ValueError("asymptotics are defined for a single injected excitation")
@@ -695,42 +633,4 @@ def asymptotic_state(
         m = w * psi_d.projector().matrix + (1.0 - w) * psi_g.projector().matrix
     else:
         m = psi_g.projector().matrix
-    prediction = DensityMatrix(space, m)
-
-    if verify:
-        t_end = horizon_factor / (p.g11 + p.g22)
-        me = build_jc(p)
-        grid = np.linspace(0.0, t_end, 201)
-        final = integrate(me, psi0.projector(), grid)[-1]
-        gap = float(np.max(np.abs(final.matrix - prediction.matrix)))
-        if gap > 1e-3:
-            raise RuntimeError(
-                f"asymptotic classification {label!r} failed dynamical check: gap {gap:.3e}"
-            )
-    return prediction, label
-
-
-def no_jump_postselect(h: TrajectoryHierarchy, t: float, space: HilbertSpace) -> DensityMatrix:
-    """State prepared by detecting zero emitted quanta up to time t.
-
-    Returns the normalized top hierarchy block; its trace is the
-    no-emission probability and must not have vanished.
-    """
-    block = h.block_at(h.n_max_exc, t)
-    tr = float(np.trace(block).real)
-    if tr <= CONDITIONAL_FLOOR:
-        raise ValueError(f"no-jump probability vanished at t = {t!r}")
-    m = (block + block.conj().T) / 2.0 / tr
-    return DensityMatrix(space, m, tolerance=1e-7)
-
-
-def solve_jc_hierarchy(
-    p: JCParams,
-    t_grid: np.ndarray,
-    initial: str = "atom",
-    max_step: float | None = None,
-) -> TrajectoryHierarchy:
-    """Convenience wrapper: sector-resolved solve for the canonical initial states."""
-    me = build_jc(p)
-    rho0 = jc_initial(p, initial)
-    return solve_hierarchy(me, rho0, t_grid, excitation_number(jc_space(p)), max_step=max_step)
+    return DensityMatrix(space, m), label

@@ -2,7 +2,7 @@
 
 The generator is
 
-    d rho / dt = -i [H_S + H_LS, rho] + D(rho)
+    d rho / dt = -i [H_S, rho] + D(rho)
 
 with the dissipator summing over frequencies and channel pairs:
 
@@ -10,9 +10,11 @@ with the dissipator summing over frequencies and channel pairs:
              ( A_b(w) rho A_a(w)^dag - 1/2 {A_a(w)^dag A_b(w), rho} ).
 
 Off-diagonal gamma entries encode channels that share an environment and
-are the source of the cooperative effects this package targets.  Only
-zero-temperature dynamics is evolved; finite-temperature tensors can be
-validated against detailed balance but not integrated.
+are the source of the cooperative effects this package targets.  The
+engines evolve the zero-temperature dynamics: a tensor with rates at
+non-positive frequencies (absorption) is filtered first
+(:func:`apply_t0_filter`), so every jump emits.  An environment-induced
+energy shift, where one is wanted, is part of the Hamiltonian ``H_S``.
 """
 
 from __future__ import annotations
@@ -38,12 +40,8 @@ from .eigenops import EigenOperator
 __all__ = [
     "SpectralTensor",
     "MasterEquation",
-    "DetailedBalanceReport",
     "IntegrationError",
-    "build_dissipator",
-    "build_lamb_shift",
     "apply_t0_filter",
-    "validate_detailed_balance",
     "integrate",
     "diagonalize_gamma",
     "jump_operators",
@@ -64,21 +62,24 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralTensor:
-    """Per-frequency rate matrices gamma(w) and optional shift matrices s(w).
+    """Per-frequency rate matrices gamma(w).
 
-    Each gamma(w) must be Hermitian and positive semidefinite: cross rates
-    beyond the Cauchy-Schwarz bound |gamma_12|^2 <= gamma_11 gamma_22 make
-    the equation unphysical and are rejected, not warned about.
+    The frequencies must be finite and each gamma(w) finite, Hermitian and
+    positive semidefinite: cross rates beyond the Cauchy-Schwarz bound
+    |gamma_12|^2 <= gamma_11 gamma_22 make the equation unphysical and are
+    rejected, not warned about.
     """
 
     frequencies: tuple[float, ...]
     gamma: tuple[np.ndarray, ...]
-    lamb: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.frequencies)
         if len(freqs) != len(self.gamma):
             raise ValueError("one gamma matrix required per frequency")
+        for w in freqs:
+            if not math.isfinite(w):  # NaN would pass every order check below
+                raise ValueError(f"tensor frequency {w!r} is not finite")
         ordered = sorted(freqs)
         if any(b - a <= FREQ_MATCH_TOL for a, b in zip(ordered, ordered[1:])):
             raise ValueError("tensor frequencies are duplicated or unresolvably close")
@@ -92,6 +93,8 @@ class SpectralTensor:
                 n = g.shape[0]
             elif g.shape[0] != n:
                 raise ValueError("gamma matrices differ in channel count")
+            if not np.isfinite(g).all():  # NaN would pass both checks below
+                raise ValueError(f"gamma({w}) has non-finite entries")
             herm = float(np.max(np.abs(g - g.conj().T)))
             if herm > GAMMA_HERM_TOL:
                 raise ValueError(f"gamma({w}) not Hermitian: defect {herm:.3e}")
@@ -104,30 +107,10 @@ class SpectralTensor:
             mats.append(g)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "gamma", tuple(mats))
-        if self.lamb is not None:
-            if len(self.lamb) != len(freqs):
-                raise ValueError("one lamb matrix required per frequency")
-            shifts = []
-            for w, s in zip(freqs, self.lamb):
-                s = np.array(s, dtype=complex)
-                if s.shape != (n, n):
-                    raise ValueError(f"lamb({w}) has wrong shape")
-                herm = float(np.max(np.abs(s - s.conj().T)))
-                if herm > GAMMA_HERM_TOL:
-                    raise ValueError(f"lamb({w}) not Hermitian: defect {herm:.3e}")
-                s.setflags(write=False)
-                shifts.append(s)
-            object.__setattr__(self, "lamb", tuple(shifts))
 
     @property
     def n_channels(self) -> int:
         return self.gamma[0].shape[0] if self.gamma else 0
-
-    def gamma_at(self, w: float) -> np.ndarray | None:
-        for f, g in zip(self.frequencies, self.gamma):
-            if abs(f - w) <= FREQ_MATCH_TOL:
-                return g
-        return None
 
     def has_nonpositive_frequencies(self) -> bool:
         return any(w <= FREQ_MATCH_TOL for w in self.frequencies)
@@ -193,12 +176,12 @@ def _pair_sum(terms: tuple[ChannelTerm, ...], dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """Assembled generator: Hamiltonian, optional shift, channels, tensor.
+    """Assembled generator: Hamiltonian, channels, tensor.
 
     ``couplings[a]`` is the family of frequency components of channel a.
     ``terms`` is the channel-term list of the tensor, ``K`` the matrix
-    sum gamma_ab A_a^dag A_b and ``B`` = H_S + H_LS - (i/2) (K + K^dag)/2
-    the no-jump generator; every generator form is built from these.
+    sum gamma_ab A_a^dag A_b and ``B`` = H_S - (i/2) (K + K^dag)/2 the
+    no-jump generator; every generator form is built from these.
     Immutable after assembly; integrations of the same object may run
     concurrently.  A B with a non-finite entry is a ValueError.
     """
@@ -206,15 +189,11 @@ class MasterEquation:
     H_S: Operator
     couplings: tuple[tuple[EigenOperator, ...], ...]
     tensor: SpectralTensor
-    H_LS: Operator | None = None
-    temperature_mode: str = "zero"
     terms: tuple[ChannelTerm, ...] = field(init=False, repr=False, compare=False)
     K: np.ndarray = field(init=False, repr=False, compare=False)
     B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.temperature_mode not in ("zero", "validated-finite"):
-            raise ValueError(f"unknown temperature_mode {self.temperature_mode!r}")
         fams = tuple(tuple(f) for f in self.couplings)
         if len(fams) != self.tensor.n_channels:
             raise ValueError(
@@ -224,13 +203,11 @@ class MasterEquation:
             for eo in fam:
                 if eo.op.space != self.H_S.space:
                     raise ValueError("coupling operator space mismatch")
-        if self.H_LS is not None and self.H_LS.space != self.H_S.space:
-            raise ValueError("Lamb-shift operator space mismatch")
         object.__setattr__(self, "couplings", fams)
         dim = self.space.total_dim
         terms = _channel_terms(fams, self.tensor.frequencies, self.tensor.gamma, dim)
         K = _pair_sum(terms, dim)
-        B = self.hamiltonian_matrix() - 0.5j * ((K + K.conj().T) / 2.0)
+        B = self.H_S.matrix - 0.5j * ((K + K.conj().T) / 2.0)
         if not np.isfinite(B).all():
             raise ValueError("no-jump generator B has non-finite entries")
         K.setflags(write=False)
@@ -243,21 +220,6 @@ class MasterEquation:
     def space(self) -> HilbertSpace:
         return self.H_S.space
 
-    def coupling_at(self, channel: int, w: float) -> np.ndarray:
-        return _coupling_at(self.couplings, channel, w, self.space.total_dim)
-
-    def hamiltonian_matrix(self) -> np.ndarray:
-        h = self.H_S.matrix
-        if self.H_LS is not None:
-            h = h + self.H_LS.matrix
-        return h
-
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side of the master equation for a raw state matrix."""
-        h = self.hamiltonian_matrix()
-        out = -1j * (h @ rho - rho @ h)
-        return out + build_dissipator(self)(rho)
-
     def rate_scale(self) -> float:
         """Largest decay rate in the tensor (sets the dissipative time scale)."""
         best = 0.0
@@ -268,32 +230,12 @@ class MasterEquation:
         return best
 
     def frequency_scale(self) -> float:
-        """Largest frequency of H_S + H_LS or of the tensor (sets the coherent time scale)."""
-        h = self.hamiltonian_matrix()
+        """Largest frequency of H_S or of the tensor (sets the coherent time scale)."""
+        h = self.H_S.matrix
         evals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
         spread = float(evals[-1] - evals[0]) if evals.size else 0.0
         wmax = max((abs(w) for w in self.tensor.frequencies), default=0.0)
         return max(spread, wmax)
-
-
-def build_dissipator(me: MasterEquation):
-    """Return the dissipator as a callable on raw state matrices.
-
-    For any input the output is Hermiticity- and trace-preserving by
-    construction (anticommutator uses K = sum gamma_{a,b} A_a^dag A_b).
-    This pair-sum form is the authority the other generator forms are
-    tested against.
-    """
-    terms, K = me.terms, me.K
-
-    def dissipator(rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(K)
-        for _, rate, A_b, A_a_dag in terms:
-            out = out + rate * (A_b @ rho @ A_a_dag)
-        out = out - 0.5 * (K @ rho + rho @ K)
-        return out
-
-    return dissipator
 
 
 def jump_feed(me: MasterEquation):
@@ -312,79 +254,15 @@ def jump_feed(me: MasterEquation):
     return feed
 
 
-def lamb_shift_commutation_defect(h_ls: Operator, h_s: Operator) -> float:
-    """||[H_LS, H_S]||: diagnostic only, never enforced.
-
-    A nonzero value means the shift does more than re-tune level energies
-    (it mixes eigenstates), which is worth knowing before neglecting it.
-    """
-    c = h_ls.matrix @ h_s.matrix - h_s.matrix @ h_ls.matrix
-    return float(np.linalg.norm(c))
-
-
-def build_lamb_shift(
-    couplings: tuple[tuple[EigenOperator, ...], ...],
-    tensor: SpectralTensor,
-) -> Operator:
-    """Environment-induced Hermitian correction sum_w s_{a,b}(w) A_a(w)^dag A_b(w).
-
-    Use :func:`lamb_shift_commutation_defect` to see how badly the result
-    fails to commute with the system Hamiltonian.
-    """
-    if tensor.lamb is None:
-        raise ValueError("tensor carries no Lamb-shift coefficients")
-    space = _coupling_space(couplings)
-    dim = space.total_dim
-    terms = _channel_terms(couplings, tensor.frequencies, tensor.lamb, dim)
-    return Operator(space, _pair_sum(terms, dim), label="H_LS")
-
-
 def apply_t0_filter(tensor: SpectralTensor) -> SpectralTensor:
     """Drop all non-positive-frequency entries (no absorption at zero temperature).
 
     Idempotent: filtering an already-filtered tensor returns an equal tensor.
     """
     keep = [i for i, w in enumerate(tensor.frequencies) if w > FREQ_MATCH_TOL]
-    lamb = tuple(tensor.lamb[i] for i in keep) if tensor.lamb is not None else None
     return SpectralTensor(
-        tuple(tensor.frequencies[i] for i in keep),
-        tuple(tensor.gamma[i] for i in keep),
-        lamb,
+        tuple(tensor.frequencies[i] for i in keep), tuple(tensor.gamma[i] for i in keep)
     )
-
-
-@dataclass(frozen=True)
-class DetailedBalanceReport:
-    passed: bool
-    max_violation: float
-
-
-def validate_detailed_balance(
-    tensor: SpectralTensor,
-    beta: float,
-    tol: float = 1e-10,
-) -> DetailedBalanceReport:
-    """Check the thermal relation gamma(w) = exp(-beta w) gamma(-w) entrywise.
-
-    ``beta = math.inf`` encodes the zero-temperature limit, where the check
-    reduces to: every negative-frequency rate matrix vanishes.  This is a
-    pure validator; it never modifies the tensor.
-    """
-    worst = 0.0
-    if math.isinf(beta):
-        for w, g in zip(tensor.frequencies, tensor.gamma):
-            if w < -FREQ_MATCH_TOL:
-                worst = max(worst, float(np.max(np.abs(g))))
-        return DetailedBalanceReport(worst <= tol, worst)
-
-    for w, g in zip(tensor.frequencies, tensor.gamma):
-        if w <= FREQ_MATCH_TOL:
-            continue
-        g_neg = tensor.gamma_at(-w)
-        if g_neg is None:
-            g_neg = np.zeros_like(g)
-        worst = max(worst, float(np.max(np.abs(g - math.exp(-beta * w) * g_neg))))
-    return DetailedBalanceReport(worst <= tol, worst)
 
 
 def kron_on(
@@ -496,18 +374,6 @@ def linear_system(me: MasterEquation):
         return out
 
     return rhs, generator, structure
-
-
-def liouvillian_matrix(me: MasterEquation, support: np.ndarray | None = None) -> np.ndarray:
-    """The :func:`linear_system` as a matrix on row-major vec(rho),
-    on the flat indices ``support`` (default: all of them)."""
-    everything = np.arange(me.space.total_dim**2)
-    return linear_system(me)[1](everything if support is None else support)
-
-
-def liouvillian_structure(me: MasterEquation) -> Structure:
-    """The terms of :func:`liouvillian_matrix` as rho -> X rho Y, for :func:`invariant_support`."""
-    return linear_system(me)[2]
 
 
 def invariant_support(y0: np.ndarray, structure: Structure) -> np.ndarray:
@@ -637,9 +503,8 @@ def propagate_linear(
     :func:`spacing_classes`, and the results are scattered into zeros.
     Since S is invariant this is exact, not an approximation.  Otherwise
     fixed-step RK4 applies L to the full state with substeps of at most
-    ``max_step`` (default :func:`default_max_step`, which counts the Lamb
-    shift); an explicit ``max_step`` makes it the oracle for the exact
-    path and must be > 0.
+    ``max_step`` (default :func:`default_max_step`); an explicit
+    ``max_step`` makes it the oracle for the exact path and must be > 0.
     """
     if max_step is not None and not max_step > 0:
         raise ValueError("max_step must be > 0")
@@ -729,8 +594,6 @@ def integrate(
     ``rho0``), and a violation is an :class:`IntegrationError` with the
     failing time.  A one-point grid propagates nothing.
     """
-    if me.temperature_mode != "zero":
-        raise ValueError("only zero-temperature evolution is implemented")
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
     if rho0.space != me.space:

@@ -1,4 +1,4 @@
-"""Deterministic trajectory decomposition and Monte Carlo unraveling.
+"""The excitation-block split of the master equation and Monte Carlo unraveling.
 
 At zero temperature every jump lowers the excitation count N by one, so
 from a start in sector n the master-equation state splits into the
@@ -8,19 +8,19 @@ sub-normalized blocks of its sectors,
 
 the n-jump decomposition of photon counting: block i carries the records
 with n - i jumps.  The top block evolves purely under the non-Hermitian
-no-jump generator B = H0 - (i/2) H', and each lower block is fed by quantum
-jumps out of the block above it:
+no-jump generator B = H_S - (i/2) (K + K^dag)/2 (``MasterEquation.B``),
+and each lower block is fed by quantum jumps out of the block above it:
 
     d rho_i / dt = -i (B rho_i - rho_i B^dag) + J(rho_{i+1}),
     J(rho) = sum_{w>0} sum_{a,b} gamma_{a,b}(w) A_b(w) rho A_a(w)^dag.
 
-Summed over i this is the master equation, so the blocks are read off its
-state by sector (:func:`solve_hierarchy`), not propagated on their own.
-The coupled system is the time-local equivalent of the nested jump-time
-integrals of the underlying piecewise-deterministic process; the j = 1
-shell is cross-checked against direct quadrature in the tests.
+Summed over i this is the master equation, so the blocks are the sectors
+of its state, not a second system: :func:`hierarchy_sector` checks that
+the split holds, and the state itself comes from ``integrate``.
 Conditioning on "no jump up to t" retains the normalized top block, which
-is what a perfect photodetector that has registered nothing prepares.
+is what a perfect photodetector that has registered nothing prepares
+(``jc.conditional_state``).  :func:`mcwf_unravel` samples the jump
+records themselves.
 """
 
 from __future__ import annotations
@@ -31,139 +31,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, HilbertSpace, KetState, Operator, StateSeries
+from .core import DensityMatrix, KetState, Operator, StateSeries
 from .master_equation import (
     FREQ_MATCH_TOL,
     MasterEquation,
     expm,
     grid_resolution,
-    integrate,
     jump_operators,
     spacing_classes,
     time_grid,
 )
 
 __all__ = [
-    "EffectiveGenerator",
-    "TrajectoryHierarchy",
     "McwfResult",
-    "effective_generator",
-    "propagate_deterministic",
     "hierarchy_sector",
-    "solve_hierarchy",
-    "reconstruct",
     "mcwf_unravel",
 ]
 
 SECTOR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EffectiveGenerator:
-    """No-jump generator B = H0 - (i/2) H' with Hermitian PSD damping part H'."""
-
-    B: Operator
-    H0: Operator
-    Hprime: Operator
-
-    def __post_init__(self):
-        recon = self.H0.matrix - 0.5j * self.Hprime.matrix
-        if not np.array_equal(recon, self.B.matrix):
-            raise ValueError("B does not equal H0 - (i/2) H' entrywise")
-        herm = float(np.max(np.abs(self.Hprime.matrix - self.Hprime.matrix.conj().T)))
-        if herm > 1e-12:
-            raise ValueError(f"damping part not Hermitian: defect {herm:.3e}")
-        evals = np.linalg.eigvalsh((self.Hprime.matrix + self.Hprime.matrix.conj().T) / 2.0)
-        if evals.size and evals[0] < -1e-10:
-            raise ValueError(f"damping part not PSD: eigenvalue {evals[0]:.3e}")
-
-
-def effective_generator(me: MasterEquation) -> EffectiveGenerator:
-    """``me.B`` with its Hamiltonian and anticommutator parts, checked.
-
-    Requires a zero-temperature (filtered) tensor: with absorption channels
-    present the no-jump/jump split used here does not apply.
-    """
-    if me.tensor.has_nonpositive_frequencies():
-        raise ValueError("tensor contains non-positive frequencies; filter it first")
-    return EffectiveGenerator(
-        Operator(me.space, me.B, label="B"),
-        Operator(me.space, me.hamiltonian_matrix(), label="H0"),
-        Operator(me.space, (me.K + me.K.conj().T) / 2.0, label="H'"),
-    )
-
-
-def propagate_deterministic(gen: EffectiveGenerator, f: np.ndarray, t: float) -> np.ndarray:
-    """No-jump propagation exp(-iBt) f exp(+iB^dag t).
-
-    Maps PSD matrices to PSD matrices; the trace is non-increasing because
-    the damping part of B is PSD.
-    """
-    u = expm(-1j * gen.B.matrix * t)
-    return u @ np.asarray(f, dtype=complex) @ u.conj().T
-
-
-@dataclass(frozen=True)
-class TrajectoryHierarchy:
-    """The master-equation states of a start in sector ``n_max_exc``, read by sector.
-
-    ``states`` is the checked series on ``grid`` and ``projectors[i]`` the
-    projector P_i onto sector i of the number operator: a 0/1 mask of the
-    basis states when N is diagonal, else a dense matrix.  Block i at t_k,
-    rho_i(t_k) = P_i rho(t_k) P_i, is formed when read, and the blocks
-    i = 0..N sum to the state.
-    """
-
-    n_max_exc: int
-    grid: np.ndarray
-    states: StateSeries
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """``blocks[i][k]`` = rho_i(t_k), every block formed at this call."""
-        return tuple(self._project(i, self.states.matrices) for i in range(self.n_max_exc + 1))
-
-    def block_at(self, i: int, t: float) -> np.ndarray:
-        return self._project(i, self.states.matrices[self.index_of(t)])
-
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t!r} is not on the hierarchy grid")
-        return k
-
-    def total(self, k: int | slice = slice(None)) -> np.ndarray:
-        """The state at grid index k (default: the whole grid), the sum of its blocks."""
-        return self.states.matrices[k]
-
-    def _project(self, i: int, rho: np.ndarray) -> np.ndarray:
-        p = self.projectors[i]
-        if p.ndim == 1:  # a basis mask: keep the rows and columns of sector i
-            return np.where(p[:, None] & p, rho, 0)
-        return p @ rho @ p
-
-
-def _sector_projectors(number_op: Operator, n: int) -> tuple[np.ndarray, ...]:
-    """P_0 .. P_n of ``number_op`` (integer spectrum): basis masks if it is diagonal."""
-    num = number_op.matrix
-    if not np.any(num - np.diag(np.diag(num))):
-        counts = np.round(np.diag(num).real)
-        return tuple(counts == i for i in range(n + 1))
-    evals, vecs = np.linalg.eigh(num)
-    sectors = (vecs[:, np.round(evals) == i] for i in range(n + 1))
-    return tuple(v @ v.conj().T for v in sectors)
-
-
 def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operator) -> int:
     """The excitation sector n of ``rho0``, once the hierarchy's preconditions hold.
 
-    These are the checks of :func:`solve_hierarchy`, in its order: a
-    filtered tensor, one space, an integer spectrum of ``number_op`` with
-    no negative count, [N, H] = 0 (Lamb shift included), [N, A(w)] = -A(w)
-    at every w > 0, and N rho0 = n rho0.  Under them every jump lowers the
-    count by one and none leaves sector 0, so the master-equation state
-    never mixes sectors and block i of the hierarchy is its sector-i part.
+    The checks, in order: a filtered tensor, one space, an integer
+    spectrum of ``number_op`` (the count N) with no negative count,
+    [N, H_S] = 0, [N, A(w)] = -A(w) at every w > 0, and N rho0 = n rho0
+    for one n >= 0 (for a Hermitian rho0 that excludes weight in other
+    sectors and coherence between sectors alike; split such a state by
+    linearity).  Under them every jump lowers the count by one and none
+    leaves sector 0, so the master-equation state never mixes sectors and
+    block i of the hierarchy is its sector-i part P_i rho P_i.
     """
     if me.tensor.has_nonpositive_frequencies():
         raise ValueError("tensor contains non-positive frequencies; filter it first")
@@ -176,7 +74,7 @@ def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operato
     if round(evals[0]) < 0:  # a jump out of sector 0 would leave the blocks 0..n
         raise ValueError("number operator must have no negative eigenvalue")
     # [N, X] = c X: the Hamiltonian keeps the count, each emitting coupling lowers it by one
-    checks = [(me.hamiltonian_matrix(), 0, "Hamiltonian does not conserve the excitation count")]
+    checks = [(me.H_S.matrix, 0, "Hamiltonian does not conserve the excitation count")]
     for fam in me.couplings:
         for eo in fam:
             if eo.frequency > FREQ_MATCH_TOL:
@@ -195,46 +93,6 @@ def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operato
             "split it by linearity"
         )
     return n
-
-
-def solve_hierarchy(
-    me: MasterEquation,
-    rho0: DensityMatrix,
-    t_grid: np.ndarray,
-    number_op: Operator,
-    max_step: float | None = None,
-) -> TrajectoryHierarchy:
-    """The excitation-resolved blocks of a sector-pure initial state.
-
-    ``number_op`` counts excitations and must have an integer spectrum.
-    The initial state must satisfy N rho0 = n rho0 for one n >= 0; for a
-    Hermitian rho0 that excludes weight in other sectors and coherence
-    between sectors alike (split mixed-sector states by linearity before
-    calling).  The Hamiltonian, Lamb shift included, must conserve the
-    count, [N, H] = 0, and every coupling component at positive frequency
-    must lower it by exactly one, [N, A(w)] = -A(w), which makes the
-    number of jumps and the number of lost excitations interchangeable
-    labels.  :func:`hierarchy_sector` makes these checks.
-
-    Under them the master-equation state never mixes sectors, and block i
-    is its sector-i projection P_i rho P_i.  So the state is propagated
-    once, by :func:`~cobath.master_equation.integrate` with ``max_step``
-    (its exact path on the invariant support, or fixed-step RK4), and the
-    hierarchy keeps that checked series with the sector projectors of
-    ``number_op``; no block is stored.
-    """
-    n = hierarchy_sector(me, rho0, number_op)
-    t = time_grid(t_grid)
-    states = integrate(me, rho0, t, max_step)
-    return TrajectoryHierarchy(n, t, states, _sector_projectors(number_op, n))
-
-
-def reconstruct(h: TrajectoryHierarchy, space: HilbertSpace) -> StateSeries:
-    """The blocks summed back into full states on ``space``: the checked
-    master-equation series itself (tolerance 1e-7)."""
-    if space != h.states.space:
-        raise ValueError("space mismatch between hierarchy and target space")
-    return h.states
 
 
 @dataclass(frozen=True)
@@ -442,7 +300,10 @@ def mcwf_unravel(
     t = time_grid(t_grid)
     dts = np.diff(t)
     jumps_T = [op.matrix.T for op in jump_operators(me)]
-    b = effective_generator(me).B.matrix
+    if me.tensor.has_nonpositive_frequencies():
+        # the unraveling, like integrate, is of the zero-temperature equation
+        raise ValueError("tensor contains non-positive frequencies; filter it first")
+    b = me.B
     resolution = grid_resolution(t)
     # one ladder exp(-iB dt 2^-j)^T, j = 0..J, per class of spacings; keys[k]
     # is the ladder of interval k

@@ -1,16 +1,36 @@
-"""The block-stack hierarchy that ``cobath.trajectories.solve_hierarchy`` once propagated.
+"""The block-stack hierarchy, propagated on its own, and the sector blocks of a state.
 
 Block i of a stack of d x d blocks evolves under the no-jump generator and
 is fed by the jumps out of block i + 1 (``shift`` -1); ``shift`` 0 feeds
-each block into itself, which is the master equation.  The library now
-reads the blocks off the master-equation state by sector; the tests keep
-this builder as the reference for that reading, for the support search on
-block stacks and for the kron assembly.
+each block into itself, which is the master equation.  The library reads
+the blocks off the master-equation state by sector (``sector_block``
+here, once ``cobath.trajectories.hierarchy_sector`` has checked that the
+split holds); the tests keep this builder as the reference for that
+reading, for the support search on block stacks and for the kron assembly.
 """
 
 import numpy as np
 
+from cobath.core import Operator
 from cobath.master_equation import MasterEquation, jump_feed, jump_superoperator, kron_on
+
+
+def sector_block(states: np.ndarray, number_op: Operator, i: int) -> np.ndarray:
+    """Block i, P_i rho P_i, of each state of a (..., d, d) stack, with P_i the
+    projector onto the eigenvalue-i space of ``number_op`` (integer spectrum).
+
+    A diagonal count gives P_i as a 0/1 mask of the basis states, which
+    keeps the rows and columns of sector i; any other takes the dense
+    projector from ``eigh``.
+    """
+    num = number_op.matrix
+    if not np.any(num - np.diag(np.diag(num))):
+        mask = np.round(np.diag(num).real) == i
+        return np.where(mask[:, None] & mask, states, 0)
+    evals, vecs = np.linalg.eigh(num)
+    v = vecs[:, np.round(evals) == i]
+    p = v @ v.conj().T
+    return p @ states @ p
 
 
 def linear_system(me: MasterEquation, shift: int):

@@ -12,7 +12,7 @@ import numpy as np
 
 from cobath.core import KetState
 from cobath.master_equation import expm, grid_resolution, jump_operators, time_grid
-from cobath.trajectories import McwfResult, _norm2, _rowwise, effective_generator
+from cobath.trajectories import McwfResult, _norm2, _rowwise
 
 
 def reference_mcwf_unravel(me, psi0, t_grid, n_traj, seed, snapshot_counts=(), chunk_size=1000):
@@ -25,7 +25,7 @@ def reference_mcwf_unravel(me, psi0, t_grid, n_traj, seed, snapshot_counts=(), c
 
     t = time_grid(t_grid)
     jumps_T = [op.matrix.T for op in jump_operators(me)]
-    b = effective_generator(me).B.matrix
+    b = me.B
     resolution = grid_resolution(t)
     ladders: dict[int, list[np.ndarray]] = {}  # exp(-iB dt 2^-j)^T, j = 0..J
 

@@ -11,12 +11,36 @@ a permutation the BLAS products may leave a zero with the other sign.
 ``embedded_hamiltonians`` builds the JC ladder operators and Hamiltonians
 as products of embedded single-factor matrices; ``cobath.jc._hamiltonians``
 sets the same entries directly and must return the same bits.
+
+``build_dressed_jc`` is ``cobath.jc.build_jc`` with the couplings split
+against the full Hamiltonian instead of the bare one: sideband
+frequencies, and no exact basis-vector eigenvectors, for the split and
+support tests.
 """
 
 import numpy as np
 
-from cobath.core import Operator, make_atom_ops, make_cavity_ops
-from cobath.eigenops import BLOCK_DROP_TOL, EigenOperator
+from cobath.core import Operator
+from cobath.eigenops import BLOCK_DROP_TOL, EigenOperator, decompose, eigenoperators
+from cobath.jc import _hamiltonians, jc_space
+from cobath.master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor
+from operator_reference import make_atom_ops, make_cavity_ops
+
+
+def build_dressed_jc(p):
+    """The JC master equation with its channels split against the full
+    Hamiltonian, the shared-bath rate matrix flat across their positive
+    frequencies."""
+    space = jc_space(p)
+    atom, cav, _, h_full = _hamiltonians(p, space)
+    decomp = decompose(h_full)
+    fam1 = tuple(eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, source_index=0))
+    fam2 = tuple(eigenoperators(cav["a"] + cav["a_dag"], decomp, source_index=1))
+    g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
+    emitting = [eo.frequency for fam in (fam1, fam2) for eo in fam if eo.frequency > FREQ_MATCH_TOL]
+    freqs = sorted({round(w, 12) for w in emitting})
+    tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
+    return MasterEquation(Operator(space, h_full.matrix, label="H_S"), (fam1, fam2), tensor)
 
 
 def embedded_hamiltonians(p, space):

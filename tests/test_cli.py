@@ -980,6 +980,19 @@ def test_cli_rejects_non_finite_numbers(path, value, tmp_path, capsys):
     assert path in err and "must be a finite number" in err
 
 
+def test_cli_rejects_a_tensor_frequency_where_no_coupling_acts(tmp_path, capsys):
+    # the config parser names the frequency by its path before the model is built
+    cfg = _custom_tensor_config()
+    cfg["params"]["tensor"]["frequencies"] = [2.0]
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert (
+        "params.tensor.frequencies[0]: no coupling component at frequency 2.0 "
+        "(the channels act at omega0 = 1.0)" in capsys.readouterr().err
+    )
+
+
 def test_cli_rejects_omega0_whose_top_level_overflows(tmp_path, capsys):
     # omega0 (n_max + 1) overflows: a config error, not a numerical failure
     cfg = base_config()

@@ -17,13 +17,9 @@ from cobath.core import (
     basis_ket,
     check_states,
     embed,
-    identity,
-    make_atom_ops,
-    make_cavity_ops,
-    partial_trace,
-    tensor_product,
 )
 from conftest import hermitian_parts_by_division, random_density, random_unitary
+from operator_reference import identity, make_atom_ops, make_cavity_ops, partial_trace, tensor_product
 
 
 def test_space_dims():

@@ -4,18 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cobath.core import HilbertSpace, Operator, make_atom_ops, make_cavity_ops
+from cobath.core import HilbertSpace, Operator
 from cobath.eigenops import (
     BLOCK_DROP_TOL,
     SpectralDecomposition,
     decompose,
     eigenoperators,
-    verify_rwa_conservation,
 )
 from cobath.jc import JCParams, _hamiltonians, build_jc, excitation_number, jc_initial, jc_space
-from cobath.master_equation import invariant_support, liouvillian_structure
+from cobath.master_equation import invariant_support, linear_system
 from conftest import random_hermitian
-from split_reference import embedded_hamiltonians, full_product_eigenoperators
+from operator_reference import make_atom_ops, make_cavity_ops, verify_rwa_conservation
+from split_reference import build_dressed_jc, embedded_hamiltonians, full_product_eigenoperators
 from support_reference import dense_invariant_support, reference_invariant_support
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -407,8 +407,8 @@ def test_decompose_orders_exact_ties_by_block():
 @pytest.mark.parametrize("omega0, support_size, raising", [(1.3, 121, 0), (1.0, 129, 56)])
 def test_dressed_split_keeps_excitation_sectors_exact(omega0, support_size, raising):
     p = JCParams(omega0=omega0, eps=0.1, g11=0.01, g22=0.01, n_exc=30)
-    me = build_jc(p, dressed=True)
-    support = invariant_support(jc_initial(p).matrix, liouvillian_structure(me))
+    me = build_dressed_jc(p)
+    support = invariant_support(jc_initial(p).matrix, linear_system(me)[2])
     assert support.size == support_size
     n = np.round(np.diag(excitation_number(jc_space(p)).matrix).real)
     delta_n = n[:, None] - n[None, :]  # entry (i, j) takes sector n_j to n_i
@@ -556,7 +556,7 @@ def test_random_jc_models_agree_with_the_oracles(model):
     # dense search, and the bare split is the pairwise projector oracle
     p, initial = model
     me = build_jc(p)
-    structure = liouvillian_structure(me)
+    structure = linear_system(me)[2]
     y0 = jc_initial(p, initial).matrix
     got = invariant_support(y0, structure)
     for want in (

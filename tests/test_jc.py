@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobath.config import parse_config
-from cobath.core import basis_ket, embed, make_atom_ops, make_cavity_ops, partial_trace
+from cobath.core import basis_ket, embed
 from cobath.jc import (
     CONDITIONAL_FLOOR,
     JCParams,
     asymptotic_state,
-    block_concurrence_exact,
-    block_concurrence_variant,
     build_jc,
     closed_form_block,
     closed_form_states,
@@ -28,18 +26,24 @@ from cobath.jc import (
     jc_initial,
     jc_initial_ket,
     jc_space,
-    no_jump_postselect,
     sector_entries,
-    solve_jc_hierarchy,
     two_qubit_projection,
     wootters_concurrence,
     x_state_concurrence,
 )
 from cobath.jc import _sector_matrix, _sector_propagator
-from cobath.master_equation import SpectralTensor, build_dissipator, integrate
+from cobath.master_equation import SpectralTensor, integrate
 from cobath.runner import read_csv, run_to_files
-from cobath.trajectories import effective_generator, propagate_deterministic
+from concurrence_reference import (
+    block_concurrence_exact,
+    block_concurrence_variant,
+    conditional_two_qubit,
+)
 from conftest import random_hermitian
+from dissipator_reference import build_dissipator, propagate_deterministic
+from operator_reference import make_atom_ops, make_cavity_ops, partial_trace
+from hierarchy_reference import sector_block
+from split_reference import build_dressed_jc
 
 DFS = dict(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01)
 
@@ -134,13 +138,31 @@ def test_bare_couplings_are_plain_lowering_ops():
     atom = make_atom_ops(space, 0)
     cav = make_cavity_ops(space, 1)
     assert len(me.tensor.frequencies) == 1
-    np.testing.assert_allclose(me.coupling_at(0, 1.0), atom["S_minus"].matrix, atol=1e-12)
-    np.testing.assert_allclose(me.coupling_at(1, 1.0), cav["a"].matrix, atol=1e-12)
+    # the component of each channel at the resonance frequency 1.0
+    (atom_part,), (mode_part,) = ([eo.op.matrix for eo in fam if abs(eo.frequency - 1.0) <= 1e-9]
+                                  for fam in me.couplings)
+    np.testing.assert_allclose(atom_part, atom["S_minus"].matrix, atol=1e-12)
+    np.testing.assert_allclose(mode_part, cav["a"].matrix, atol=1e-12)
+
+
+def test_build_jc_rejects_a_tensor_rate_where_no_coupling_acts():
+    # the bare split puts every channel at +-omega0: a rate at 2 omega0 would
+    # act on no operator, leaving K = 0 and an undamped excited state
+    p = JCParams(omega0=1.0, eps=0.1, g11=0.0, g22=0.0)
+    g = 0.05 * np.eye(2)
+    msg = r"no coupling component at tensor frequency 2.0 \(the channels act at \[1.0\]\)"
+    with pytest.raises(ValueError, match=msg):
+        build_jc(p, tensor=SpectralTensor((2.0,), (g,)))
+    with pytest.raises(ValueError, match=msg):  # a matching frequency does not excuse it
+        build_jc(p, tensor=SpectralTensor((1.0, 2.0), (g, g)))
+    # at omega0 the tensor is the flat rate matrix of g11 = g22 = 0.05
+    flat = build_jc(JCParams(omega0=1.0, eps=0.1, g11=0.05, g22=0.05))
+    np.testing.assert_array_equal(build_jc(p, tensor=SpectralTensor((1.0,), (g,))).K, flat.K)
 
 
 def test_dressed_split_has_sideband_frequencies():
     p = JCParams(**DFS)
-    me = build_jc(p, dressed=True)
+    me = build_dressed_jc(p)
     assert len(me.tensor.frequencies) > 1
     assert all(w > 0 for w in me.tensor.frequencies)
 
@@ -287,7 +309,6 @@ def test_block_matches_two_by_two_exponential(rng):
 def test_block_matches_full_space_propagation():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, n_exc=2)
     me = build_jc(p)
-    gen = effective_generator(me)
     space = jc_space(p)
     n_ph = space.factor_dims[1]
     for n in (1, 2):
@@ -295,7 +316,7 @@ def test_block_matches_full_space_propagation():
         t = 7.5
         blk = closed_form_block(p, n, np.array([0.0, t]))
         f0 = basis_ket(space, (0, n - 1)).projector().matrix
-        full = propagate_deterministic(gen, f0, t)
+        full = propagate_deterministic(me.B, f0, t)
         assert abs(full[i1, i1] - blk.rho11[1]) < 1e-10
         assert abs(full[i1, i2] - blk.rho12[1]) < 1e-10
         assert abs(full[i2, i2] - blk.rho22[1]) < 1e-10
@@ -338,8 +359,6 @@ def test_product_block_has_zero_concurrence():
 
 
 def test_eigenvalue_and_algebraic_routes_agree(rng):
-    from cobath.jc import _conditional_two_qubit
-
     for _ in range(200):
         r11 = rng.uniform(0, 1)
         r22 = rng.uniform(0, 1 - r11 if r11 < 1 else 0)
@@ -347,7 +366,7 @@ def test_eigenvalue_and_algebraic_routes_agree(rng):
         r12 = cap * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         if r11 + r22 < 1e-6:
             continue
-        w = wootters_concurrence(_conditional_two_qubit(r11, r12, r22))
+        w = wootters_concurrence(conditional_two_qubit(r11, r12, r22))
         # the eigenvalue route carries ~sqrt(eps) noise near pure blocks
         assert w == pytest.approx(block_concurrence_exact(r11, r12, r22), abs=1e-8)
 
@@ -372,9 +391,7 @@ def test_concurrence_bounds(r11, frac, mag, phase):
     r12 = math.sqrt(r11 * r22) * mag * cmath.exp(1j * phase)
     if r11 + r22 < 1e-9:
         return
-    from cobath.jc import _conditional_two_qubit
-
-    c = wootters_concurrence(_conditional_two_qubit(r11, r12, r22))
+    c = wootters_concurrence(conditional_two_qubit(r11, r12, r22))
     assert -1e-12 <= c <= 1.0 + 1e-9
 
 
@@ -441,14 +458,12 @@ def test_x_state_concurrence_clamps_a_negative_population():
 
 def test_conditional_concurrence_series_matches_pointwise():
     # the stack-wide series against the spin-flip route, one state at a time
-    from cobath.jc import _conditional_two_qubit
-
     p = JCParams(**DFS)
     space = jc_space(p)
     stack = np.array([s.matrix for s in closed_form_states(p, np.linspace(0.0, 100.0, 26))])
     series = conditional_state(stack, space, 1).concurrence
     for k, rho in enumerate(stack):
-        spin_flip = wootters_concurrence(_conditional_two_qubit(*sector_entries(rho, space, 1)))
+        spin_flip = wootters_concurrence(conditional_two_qubit(*sector_entries(rho, space, 1)))
         assert series[k] == pytest.approx(spin_flip, abs=1e-7)
     assert np.all(series >= -1e-12)
     assert np.all(series <= 1 + 1e-9)
@@ -457,14 +472,12 @@ def test_conditional_concurrence_series_matches_pointwise():
 def test_variant_recorded_at_transient_point():
     # the shipped value agrees with the spin-flip oracle; the variant's gap
     # at this point is what the generated report documents
-    from cobath.jc import _conditional_two_qubit
-
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01)
     space = jc_space(p)
     rho = closed_form_states(p, np.array([0.0, 5.0]))[1]
     entries = sector_entries(rho, space, 1)
     shipped = conditional_state(rho, space, 1).concurrence
-    spin_flip = wootters_concurrence(_conditional_two_qubit(*entries))
+    spin_flip = wootters_concurrence(conditional_two_qubit(*entries))
     exact = block_concurrence_exact(*entries)
     variant = block_concurrence_variant(*entries)
     assert spin_flip == pytest.approx(exact, abs=1e-7)
@@ -659,9 +672,21 @@ def test_closed_form_states_need_one_excitation():
 
 # -------------------------------------------------------------- asymptotics
 
+def verified_asymptotic_state(p, initial=None, horizon_factor=20.0):
+    """``asymptotic_state``, its prediction checked against direct integration
+    to t = horizon_factor / (g11 + g22) at 1e-3."""
+    state, label = asymptotic_state(p, initial)
+    psi0 = jc_initial_ket(p) if initial is None else initial
+    grid = np.linspace(0.0, horizon_factor / (p.g11 + p.g22), 201)
+    final = integrate(build_jc(p), psi0.projector(), grid)[-1]
+    gap = float(np.max(np.abs(final.matrix - state.matrix)))
+    assert gap <= 1e-3, f"asymptotic classification {label!r} failed dynamical check: gap {gap:.3e}"
+    return state, label
+
+
 def test_asymptotic_dfs_matches_half_half_mixture():
     p = JCParams(**DFS)
-    state, label = asymptotic_state(p)
+    state, label = verified_asymptotic_state(p)
     assert label == "dfs"
     space = jc_space(p)
     want = 0.5 * dark_state(p).projector().matrix + 0.5 * ground_state(space).projector().matrix
@@ -670,7 +695,7 @@ def test_asymptotic_dfs_matches_half_half_mixture():
 
 def test_asymptotic_mirror_loss_decays_to_ground():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01, k_mirror=0.05)
-    state, label = asymptotic_state(p)
+    state, label = verified_asymptotic_state(p)
     assert label == "decaying"
     space = jc_space(p)
     np.testing.assert_allclose(state.matrix, ground_state(space).projector().matrix, atol=1e-12)
@@ -678,7 +703,7 @@ def test_asymptotic_mirror_loss_decays_to_ground():
 
 def test_asymptotic_independent_baths_decay():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.0)
-    _, label = asymptotic_state(p)
+    _, label = verified_asymptotic_state(p)
     assert label == "decaying"
 
 
@@ -687,7 +712,7 @@ def test_asymptotic_photon_initial_keeps_half_weight():
     p = JCParams(**DFS)
     space = jc_space(p)
     psi0 = basis_ket(space, (1, 1))  # photon side: |<dark|psi0>|^2 = 1/2 again
-    state, label = asymptotic_state(p, initial=psi0)
+    state, label = verified_asymptotic_state(p, initial=psi0)
     assert label == "dfs"
     w = abs(np.vdot(dark_state(p).amplitudes, psi0.amplitudes)) ** 2
     assert w == pytest.approx(0.5)
@@ -715,38 +740,42 @@ def test_asymptotic_complex_phase_condition():
     phi = 0.7
     eps = 0.1 * cmath.exp(1j * phi)
     matched = JCParams(omega0=1.0, eps=eps, g11=0.01, g22=0.01, g12=0.01 * cmath.exp(1j * phi))
-    _, label = asymptotic_state(matched)
+    _, label = verified_asymptotic_state(matched)
     assert label == "dfs"
     # a mismatched phase still decays, just through a slower mixed channel
     mismatched = JCParams(
         omega0=1.0, eps=eps, g11=0.01, g22=0.01, g12=0.01 * cmath.exp(1j * (phi + 1.0))
     )
-    _, label2 = asymptotic_state(mismatched, horizon_factor=120.0)
+    _, label2 = verified_asymptotic_state(mismatched, horizon_factor=120.0)
     assert label2 == "decaying"
 
 
 # ------------------------------------------------------------- postselection
 
+def postselected(p, t, k):
+    """The state a detector that saw no emission up to t[k] prepares: the
+    normalized top sector block of the integrated state, and the
+    ``conditional_state`` read from that state."""
+    space = jc_space(p)
+    rho = integrate(build_jc(p), jc_initial(p), t).matrices[k]
+    top = sector_block(rho, excitation_number(space), p.n_exc)
+    return top / np.trace(top).real, conditional_state(rho, space, p.n_exc)
+
+
 def test_postselect_initial_projector():
     p = JCParams(**DFS)
     t = np.linspace(0.0, 10.0, 11)
-    h = solve_jc_hierarchy(p, t)
-    out = no_jump_postselect(h, 0.0, jc_space(p))
-    np.testing.assert_allclose(out.matrix, jc_initial(p).matrix, atol=1e-12)
+    out, cond = postselected(p, t, 0)
+    np.testing.assert_allclose(out, jc_initial(p).matrix, atol=1e-12)
+    assert (cond.weight, cond.p11, cond.re_p12, cond.im_p12, cond.p22) == (1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_postselect_dfs_projects_onto_dark_state():
     p = JCParams(**DFS)
     t = np.linspace(0.0, 1000.0, 101)
-    h = solve_jc_hierarchy(p, t)
-    out = no_jump_postselect(h, 1000.0, jc_space(p))
+    out, cond = postselected(p, t, 100)
     want = dark_state(p).projector().matrix
-    assert np.max(np.abs(out.matrix - want)) < 1e-3
-
-
-def test_postselect_vanished_weight_raises():
-    p = JCParams(omega0=1.0, eps=0.1, g11=0.2, g22=0.2, g12=0.0)
-    t = np.linspace(0.0, 400.0, 41)
-    h = solve_jc_hierarchy(p, t)
-    with pytest.raises(ValueError, match="vanished"):
-        no_jump_postselect(h, 400.0, jc_space(p))
+    assert np.max(np.abs(out - want)) < 1e-3
+    r11, r12, r22 = sector_entries(want, jc_space(p), 1)
+    got = (cond.p11, cond.re_p12 + 1j * cond.im_p12, cond.p22)
+    assert max(abs(a - b) for a, b in zip(got, (r11, r12, r22))) < 1e-3

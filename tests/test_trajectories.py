@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cobath.core import DensityMatrix, HilbertSpace, KetState, Operator, basis_ket, make_atom_ops, make_cavity_ops
+from cobath.core import DensityMatrix, HilbertSpace, KetState, Operator, basis_ket
 from cobath.eigenops import EigenOperator
 from cobath.jc import (
     JCParams,
@@ -19,7 +19,6 @@ from cobath.jc import (
     jc_initial_ket,
     jc_space,
     sector_entries,
-    solve_jc_hierarchy,
 )
 from cobath.master_equation import (
     MasterEquation,
@@ -29,7 +28,6 @@ from cobath.master_equation import (
     jump_feed,
     jump_superoperator,
     linear_system,
-    liouvillian_matrix,
 )
 from cobath import runner, trajectories
 from cobath.config import load_config, parse_config
@@ -40,15 +38,14 @@ from cobath.trajectories import (
     _rowwise,
     _Streams,
     _unit_rows,
-    effective_generator,
+    hierarchy_sector,
     mcwf_unravel,
-    propagate_deterministic,
-    reconstruct,
-    solve_hierarchy,
 )
 from conftest import CONFIGS, random_density, random_hermitian, random_unitary, rotate_model
-from hierarchy_reference import _block_system
+from dissipator_reference import pair_sum_rhs, propagate_deterministic
+from hierarchy_reference import _block_system, sector_block
 from mcwf_reference import reference_mcwf_unravel
+from operator_reference import make_atom_ops, make_cavity_ops
 from support_reference import reference_invariant_support
 
 WINDOW = 8  # grid intervals per group in the grids and jump-record checks below
@@ -70,37 +67,45 @@ def jc_setup(g11=0.01, g22=0.02, g12=0.01, eps=0.1, n_exc=1):
     return p, me, jc_space(p)
 
 
+def solve_blocks(me, rho0, t, number_op, max_step=None):
+    """The hierarchy as the library runs it: ``hierarchy_sector``'s checks,
+    then ``integrate`` once.  Returns the sector n of ``rho0``, the state
+    series and its blocks, ``blocks[i][k]`` = P_i rho(t_k) P_i."""
+    n = hierarchy_sector(me, rho0, number_op)
+    states = integrate(me, rho0, t, max_step)
+    return n, states, [sector_block(states.matrices, number_op, i) for i in range(n + 1)]
+
+
 # ------------------------------------------------------ effective generator
 
 def test_generator_reduces_to_hamiltonian_without_damping():
     _, me, _ = jc_setup(g11=0.0, g22=0.0, g12=0.0)
-    gen = effective_generator(me)
-    np.testing.assert_array_equal(gen.B.matrix, me.H_S.matrix)
+    np.testing.assert_array_equal(me.B, me.H_S.matrix)
 
 
 def test_generator_single_channel_damping():
     me, space, _ = cavity_only_me(gamma=0.08)
-    gen = effective_generator(me)
     a = me.couplings[0][0].op.matrix
-    np.testing.assert_allclose(gen.Hprime.matrix, 0.08 * a.conj().T @ a, atol=1e-15)
+    # B = H_S - (i/2) H' with the damping part H' = (K + K^dag) / 2
+    np.testing.assert_array_equal(me.B, me.H_S.matrix - 0.5j * ((me.K + me.K.conj().T) / 2.0))
+    np.testing.assert_allclose((me.K + me.K.conj().T) / 2.0, 0.08 * a.conj().T @ a, atol=1e-15)
 
 
 def test_generator_matches_independent_assembly():
     g11, g22, g12 = 0.01, 0.02, 0.006 + 0.004j
     p, me, space = jc_setup(g11=g11, g22=g22, g12=g12)
-    gen = effective_generator(me)
     atom = make_atom_ops(space, 0)
     cav = make_cavity_ops(space, 1)
     sm, sp_ = atom["S_minus"].matrix, atom["S_plus"].matrix
     a, ad = cav["a"].matrix, cav["a_dag"].matrix
     hp = g11 * sp_ @ sm + g12 * sp_ @ a + np.conj(g12) * ad @ sm + g22 * ad @ a
     b_alt = me.H_S.matrix - 0.5j * hp
-    assert np.max(np.abs(gen.B.matrix - b_alt)) < 1e-15
+    assert np.max(np.abs(me.B - b_alt)) < 1e-15
 
     # one-excitation sector entries of the generator
     n_ph = space.factor_dims[1]
     i1, i2 = 0, n_ph + 1
-    b = gen.B.matrix
+    b = me.B
     assert b[i1, i1] == pytest.approx(0.5 * 1.0 - 0.5j * g11)
     assert b[i2, i2] == pytest.approx(0.5 * 1.0 - 0.5j * g22)
     assert b[i1, i2] == pytest.approx(0.1 - 0.5j * g12)
@@ -112,44 +117,43 @@ def test_generator_rejects_unfiltered_tensor():
     a = me.couplings[0][0]
     fam = (a, EigenOperator(-1.0, a.op.dagger(), 0))
     tensor = SpectralTensor((1.0, -1.0), (me.tensor.gamma[0], np.zeros((1, 1))))
+    # no-jump evolution under B leaves out the absorption jumps: the
+    # unraveling refuses such a tensor
+    ket = KetState(space, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="filter"):
-        effective_generator(MasterEquation(me.H_S, (fam,), tensor))
+        mcwf_unravel(MasterEquation(me.H_S, (fam,), tensor), ket, np.linspace(0.0, 1.0, 3), 2, 0)
 
 
 # --------------------------------------------------- deterministic propagation
 
 def test_propagate_identity_at_zero_time(rng):
     _, me, space = jc_setup()
-    gen = effective_generator(me)
     f = np.diag(rng.uniform(size=space.total_dim)).astype(complex)
-    np.testing.assert_allclose(propagate_deterministic(gen, f, 0.0), f, atol=1e-14)
+    np.testing.assert_allclose(propagate_deterministic(me.B, f, 0.0), f, atol=1e-14)
 
 
 def test_propagate_unitary_limit_preserves_trace(rng):
     _, me, space = jc_setup(g11=0.0, g22=0.0, g12=0.0)
-    gen = effective_generator(me)
     f = np.diag(rng.uniform(size=space.total_dim)).astype(complex)
-    out = propagate_deterministic(gen, f, 3.7)
+    out = propagate_deterministic(me.B, f, 3.7)
     assert np.trace(out).real == pytest.approx(np.trace(f).real, abs=1e-12)
 
 
 def test_propagate_single_photon_survival():
     me, space, _ = cavity_only_me(gamma=0.08, n_max=2)
-    gen = effective_generator(me)
     f = np.zeros((3, 3), dtype=complex)
     f[1, 1] = 1.0
     for t in (0.5, 2.0, 10.0):
-        out = propagate_deterministic(gen, f, t)
+        out = propagate_deterministic(me.B, f, t)
         assert np.trace(out).real == pytest.approx(math.exp(-0.08 * t), rel=1e-10)
 
 
 def test_propagate_trace_monotone_for_psd_damping(rng):
     _, me, space = jc_setup()
-    gen = effective_generator(me)
     g = rng.normal(size=(space.total_dim,) * 2) + 1j * rng.normal(size=(space.total_dim,) * 2)
     f = g @ g.conj().T
     f /= np.trace(f).real
-    traces = [np.trace(propagate_deterministic(gen, f, t)).real for t in np.linspace(0, 50, 11)]
+    traces = [np.trace(propagate_deterministic(me.B, f, t)).real for t in np.linspace(0, 50, 11)]
     assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
 
@@ -159,23 +163,23 @@ def test_ground_start_is_constant():
     p, me, space = jc_setup()
     rho0 = basis_ket(space, (1, 0)).projector()
     t = np.linspace(0.0, 20.0, 21)
-    h = solve_hierarchy(me, rho0, t, excitation_number(space))
-    assert h.n_max_exc == 0
+    n, _, blocks = solve_blocks(me, rho0, t, excitation_number(space))
+    assert n == 0
     for k in range(len(t)):
-        np.testing.assert_allclose(h.blocks[0][k], rho0.matrix, atol=1e-12)
+        np.testing.assert_allclose(blocks[0][k], rho0.matrix, atol=1e-12)
 
 
 def test_single_excitation_ground_block_weight():
     # the ground block is (1 - r11 - r22) |0,-><0,-|
     p, me, space = jc_setup()
     t = np.linspace(0.0, 60.0, 61)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    _, _, blocks = solve_blocks(me, jc_initial(p), t, excitation_number(space))
     n_ph = space.factor_dims[1]
     ig = n_ph  # |-,0>
     i1, i2 = 0, n_ph + 1
     for k in range(0, len(t), 10):
-        top = h.blocks[1][k]
-        ground = h.blocks[0][k]
+        top = blocks[1][k]
+        ground = blocks[0][k]
         expected = 1.0 - top[i1, i1].real - top[i2, i2].real
         assert ground[ig, ig].real == pytest.approx(expected, abs=1e-9)
         off = ground.copy()
@@ -189,18 +193,18 @@ def test_hierarchy_rejects_mixed_sectors():
     m += 0.5 * basis_ket(space, (0, 0)).projector().matrix
     rho0 = DensityMatrix(space, m)
     with pytest.raises(ValueError, match="sector"):
-        solve_hierarchy(me, rho0, np.linspace(0, 1, 2), excitation_number(space))
+        hierarchy_sector(me, rho0, excitation_number(space))
     # minor sector weight delta is below SECTOR_TOL, the coherence sqrt(delta) is not
     delta = 1e-11
     v = math.sqrt(1 - delta) * basis_ket(space, (0, 0)).amplitudes
     v += math.sqrt(delta) * basis_ket(space, (1, 0)).amplitudes
     pure = KetState(space, v).projector()
     with pytest.raises(ValueError, match="sector"):
-        solve_hierarchy(me, pure, np.linspace(0, 1, 2), excitation_number(space))
+        hierarchy_sector(me, pure, excitation_number(space))
     # a zero-trace state lies in no sector
     empty = DensityMatrix(space, np.zeros_like(m), trace_target=None)
     with pytest.raises(ValueError, match="sector"):
-        solve_hierarchy(me, empty, np.linspace(0, 1, 2), excitation_number(space))
+        hierarchy_sector(me, empty, excitation_number(space))
 
 
 def test_hierarchy_rejects_a_count_with_negative_eigenvalues():
@@ -209,38 +213,34 @@ def test_hierarchy_rejects_a_count_with_negative_eigenvalues():
     p, me, space = jc_setup()
     shifted = Operator(space, excitation_number(space).matrix - np.eye(space.total_dim))
     with pytest.raises(ValueError, match="number operator must have no negative eigenvalue"):
-        solve_hierarchy(me, jc_initial(p), np.linspace(0.0, 20.0, 3), shifted)
+        hierarchy_sector(me, jc_initial(p), shifted)
 
 
-@pytest.mark.parametrize("where", ["H_S", "H_LS"])
+@pytest.mark.parametrize("where", ["H_S"])
 def test_hierarchy_rejects_non_conserving_hamiltonian(where):
     # a counter-rotating term breaks [N, H] = 0; the check must fire up
     # front, on a grid too short for the state checks to notice the leak
     p, me, space = jc_setup()
     atom, cav = make_atom_ops(space, 0), make_cavity_ops(space, 1)
     extra = 0.1 * (cav["a"] @ atom["S_minus"] + cav["a_dag"] @ atom["S_plus"])
-    if where == "H_S":
-        hamiltonians = dict(H_S=Operator(space, me.H_S.matrix + extra.matrix), H_LS=None)
-    else:  # a Lamb shift counts too
-        hamiltonians = dict(H_S=me.H_S, H_LS=extra)
-    bad = MasterEquation(couplings=me.couplings, tensor=me.tensor, **hamiltonians)
+    bad = MasterEquation(Operator(space, me.H_S.matrix + extra.matrix), me.couplings, me.tensor)
     with pytest.raises(ValueError, match="Hamiltonian does not conserve the excitation count"):
-        solve_hierarchy(bad, jc_initial(p), np.linspace(0.0, 0.1, 11), excitation_number(space))
+        solve_blocks(bad, jc_initial(p), np.linspace(0.0, 0.1, 11), excitation_number(space))
 
 
 def test_hierarchy_telescoping_trace():
     p, me, space = jc_setup(n_exc=2)
     t = np.linspace(0.0, 40.0, 41)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    _, _, blocks = solve_blocks(me, jc_initial(p), t, excitation_number(space))
     for k in range(len(t)):
-        assert np.trace(h.total(k)).real == pytest.approx(1.0, abs=1e-10)
+        assert sum(np.trace(b[k]).real for b in blocks) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hierarchy_blocks_stay_psd():
     p, me, space = jc_setup(n_exc=2)
     t = np.linspace(0.0, 80.0, 41)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
-    for i, block in enumerate(h.blocks):
+    _, _, blocks = solve_blocks(me, jc_initial(p), t, excitation_number(space))
+    for i, block in enumerate(blocks):
         for k in range(len(t)):
             m = (block[k] + block[k].conj().T) / 2
             assert np.linalg.eigvalsh(m)[0] > -1e-7
@@ -250,13 +250,12 @@ def test_first_shell_matches_nested_quadrature():
     # Duhamel check: the one-jump block from direct trapezoid quadrature of
     #   f(t) = int_0^t U(s)^-1 J(rho_top(s)) U(s)^-dag ds,  rho(t) = U f U^dag
     p, me, space = jc_setup()
-    gen = effective_generator(me)
     feed = jump_feed(me)
     rho_top0 = jc_initial(p).matrix
     n_quad = 2000
     t_max = 10.0
     s_grid = np.linspace(0.0, t_max, n_quad + 1)
-    b = gen.B.matrix
+    b = me.B
     integrand = []
     for s in s_grid:
         u = expm(-1j * b * s)
@@ -267,13 +266,13 @@ def test_first_shell_matches_nested_quadrature():
     ds = s_grid[1] - s_grid[0]
 
     coarse = np.array([0.0, 2.0, 5.0, 10.0])
-    h = solve_hierarchy(me, jc_initial(p), coarse, excitation_number(space))
-    for t in coarse[1:]:
+    _, _, blocks = solve_blocks(me, jc_initial(p), coarse, excitation_number(space))
+    for j, t in enumerate(coarse[1:], start=1):
         k = int(round(t / ds))
         f = np.trapezoid(integrand[: k + 1], dx=ds, axis=0)
         u = expm(-1j * b * t)
         oracle = u @ f @ u.conj().T
-        block = h.block_at(0, t)
+        block = blocks[0][j]
         assert np.max(np.abs(block - oracle)) < 1e-5
 
 
@@ -299,24 +298,23 @@ def test_hierarchy_engine_is_the_checked_master_equation(n_exc, initial):
     direct = simulate_config(dataclasses.replace(cfg, engine="integrate"))
     assert series.matrices.tobytes() == direct.matrices.tobytes()
     p, space = cfg.params, jc_space(cfg.params)
-    h = solve_hierarchy(build_model(cfg), jc_initial(p, initial), cfg.grid.times(),
-                        excitation_number(space))
-    assert np.max(np.abs(reconstruct(h, space=space).matrices - series.matrices)) <= 1e-12
+    _, _, blocks = solve_blocks(build_model(cfg), jc_initial(p, initial), cfg.grid.times(),
+                                excitation_number(space))
+    assert np.max(np.abs(sum(blocks) - series.matrices)) <= 1e-12
 
 
 @pytest.mark.parametrize("initial", ["atom", "photon", "mix"])
 @pytest.mark.parametrize("n_exc", [1, 2, 20])
 def test_hierarchy_keeps_one_state_series(n_exc, initial):
     # the blocks are read off integrate's checked series, which the
-    # hierarchy keeps as it is: no stack of blocks beside it
+    # hierarchy engine returns as it is: no stack of blocks beside it
     cfg = mirror_config("hierarchy", n_exc, initial)
-    me, p = build_model(cfg), cfg.params
-    rho0, t, number = jc_initial(p, initial), cfg.grid.times(), excitation_number(jc_space(p))
-    h = solve_hierarchy(me, rho0, t, number)
-    assert h.total().tobytes() == integrate(me, rho0, t).matrices.tobytes()
+    direct = dataclasses.replace(cfg, engine="integrate")
+    series = simulate_config(cfg)
+    assert series.matrices.tobytes() == simulate_config(direct).matrices.tobytes()
     if n_exc == 20:
         peaks = []
-        for run in (lambda: integrate(me, rho0, t), lambda: solve_hierarchy(me, rho0, t, number)):
+        for run in (lambda: simulate_config(direct), lambda: simulate_config(cfg)):
             tracemalloc.start()
             run()
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -340,13 +338,22 @@ def test_hierarchy_engine_checks_the_sector_split(monkeypatch):
 
 
 def test_reconstruct_matches_direct_integration():
+    # the blocks propagated as their own block-bidiagonal system, on the
+    # support of the stack, and summed back into full states
     for n_exc in (1, 2):
         p, me, space = jc_setup(n_exc=n_exc)
+        stack = np.zeros((n_exc + 1, space.total_dim, space.total_dim), dtype=complex)
+        stack[n_exc] = jc_initial(p).matrix
         t = np.linspace(0.0, 50.0, 101)
-        h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
-        rec = reconstruct(h, space=space)
+        _, generator, structure = _block_system(me)
+        support = reference_invariant_support(stack, structure)
+        step = expm(generator(support) * (t[1] - t[0]))
+        y, rec = stack.reshape(-1).copy(), []
+        for _ in t:
+            rec.append(y.reshape(stack.shape).sum(axis=0))
+            y[support] = step @ y[support]
         direct = integrate(me, jc_initial(p), t)
-        dev = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rec, direct))
+        dev = max(np.max(np.abs(a - b.matrix)) for a, b in zip(rec, direct))
         assert dev < 1e-6
 
 
@@ -354,9 +361,9 @@ def test_exact_hierarchy_matches_rk4_with_mirror_loss():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.01, k_mirror=0.05)
     me, space = build_jc(p), jc_space(p)
     t = np.linspace(0.0, 40.0, 21)
-    exact = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
-    rk4 = solve_hierarchy(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
-    for a, b in zip(exact.blocks, rk4.blocks):
+    _, _, exact = solve_blocks(me, jc_initial(p), t, excitation_number(space))
+    _, _, rk4 = solve_blocks(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
+    for a, b in zip(exact, rk4):
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
@@ -378,12 +385,12 @@ def test_rotated_hierarchy_runs_one_expm_on_the_master_equation_support(monkeypa
     number = Operator(space, u @ excitation_number(space).matrix @ u.conj().T)
     t = np.linspace(0.0, 20.0, 11)
     monkeypatch.setattr(me_mod, "expm", counting_expm)
-    h = solve_hierarchy(me, rho0, t, number)
+    _, _, blocks = solve_blocks(me, rho0, t, number)
     monkeypatch.undo()
     assert shapes == [(100, 100)]
     direct = integrate(me, rho0, t)
-    rec = reconstruct(h, space=space)
-    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rec, direct)) <= 1e-8
+    # the dense sector projectors of the rotated count sum back to the state
+    assert np.max(np.abs(sum(blocks) - direct.matrices)) <= 1e-8
 
 
 def block_case(n_exc, k_mirror=0.0):
@@ -414,7 +421,7 @@ def test_block_generator_is_the_kron_assembly_restricted():
     # the full (N + 1) dim^2 block-bidiagonal matrix, built as before
     _, me, _, stack = block_case(2, 0.05)
     _, generator, structure = _block_system(me)
-    b = effective_generator(me).B.matrix
+    b = me.B
     eye = np.eye(me.space.total_dim, dtype=complex)
     nojump = -1j * (np.kron(b, eye) - np.kron(eye, b.conj()))
     jumps = jump_superoperator(me.terms, np.kron)
@@ -437,42 +444,41 @@ def test_projected_blocks_are_the_propagated_block_stack(basis):
         number = Operator(space, u @ number.matrix @ u.conj().T)
         stack = u @ stack @ u.conj().T
     t = np.linspace(0.0, 80.0, 9)
-    h = solve_hierarchy(me, rho0, t, number)
+    _, states, blocks = solve_blocks(me, rho0, t, number)
     L = _block_system(me)[1](np.arange(stack.size))
     for k, tk in enumerate(t):
         want = (expm(L * tk) @ stack.reshape(-1)).reshape(stack.shape)
         for i in range(3):
-            assert np.max(np.abs(h.blocks[i][k] - want[i])) <= 1e-12
-            np.testing.assert_array_equal(h.block_at(i, tk), h.blocks[i][k])
+            assert np.max(np.abs(blocks[i][k] - want[i])) <= 1e-12
+            # one state at a time, as from the whole series
+            np.testing.assert_array_equal(sector_block(states[k].matrix, number, i), blocks[i][k])
 
 
 def test_one_builder_matches_the_pair_sum_and_the_kron_assembly(rng):
-    # n_exc = 2 in a random basis with a Hermitian Lamb shift: no exact zeros,
-    # and B carries H_LS.  The rates stay real: a complex scalar times an array
-    # may round differently by position (vector loop or scalar tail), so two
-    # assemblies of different shape are bitwise equal only for real rates.
+    # n_exc = 2 in a random basis with a Hermitian Lamb shift H_LS in the
+    # Hamiltonian: no exact zeros, and B carries H_LS.  The rates stay real: a
+    # complex scalar times an array may round differently by position (vector
+    # loop or scalar tail), so two assemblies of different shape are bitwise
+    # equal only for real rates.
     p, me, space = jc_setup(g12=0.008, n_exc=2)
     d = space.total_dim
     rot = rotate_model(me, random_unitary(rng, d))
-    me = MasterEquation(
-        rot.H_S, rot.couplings, rot.tensor, H_LS=Operator(space, random_hermitian(rng, d, 0.3))
-    )
-    gen = effective_generator(me)
-    np.testing.assert_array_equal(me.B, gen.B.matrix)
+    h_ls = Operator(space, random_hermitian(rng, d, 0.3))
+    me = MasterEquation(rot.H_S + h_ls, rot.couplings, rot.tensor)
     K = me.K
-    h = me.H_S.matrix + me.H_LS.matrix
+    h = rot.H_S.matrix + h_ls.matrix
     np.testing.assert_array_equal(me.B, h - 0.5j * ((K + K.conj().T) / 2.0))
 
     # the master equation, as a matrix and as the one-block rhs, against the pair sum
     rho = random_density(rng, d)
-    want = me.rhs(rho)
-    via_matrix = (liouvillian_matrix(me) @ rho.reshape(-1)).reshape(d, d)
-    rhs, _, _ = linear_system(me)
+    want = pair_sum_rhs(me, rho)
+    rhs, generator, _ = linear_system(me)
+    via_matrix = (generator(np.arange(d * d)) @ rho.reshape(-1)).reshape(d, d)
     assert np.max(np.abs(via_matrix - want)) <= 1e-13
     assert np.max(np.abs(rhs(rho[None])[0] - want)) <= 1e-13
 
     # the hierarchy on its full stack: bitwise the block-bidiagonal kron assembly
-    b = gen.B.matrix
+    b = me.B
     eye = np.eye(d, dtype=complex)
     nojump = -1j * (np.kron(b, eye) - np.kron(eye, b.conj()))
     jumps = jump_superoperator(me.terms, np.kron)
@@ -486,9 +492,7 @@ def test_hierarchy_rejects_non_positive_max_step(max_step):
     p, me, space = jc_setup(g11=0.01, g22=0.01, g12=0.005)
     t = np.linspace(0.0, 4.0, 21)
     with pytest.raises(ValueError, match="max_step must be > 0"):
-        solve_hierarchy(me, jc_initial(p), t, excitation_number(space), max_step=max_step)
-    with pytest.raises(ValueError, match="max_step must be > 0"):
-        solve_jc_hierarchy(p, t, max_step=max_step)
+        solve_blocks(me, jc_initial(p), t, excitation_number(space), max_step=max_step)
 
 
 def test_block_support_path_matches_full_stack_rk4_and_closed_form(monkeypatch):
@@ -504,29 +508,28 @@ def test_block_support_path_matches_full_stack_rk4_and_closed_form(monkeypatch):
     p, me, space, _ = block_case(n_exc)
     t = np.linspace(0.0, 2.0, 5)
     monkeypatch.setattr(me_mod, "expm", counting_expm)
-    exact = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    _, _, exact = solve_blocks(me, jc_initial(p), t, excitation_number(space))
     n = 1 + 4 * n_exc
     assert shapes == [(n, n)]  # not (n_exc + 1) dim^2
     monkeypatch.undo()
-    rk4 = solve_hierarchy(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
-    for a, b in zip(exact.blocks, rk4.blocks):
+    _, _, rk4 = solve_blocks(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
+    for a, b in zip(exact, rk4):
         assert np.max(np.abs(a - b)) <= 1e-9
     blk = closed_form_block(p, n_exc, t)
-    r11, r12, r22 = sector_entries(exact.blocks[n_exc], space, n_exc)
+    r11, r12, r22 = sector_entries(exact[n_exc], space, n_exc)
     for got, want in ((r11, blk.rho11), (r12, blk.rho12), (r22, blk.rho22)):
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_no_jump_conditional_equals_top_block():
     p, me, space = jc_setup(g11=0.01, g22=0.01, g12=0.01)
-    gen = effective_generator(me)
     t = np.linspace(0.0, 120.0, 13)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    _, _, blocks = solve_blocks(me, jc_initial(p), t, excitation_number(space))
     psi0 = jc_initial(p).matrix
-    for tv in (40.0, 120.0):
-        cond = propagate_deterministic(gen, psi0, tv)
+    for k, tv in ((4, 40.0), (12, 120.0)):
+        cond = propagate_deterministic(me.B, psi0, tv)
         cond /= np.trace(cond).real
-        top = h.block_at(1, tv)
+        top = blocks[1][k]
         top = top / np.trace(top).real
         assert np.max(np.abs(cond - top)) < 1e-7
 
@@ -579,8 +582,8 @@ def test_mcwf_zero_jump_fraction_matches_block_weight():
     t = np.linspace(0.0, 200.0, 21)
     n_traj = 600
     res = mcwf_unravel(me, psi0, t, n_traj=n_traj, seed=17)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
-    surv = np.trace(h.block_at(1, 200.0)).real
+    _, _, blocks = solve_blocks(me, jc_initial(p), t, excitation_number(space))
+    surv = np.trace(blocks[1][-1]).real  # t = 200
     frac = sum(1 for r in res.jump_records if len(r) == 0) / n_traj
     sigma = math.sqrt(surv * (1 - surv) / n_traj)
     assert abs(frac - surv) <= 3 * sigma
@@ -594,10 +597,10 @@ def test_mcwf_jump_counts_match_every_block_weight():
     t = np.linspace(0.0, 150.0, 16)
     n_traj = 600
     res = mcwf_unravel(me, jc_initial_ket(p), t, n_traj=n_traj, seed=17)
-    h = solve_hierarchy(me, jc_initial(p), t, excitation_number(space))
+    _, _, blocks = solve_blocks(me, jc_initial(p), t, excitation_number(space))
     jumps = np.array([np.searchsorted([tj for tj, _ in rec], t, side="right")
                       for rec in res.jump_records])
-    for i, block in enumerate(h.blocks):
+    for i, block in enumerate(blocks):
         weight = np.trace(block, axis1=1, axis2=2).real
         frac = np.mean(jumps == p.n_exc - i, axis=0)
         assert np.max(weight) > 0.2
@@ -971,7 +974,7 @@ def test_mcwf_edge_rows_are_bytewise_the_reference(monkeypatch, n_points, chunk_
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01, k_mirror=0.03, n_exc=2)
     me, psi0 = build_jc(p), jc_initial_ket(p, "atom")
     t = np.linspace(0.0, 10.0 * (n_points - 1), n_points)
-    b = effective_generator(me).B.matrix
+    b = me.B
     survival = [np.linalg.norm(expm(-1j * b * tk) @ psi0.amplitudes) ** 2 for tk in t]
     first = (survival[0] + survival[1]) / 2.0  # crosses in interval 0
     last = (survival[-2] + survival[-1]) / 2.0  # crosses in the last interval
@@ -1047,8 +1050,6 @@ def test_engines_reject_a_time_grid_that_is_not_finite(grid):
     with pytest.raises(ValueError, match=msg):
         integrate(me, jc_initial(p), grid)
     with pytest.raises(ValueError, match=msg):
-        solve_hierarchy(me, jc_initial(p), grid, excitation_number(space))
-    with pytest.raises(ValueError, match=msg):
         mcwf_unravel(me, jc_initial_ket(p), grid, 10, 1)
 
 
@@ -1059,8 +1060,6 @@ def test_engines_reject_a_time_grid_whose_resolution_underflows(grid):
     msg = "time grid is too fine: its float resolution underflows to 0"
     with pytest.raises(ValueError, match=msg):
         integrate(me, jc_initial(p), grid)
-    with pytest.raises(ValueError, match=msg):
-        solve_hierarchy(me, jc_initial(p), grid, excitation_number(space))
     with pytest.raises(ValueError, match=msg):
         mcwf_unravel(me, jc_initial_ket(p), grid, 10, 1)
     # one point propagates nothing, and at t = 0 its resolution is 0 too
