@@ -21,7 +21,6 @@ from .master_equation import (
     apply_t0_filter,
     diagonalize_gamma,
     integrate,
-    jump_feed,
     jump_operators,
 )
 from .trajectories import (

@@ -39,7 +39,7 @@ from .core import (
     embed,
 )
 from .eigenops import decompose, eigenoperators
-from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor
+from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor, emitting_frequencies
 
 __all__ = [
     "JCParams",
@@ -186,25 +186,17 @@ def build_jc(p: JCParams, tensor: SpectralTensor | None = None) -> MasterEquatio
     temperature.  A given ``tensor`` (zero-temperature, channels atom and
     mode) replaces that flat rate matrix; the rates in ``p`` are then
     unused.  Each of its positive frequencies must carry a coupling
-    component: a rate anywhere else would act on no operator and
-    silently vanish, so it is a ValueError.
+    component: :class:`MasterEquation` rejects a rate anywhere else.
     """
     space = jc_space(p)
     atom, cav, h_bare, h_full = _hamiltonians(p, space)
     decomp = decompose(h_bare)
     fam1 = tuple(eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, source_index=0))
     fam2 = tuple(eigenoperators(cav["a"] + cav["a_dag"], decomp, source_index=1))
-    emitting = [eo.frequency for fam in (fam1, fam2) for eo in fam if eo.frequency > FREQ_MATCH_TOL]
-    freqs = sorted({round(w, 12) for w in emitting})
-
     if tensor is None:
+        freqs = emitting_frequencies((fam1, fam2))
         g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
         tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
-    for w in tensor.frequencies:
-        if w > FREQ_MATCH_TOL and not any(abs(f - w) <= FREQ_MATCH_TOL for f in freqs):
-            raise ValueError(
-                f"no coupling component at tensor frequency {w!r} (the channels act at {freqs})"
-            )
     return MasterEquation(
         H_S=Operator(space, h_full.matrix, label="H_S"), couplings=(fam1, fam2), tensor=tensor
     )

@@ -166,6 +166,13 @@ def _channel_terms(
     return tuple(terms)
 
 
+def emitting_frequencies(couplings: tuple[tuple[EigenOperator, ...], ...]) -> list[float]:
+    """The distinct positive frequencies of the channels' components,
+    rounded to 12 decimals, in ascending order."""
+    emitting = [eo.frequency for fam in couplings for eo in fam if eo.frequency > FREQ_MATCH_TOL]
+    return sorted({round(w, 12) for w in emitting})
+
+
 def _pair_sum(terms: tuple[ChannelTerm, ...], dim: int) -> np.ndarray:
     """sum over the terms of coefficient * A_a^dag A_b."""
     out = np.zeros((dim, dim), dtype=complex)
@@ -183,7 +190,9 @@ class MasterEquation:
     sum gamma_ab A_a^dag A_b and ``B`` = H_S - (i/2) (K + K^dag)/2 the
     no-jump generator; every generator form is built from these.
     Immutable after assembly; integrations of the same object may run
-    concurrently.  A B with a non-finite entry is a ValueError.
+    concurrently.  A B with a non-finite entry is a ValueError, and so is a
+    positive tensor frequency at which no channel has a component: its
+    rates would act on no operator and silently vanish.
     """
 
     H_S: Operator
@@ -203,6 +212,12 @@ class MasterEquation:
             for eo in fam:
                 if eo.op.space != self.H_S.space:
                     raise ValueError("coupling operator space mismatch")
+        acts = emitting_frequencies(fams)
+        for w in self.tensor.frequencies:
+            if w > FREQ_MATCH_TOL and not any(abs(f - w) <= FREQ_MATCH_TOL for f in acts):
+                raise ValueError(
+                    f"no coupling component at tensor frequency {w!r} (the channels act at {acts})"
+                )
         object.__setattr__(self, "couplings", fams)
         dim = self.space.total_dim
         terms = _channel_terms(fams, self.tensor.frequencies, self.tensor.gamma, dim)
@@ -219,39 +234,6 @@ class MasterEquation:
     @property
     def space(self) -> HilbertSpace:
         return self.H_S.space
-
-    def rate_scale(self) -> float:
-        """Largest decay rate in the tensor (sets the dissipative time scale)."""
-        best = 0.0
-        for g in self.tensor.gamma:
-            evals = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-            if evals.size:
-                best = max(best, float(evals[-1]))
-        return best
-
-    def frequency_scale(self) -> float:
-        """Largest frequency of H_S or of the tensor (sets the coherent time scale)."""
-        h = self.H_S.matrix
-        evals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-        spread = float(evals[-1] - evals[0]) if evals.size else 0.0
-        wmax = max((abs(w) for w in self.tensor.frequencies), default=0.0)
-        return max(spread, wmax)
-
-
-def jump_feed(me: MasterEquation):
-    """Return the jump superoperator J as a callable on raw state matrices.
-
-    A stack of matrices (leading axes) is mapped matrix by matrix.
-    """
-    terms = [term for term in me.terms if term.frequency > FREQ_MATCH_TOL]
-
-    def feed(rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for _, rate, A_b, A_a_dag in terms:
-            out = out + rate * (A_b @ rho @ A_a_dag)
-        return out
-
-    return feed
 
 
 def apply_t0_filter(tensor: SpectralTensor) -> SpectralTensor:
@@ -340,23 +322,19 @@ def linear_system(me: MasterEquation):
 
         d rho / dt = -i (B rho - rho B^dag) + J(rho),
 
-    from ``me.B`` and ``me.terms``.  Returns ``rhs`` on a state (a stack is
-    mapped matrix by matrix), ``generator(support)`` (the matrix on those
-    flat row-major entries of vec(rho)) and the :class:`Structure` that
-    :func:`invariant_support` reads: the generator's terms as (X, Y) pairs,
-    each mapping rho to X rho Y.  The generator is computed only at the
-    entries (p, q) that some term maps q to, with the products and sums of
-    the ``kron`` assembly at each; every other entry of that assembly is
-    exactly +0 (its products are zeros, and the jump sum starts from 0.0).
+    from ``me.B`` and ``me.terms``.  Returns ``generator(support)`` (the
+    matrix on those flat row-major entries of vec(rho)) and the
+    :class:`Structure` that :func:`invariant_support` reads: the
+    generator's terms as (X, Y) pairs, each mapping rho to X rho Y.  The
+    generator is computed only at the entries (p, q) that some term maps q
+    to, with the products and sums of the ``kron`` assembly at each; every
+    other entry of that assembly is exactly +0 (its products are zeros, and
+    the jump sum starts from 0.0).
     """
     d = me.space.total_dim
-    b, b_dag = me.B, me.B.conj().T
-    feed = jump_feed(me)
+    b = me.B
     eye = np.eye(d)
-    structure = Structure([(b, eye), (eye, b_dag)] + [(t.A_b, t.A_a_dag) for t in me.terms])
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        return -1j * (b @ rho - rho @ b_dag) + feed(rho)
+    structure = Structure([(b, eye), (eye, b.conj().T)] + [(t.A_b, t.A_a_dag) for t in me.terms])
 
     def generator(support: np.ndarray) -> np.ndarray:
         entries = support.tolist()
@@ -373,7 +351,7 @@ def linear_system(me: MasterEquation):
         )
         return out
 
-    return rhs, generator, structure
+    return generator, structure
 
 
 def invariant_support(y0: np.ndarray, structure: Structure) -> np.ndarray:
@@ -397,26 +375,6 @@ def invariant_support(y0: np.ndarray, structure: Structure) -> np.ndarray:
     return np.sort(np.fromiter(reached, dtype=np.intp, count=len(reached)))
 
 
-def default_max_step(me: MasterEquation) -> float:
-    """Fixed-step rule: 1/50 of the fastest coherent period or decay time."""
-    candidates = []
-    w = me.frequency_scale()
-    if w > 0:
-        candidates.append(2.0 * math.pi / w)
-    g = me.rate_scale()
-    if g > 0:
-        candidates.append(1.0 / g)
-    return min(candidates) / 50.0 if candidates else math.inf
-
-
-MAX_SUBSTEPS = 10_000_000
-
-# Largest support (see invariant_support) propagated with a dense matrix
-# exponential.  One expm of the n x n generator costs about n^3: at 256
-# entries that is tens of milliseconds, at 1024 more than a whole fixed-step
-# RK4 run of the same problem.
-EXACT_SIZE_LIMIT = 256
-
 # Largest trace drift and Hermiticity defect a propagated state may show
 HYGIENE_TOL = 1e-8
 
@@ -431,23 +389,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
-
-
-def _rk4_span(rhs, y: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndarray:
-    span = t1 - t0
-    if span <= 0:
-        return y
-    n_sub = max(1, int(math.ceil(span / h_max))) if math.isfinite(h_max) else 1
-    if n_sub > MAX_SUBSTEPS:
-        raise IntegrationError("step size underflow: required substep count too large", t0)
-    h = span / n_sub
-    for _ in range(n_sub):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 def time_grid(t_grid) -> np.ndarray:
@@ -485,49 +426,34 @@ def spacing_classes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, of
 
 
-def propagate_linear(
-    me: MasterEquation,
-    y0: np.ndarray,
-    t: np.ndarray,
-    max_step: float | None,
-) -> np.ndarray:
+def propagate_linear(me: MasterEquation, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """rho(t_1), rho(t_2), ... of d rho/dt = L rho from the d x d state ``y0``,
     as one ``(len(t) - 1, d, d)`` array, with L the :func:`linear_system` of
     ``me``.
 
-    Without ``max_step`` the state's support S (:func:`invariant_support`
-    of ``y0``, read from the exact nonzeros of B and of the jump terms)
-    is found first.  Exact path (S of at most ``EXACT_SIZE_LIMIT``
-    entries): each grid step applies expm(L[S, S] dt) to the entries S
-    of row-major ``y.reshape(-1)``, computed once per class of
-    :func:`spacing_classes`, and the results are scattered into zeros.
-    Since S is invariant this is exact, not an approximation.  Otherwise
-    fixed-step RK4 applies L to the full state with substeps of at most
-    ``max_step`` (default :func:`default_max_step`); an explicit
-    ``max_step`` makes it the oracle for the exact path and must be > 0.
+    The state's support S (:func:`invariant_support` of ``y0``, read from
+    the exact nonzeros of B and of the jump terms) is found first.  Each
+    grid step applies expm(L[S, S] dt) to the entries S of row-major
+    ``y0.reshape(-1)``, computed once per class of :func:`spacing_classes`,
+    and the results are scattered into zeros.  Since S is invariant this
+    is exact, not an approximation.  The cost is one dense |S| x |S|
+    ``expm`` per spacing class (about |S|^3 operations and 16 |S|^2 bytes
+    each) and one |S| gemv per grid step.
     """
-    if max_step is not None and not max_step > 0:
-        raise ValueError("max_step must be > 0")
-    rhs, generator, structure = linear_system(me)
-    support = invariant_support(y0, structure) if max_step is None else None
+    generator, structure = linear_system(me)
+    support = invariant_support(y0, structure)
     out = np.zeros((len(t) - 1, *y0.shape), dtype=complex)
-    if support is not None and support.size <= EXACT_SIZE_LIMIT:
-        L = generator(support)
-        dts = np.diff(t)
-        first, of = spacing_classes(t)
-        steps = [expm(L * dts[k]) for k in first]
-        ys = np.empty((len(t) - 1, support.size), dtype=complex)
-        y = y0.reshape(-1)[support]
-        # ndarray.dot: one gemv per step into its output row, the bits of
-        # np.matmul without the ufunc dispatch
-        for k, c in enumerate(of.tolist()):
-            y = steps[c].dot(y, out=ys[k])
-        out.reshape(len(t) - 1, -1)[:, support] = ys
-        return out
-    h_max = default_max_step(me) if max_step is None else float(max_step)
-    y = y0
-    for k in range(1, len(t)):
-        y = out[k - 1] = _rk4_span(rhs, y, t[k - 1], t[k], h_max)
+    L = generator(support)
+    dts = np.diff(t)
+    first, of = spacing_classes(t)
+    steps = [expm(L * dts[k]) for k in first]
+    ys = np.empty((len(t) - 1, support.size), dtype=complex)
+    y = y0.reshape(-1)[support]
+    # ndarray.dot: one gemv per step into its output row, the bits of
+    # np.matmul without the ufunc dispatch
+    for k, c in enumerate(of.tolist()):
+        y = steps[c].dot(y, out=ys[k])
+    out.reshape(len(t) - 1, -1)[:, support] = ys
     return out
 
 
@@ -572,23 +498,15 @@ def check_hygiene(
     raise IntegrationError(f"state hygiene lost: {reason}", float(t[first]))
 
 
-def integrate(
-    me: MasterEquation,
-    rho0: DensityMatrix,
-    t_grid: np.ndarray,
-    max_step: float | None = None,
-) -> StateSeries:
+def integrate(me: MasterEquation, rho0: DensityMatrix, t_grid: np.ndarray) -> StateSeries:
     """Evolve a state over an increasing time grid.
 
-    The master equation is the :func:`linear_system`.  Without
-    ``max_step`` the state is propagated on its invariant support (the
-    entries ``rho0`` reaches under the exact nonzeros of B and of the jump
-    terms, see :func:`invariant_support`): up to ``EXACT_SIZE_LIMIT``
-    entries exactly, with one cached expm of the restricted Liouvillian
-    per grid spacing.  A sector-pure JC state has 1 + 4 n_exc such
-    entries.  Above the limit, or with an explicit ``max_step`` (> 0),
-    fixed-step RK4 runs on the full state (see :func:`propagate_linear`).
-    Returns a :class:`~cobath.core.StateSeries` whose state 0 is ``rho0``
+    The master equation is the :func:`linear_system`, propagated exactly on
+    the state's invariant support (the entries ``rho0`` reaches under the
+    exact nonzeros of B and of the jump terms, see :func:`invariant_support`)
+    with one cached expm of the restricted Liouvillian per grid spacing (see
+    :func:`propagate_linear`).  A sector-pure JC state has 1 + 4 n_exc such
+    entries.  Returns a :class:`~cobath.core.StateSeries` whose state 0 is ``rho0``
     itself; the other rows are the Hermitian parts of the propagated states,
     checked as one stack by :func:`check_hygiene` (trace target as for
     ``rho0``), and a violation is an :class:`IntegrationError` with the
@@ -604,7 +522,7 @@ def integrate(
     if len(t) > 1:
         # the series is freed once checked: at most two stacks of states are alive at once
         parts = check_hygiene(
-            propagate_linear(me, rho0.matrix, t, max_step), t[1:], rho0.trace, target
+            propagate_linear(me, rho0.matrix, t), t[1:], rho0.trace, target
         )
         stack = np.concatenate([stack, parts])
     return StateSeries(me.space, stack, 1e-7, target, rho0)

@@ -7,12 +7,30 @@ the blocks off the master-equation state by sector (``sector_block``
 here, once ``cobath.trajectories.hierarchy_sector`` has checked that the
 split holds); the tests keep this builder as the reference for that
 reading, for the support search on block stacks and for the kron assembly.
+Its ``shift`` 0 ``rhs`` is what the fixed-step oracle (``rk4_reference``)
+steps.
 """
 
 import numpy as np
 
 from cobath.core import Operator
-from cobath.master_equation import MasterEquation, jump_feed, jump_superoperator, kron_on
+from cobath.master_equation import FREQ_MATCH_TOL, MasterEquation, jump_superoperator, kron_on
+
+
+def jump_feed(me: MasterEquation):
+    """Return the jump superoperator J as a callable on raw state matrices.
+
+    A stack of matrices (leading axes) is mapped matrix by matrix.
+    """
+    terms = [term for term in me.terms if term.frequency > FREQ_MATCH_TOL]
+
+    def feed(rho: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(rho)
+        for _, rate, A_b, A_a_dag in terms:
+            out = out + rate * (A_b @ rho @ A_a_dag)
+        return out
+
+    return feed
 
 
 def sector_block(states: np.ndarray, number_op: Operator, i: int) -> np.ndarray:

@@ -71,7 +71,7 @@ def test_criterion_01_closed_system_rabi():
     want = np.cos(eps * t) ** 2
     blk = closed_form_block(p, 1, t)
     err_closed = float(np.max(np.abs(blk.rho11.real - want)))
-    states = integrate(build_jc(p), jc_initial(p), t, max_step=0.01)
+    states = integrate(build_jc(p), jc_initial(p), t)
     pop = np.array([excited_population(s, jc_space(p)) for s in states])
     err_int = float(np.max(np.abs(pop - want)))
     err = max(err_closed, err_int)

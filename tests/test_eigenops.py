@@ -408,7 +408,7 @@ def test_decompose_orders_exact_ties_by_block():
 def test_dressed_split_keeps_excitation_sectors_exact(omega0, support_size, raising):
     p = JCParams(omega0=omega0, eps=0.1, g11=0.01, g22=0.01, n_exc=30)
     me = build_dressed_jc(p)
-    support = invariant_support(jc_initial(p).matrix, linear_system(me)[2])
+    support = invariant_support(jc_initial(p).matrix, linear_system(me)[1])
     assert support.size == support_size
     n = np.round(np.diag(excitation_number(jc_space(p)).matrix).real)
     delta_n = n[:, None] - n[None, :]  # entry (i, j) takes sector n_j to n_i
@@ -556,7 +556,7 @@ def test_random_jc_models_agree_with_the_oracles(model):
     # dense search, and the bare split is the pairwise projector oracle
     p, initial = model
     me = build_jc(p)
-    structure = linear_system(me)[2]
+    structure = linear_system(me)[1]
     y0 = jc_initial(p, initial).matrix
     got = invariant_support(y0, structure)
     for want in (

@@ -47,6 +47,7 @@ from dissipator_reference import (
     pair_sum_rhs,
 )
 from operator_reference import make_atom_ops, make_cavity_ops
+from rk4_reference import rk4_states
 from split_reference import build_dressed_jc
 from support_reference import (
     dense_generator,
@@ -104,20 +105,30 @@ def cavity_only_me(omega0=1.0, gamma=0.05, n_max=3):
     return MasterEquation(h, (fam,), tensor), space
 
 
+def test_master_equation_rejects_a_tensor_rate_where_no_coupling_acts():
+    # one mode coupled at w = 1.0, a rate at w = 2.0: its term would hold
+    # zero matrices and the rate would vanish from K and B
+    me, space = cavity_only_me()
+    tensor = SpectralTensor((2.0,), (np.array([[0.05]], dtype=complex),))
+    msg = r"no coupling component at tensor frequency 2.0 \(the channels act at \[1.0\]\)"
+    with pytest.raises(ValueError, match=msg):
+        MasterEquation(me.H_S, me.couplings, tensor)
+
+
 def jc_me(g11=0.01, g22=0.02, g12=0.01, eps=0.1, k=0.0):
     return build_jc(JCParams(omega0=1.0, eps=eps, g11=g11, g22=g22, g12=g12, k_mirror=k))
 
 
 def generator_terms(me):
     """The generator's terms as (X, Y) pairs, for ``invariant_support``."""
-    return linear_system(me)[2]
+    return linear_system(me)[1]
 
 
 def liouvillian(me, support=None):
     """The generator of ``linear_system`` on the flat row-major entries
     ``support`` of vec(rho) (default: all of them)."""
     everything = np.arange(me.space.total_dim**2)
-    return linear_system(me)[1](everything if support is None else support)
+    return linear_system(me)[0](everything if support is None else support)
 
 
 # ------------------------------------------------------------- dissipator
@@ -299,7 +310,7 @@ def test_free_precession_phase():
     me = MasterEquation(h, (), SpectralTensor((), ()))
     rho0 = DensityMatrix(space, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     t = np.linspace(0.0, 20.0, 41)
-    states = integrate(me, rho0, t, max_step=0.01)
+    states = integrate(me, rho0, t)
     coh = np.array([s.matrix[0, 1] for s in states])
     np.testing.assert_allclose(coh, 0.5 * np.exp(-1j * t), atol=1e-8)
 
@@ -315,30 +326,21 @@ def test_cavity_decay_expectation():
 
 
 def test_half_step_convergence():
+    # the RK4 oracle: halving its step moves the states by less than 1e-8
     me = jc_me()
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.01)
     rho0 = jc_initial(p)
     t = np.linspace(0.0, 10.0, 21)
-    from cobath.master_equation import default_max_step
-
-    h = default_max_step(me)
-    full = integrate(me, rho0, t, max_step=h)
-    half = integrate(me, rho0, t, max_step=h / 2)
-    dev = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(full, half))
-    assert dev < 1e-8
-
-
-@pytest.mark.parametrize("max_step", [-1.0, 0.0, math.nan])
-def test_integrate_rejects_non_positive_max_step(max_step):
-    p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.005)
-    with pytest.raises(ValueError, match="max_step must be > 0"):
-        integrate(build_jc(p), jc_initial(p), np.linspace(0.0, 4.0, 21), max_step=max_step)
+    h = 0.031415926535897934  # 1/50 of the fastest coherent period, 2 pi / 4
+    full = rk4_states(me, rho0, t, h)
+    half = rk4_states(me, rho0, t, h / 2)
+    assert np.max(np.abs(full - half)) < 1e-8
 
 
 def test_default_step_counts_the_lamb_shift():
-    # in a random basis the support is all d^2 = 400 entries, so the default
-    # RK4 path runs; with a Lamb shift H_LS in the Hamiltonian its step must
-    # follow the spread of H_S + H_LS, not of the bare H_S
+    # in a random basis the support is all d^2 = 400 entries; with a Lamb
+    # shift H_LS in the Hamiltonian the exact path on that support must
+    # follow H_S + H_LS, against a fine-step RK4 oracle
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.02, g12=0.006 + 0.004j, n_exc=7)
     space = jc_space(p)
     u = random_unitary(np.random.default_rng(20240817), space.total_dim)
@@ -348,8 +350,8 @@ def test_default_step_counts_the_lamb_shift():
     rho0 = DensityMatrix(space, u @ jc_initial(p).matrix @ u.conj().T)
     t = np.linspace(0.0, 1.0, 3)
     default = integrate(me, rho0, t)
-    fine = integrate(me, rho0, t, max_step=0.002)
-    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(default, fine)) <= 1e-8
+    fine = rk4_states(me, rho0, t, 0.002)
+    assert max(np.max(np.abs(a.matrix - b)) for a, b in zip(default, fine)) <= 1e-8
 
 
 def test_exact_integrate_matches_rk4_and_closed_form_at_dfs_point():
@@ -357,8 +359,8 @@ def test_exact_integrate_matches_rk4_and_closed_form_at_dfs_point():
     me = build_jc(p)
     t = np.linspace(0.0, 50.0, 26)
     exact = integrate(me, jc_initial(p), t)
-    rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
-    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+    rk4 = rk4_states(me, jc_initial(p), t, 0.01)
+    assert max(np.max(np.abs(a.matrix - b)) for a, b in zip(exact, rk4)) <= 1e-9
     blk = closed_form_block(p, 1, t)
     n_ph = jc_space(p).factor_dims[1]
     i1, i2 = 0, n_ph + 1
@@ -384,8 +386,8 @@ def test_exact_integrate_caches_one_propagator_per_spacing(monkeypatch):
     exact = integrate(me, jc_initial(p), t)
     assert len(calls) == 2  # spacings 1.0 and 2.5
     monkeypatch.setattr(me_mod, "expm", expm)
-    rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
-    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+    rk4 = rk4_states(me, jc_initial(p), t, 0.01)
+    assert max(np.max(np.abs(a.matrix - b)) for a, b in zip(exact, rk4)) <= 1e-9
 
 
 def reference_propagate_linear(me, y0, t):
@@ -428,7 +430,7 @@ def test_exact_path_is_bitwise_the_per_step_reference(n_exc, k_mirror, size):
     assert len(set(dts[:40].tolist())) > 1  # the linspace spacings differ in their last bits
     first, of = spacing_classes(t)
     assert len(first) == 5 and np.all(of[45:74] == of[0]) and len(set(of[:40].tolist())) == 1
-    got = propagate_linear(me, y0, t, None)
+    got = propagate_linear(me, y0, t)
     assert got.tobytes() == reference_propagate_linear(me, y0, t).tobytes()
 
 
@@ -610,7 +612,7 @@ def test_restricted_generator_is_bitwise_the_dense_assembly():
     # L[S, S] from the reached entries only, against every entry from the
     # |S| x |S| products: equal under a uint64 view, so signed zeros count
     for name, (me, y0) in restricted_generator_cases().items():
-        _, generator, structure = linear_system(me)
+        generator, structure = linear_system(me)
         support = invariant_support(y0, structure)
         got, want = generator(support), dense_generator(me, support)
         assert got.shape == want.shape == (support.size, support.size), name
@@ -622,7 +624,7 @@ def test_generator_on_any_support_is_bitwise_the_dense_assembly(rng):
     # them are not read
     _, me, rho0 = support_case("mirror_n3_mix")
     d = me.space.total_dim
-    generator = linear_system(me)[1]
+    generator = linear_system(me)[0]
     for support in (
         rng.permutation(d * d)[:40],
         np.sort(rng.permutation(d * d)[:60]),
@@ -661,8 +663,9 @@ def counting_expm(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("n_exc", [13, 30])
+@pytest.mark.parametrize("n_exc", [13, 30, 64])
 def test_support_path_matches_full_state_rk4_and_closed_form(n_exc, monkeypatch):
+    # n_exc 64 has a support of 257 entries, still one expm
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.0098, g12=0.008, n_exc=n_exc)
     me, space = build_jc(p), jc_space(p)
     t = np.linspace(0.0, 2.0, 5)
@@ -671,14 +674,14 @@ def test_support_path_matches_full_state_rk4_and_closed_form(n_exc, monkeypatch)
     n = 1 + 4 * n_exc
     assert shapes == [(n, n)]  # far below dim^2 = 4 (n_exc + 3)^2 entries
     monkeypatch.undo()
-    rk4 = integrate(me, jc_initial(p), t, max_step=0.01)
-    assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(exact, rk4)) <= 1e-9
+    rk4 = rk4_states(me, jc_initial(p), t, 0.01)
+    assert max(np.max(np.abs(a.matrix - b)) for a, b in zip(exact, rk4)) <= 1e-9
     # outside the support both paths hold exact zeros
     outside = np.ones(space.total_dim**2, dtype=bool)
     outside[invariant_support(jc_initial(p).matrix, generator_terms(me))] = False
     for a, b in zip(exact, rk4):
         assert np.all(a.matrix.reshape(-1)[outside] == 0)
-        assert np.all(b.matrix.reshape(-1)[outside] == 0)
+        assert np.all(b.reshape(-1)[outside] == 0)
     blk = closed_form_block(p, n_exc, t)
     r11, r12, r22 = sector_entries(np.array([s.matrix for s in exact]), space, n_exc)
     for got, want in ((r11, blk.rho11), (r12, blk.rho12), (r22, blk.rho22)):
@@ -727,22 +730,20 @@ def test_integrate_requires_increasing_grid():
         integrate(me, rho0, np.array([0.0, 1.0, 0.5]))
 
 
-@pytest.mark.parametrize("max_step", [None, 0.1])
-def test_integrate_on_a_one_point_grid_returns_the_initial_state(max_step):
-    # the exact path (no max_step) and the RK4 path; nothing is propagated
+def test_integrate_on_a_one_point_grid_returns_the_initial_state():
+    # nothing is propagated
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.005)
     rho0 = jc_initial(p)
-    states = integrate(build_jc(p), rho0, [2.5], max_step=max_step)
+    states = integrate(build_jc(p), rho0, [2.5])
     assert len(states) == 1 and states[0] is rho0
 
 
-@pytest.mark.parametrize("max_step", [None, 0.1])
-def test_integrate_series_starts_with_the_initial_state_itself(max_step):
+def test_integrate_series_starts_with_the_initial_state_itself():
     p = JCParams(omega0=1.0, eps=0.1, g11=0.01, g22=0.01, g12=0.005)
     m = jc_initial(p).matrix.copy()
     m[0, 1] += 1e-12j  # within 1e-9 of Hermitian: row 0 holds m, not its Hermitian part
     rho0 = DensityMatrix(jc_space(p), m)
-    states = integrate(build_jc(p), rho0, np.linspace(0.0, 40.0, 21), max_step=max_step)
+    states = integrate(build_jc(p), rho0, np.linspace(0.0, 40.0, 21))
     assert type(states) is StateSeries and len(states) == 21
     assert states[0] is rho0 and states[-21] is rho0 and next(iter(states)) is rho0
     assert states[::8][0] is rho0 and states[::10][0] is rho0
@@ -789,29 +790,42 @@ def test_simulate_config_series_is_the_stack_its_engine_checked(monkeypatch):
     assert engines == {"closed-form", "integrate", "hierarchy", "mcwf"}
 
 
-def test_integrate_reports_failure_time():
+def failing_long_steps(monkeypatch, bad):
+    """Make the library's step ``bad(L dt)`` where L dt has an entry of
+    modulus 10 or more (the long spacings of the grids below); shorter
+    steps stay exact."""
+    import cobath.master_equation as me_mod
+
+    monkeypatch.setattr(me_mod, "expm", lambda a: bad(a) if np.max(np.abs(a)) >= 10 else expm(a))
+
+
+def test_integrate_reports_failure_time(monkeypatch):
+    # a step that doubles the trace
+    failing_long_steps(monkeypatch, lambda a: 2.0 * expm(a))
     me, space = cavity_only_me(omega0=5.0, gamma=0.5)
     rho0 = DensityMatrix(space, np.diag([0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(IntegrationError) as err:
-        integrate(me, rho0, np.array([0.0, 40.0, 80.0]), max_step=40.0)
+        integrate(me, rho0, np.array([0.0, 40.0, 80.0]))
     assert err.value.t in (40.0, 80.0)
 
 
-def test_integrate_reports_exact_first_failing_time():
-    # two short stable RK4 steps, then one step far beyond the stable size
+def test_integrate_reports_exact_first_failing_time(monkeypatch):
+    # two short exact steps, then a long step that doubles the trace
+    failing_long_steps(monkeypatch, lambda a: 2.0 * expm(a))
     me, space = cavity_only_me(omega0=5.0, gamma=0.5)
     rho0 = DensityMatrix(space, np.diag([0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(IntegrationError) as err:
-        integrate(me, rho0, np.array([0.0, 0.1, 0.2, 40.0, 80.0]), max_step=40.0)
+        integrate(me, rho0, np.array([0.0, 0.1, 0.2, 40.0, 80.0]))
     assert err.value.t == 40.0
 
 
-def test_integrate_reports_non_finite_state_at_its_time():
-    # one RK4 step of size 1e80 / gamma overflows to inf and NaN
+def test_integrate_reports_non_finite_state_at_its_time(monkeypatch):
+    # one short exact step, then a long step of NaN
+    failing_long_steps(monkeypatch, lambda a: np.full_like(a, np.nan))
     me, space = cavity_only_me(omega0=1.0, gamma=1e80)
     rho0 = DensityMatrix(space, np.diag([0.0, 1.0, 0.0, 0.0]))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
-        integrate(me, rho0, np.array([0.0, 1e-82, 1.0]), max_step=1.0)
+    with pytest.raises(IntegrationError) as err:
+        integrate(me, rho0, np.array([0.0, 1e-82, 1.0]))
     assert err.value.t == 1.0
 
 

@@ -25,7 +25,6 @@ from cobath.master_equation import (
     SpectralTensor,
     grid_resolution,
     integrate,
-    jump_feed,
     jump_superoperator,
     linear_system,
 )
@@ -43,9 +42,11 @@ from cobath.trajectories import (
 )
 from conftest import CONFIGS, random_density, random_hermitian, random_unitary, rotate_model
 from dissipator_reference import pair_sum_rhs, propagate_deterministic
-from hierarchy_reference import _block_system, sector_block
+from hierarchy_reference import _block_system, jump_feed, sector_block
+from hierarchy_reference import linear_system as stack_system
 from mcwf_reference import reference_mcwf_unravel
 from operator_reference import make_atom_ops, make_cavity_ops
+from rk4_reference import rk4_states
 from support_reference import reference_invariant_support
 
 WINDOW = 8  # grid intervals per group in the grids and jump-record checks below
@@ -67,12 +68,12 @@ def jc_setup(g11=0.01, g22=0.02, g12=0.01, eps=0.1, n_exc=1):
     return p, me, jc_space(p)
 
 
-def solve_blocks(me, rho0, t, number_op, max_step=None):
+def solve_blocks(me, rho0, t, number_op):
     """The hierarchy as the library runs it: ``hierarchy_sector``'s checks,
     then ``integrate`` once.  Returns the sector n of ``rho0``, the state
     series and its blocks, ``blocks[i][k]`` = P_i rho(t_k) P_i."""
     n = hierarchy_sector(me, rho0, number_op)
-    states = integrate(me, rho0, t, max_step)
+    states = integrate(me, rho0, t)
     return n, states, [sector_block(states.matrices, number_op, i) for i in range(n + 1)]
 
 
@@ -362,9 +363,9 @@ def test_exact_hierarchy_matches_rk4_with_mirror_loss():
     me, space = build_jc(p), jc_space(p)
     t = np.linspace(0.0, 40.0, 21)
     _, _, exact = solve_blocks(me, jc_initial(p), t, excitation_number(space))
-    _, _, rk4 = solve_blocks(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
-    for a, b in zip(exact, rk4):
-        assert np.max(np.abs(a - b)) <= 1e-9
+    rk4 = rk4_states(me, jc_initial(p), t, 0.01)
+    for i, a in enumerate(exact):
+        assert np.max(np.abs(a - sector_block(rk4, excitation_number(space), i))) <= 1e-9
 
 
 def test_rotated_hierarchy_runs_one_expm_on_the_master_equation_support(monkeypatch):
@@ -472,9 +473,10 @@ def test_one_builder_matches_the_pair_sum_and_the_kron_assembly(rng):
     # the master equation, as a matrix and as the one-block rhs, against the pair sum
     rho = random_density(rng, d)
     want = pair_sum_rhs(me, rho)
-    rhs, generator, _ = linear_system(me)
+    generator, _ = linear_system(me)
     via_matrix = (generator(np.arange(d * d)) @ rho.reshape(-1)).reshape(d, d)
     assert np.max(np.abs(via_matrix - want)) <= 1e-13
+    rhs = stack_system(me, 0)[0]  # the RK4 oracle's
     assert np.max(np.abs(rhs(rho[None])[0] - want)) <= 1e-13
 
     # the hierarchy on its full stack: bitwise the block-bidiagonal kron assembly
@@ -485,14 +487,6 @@ def test_one_builder_matches_the_pair_sum_and_the_kron_assembly(rng):
     full = np.kron(np.eye(3), nojump) + np.kron(np.eye(3, k=1), jumps)
     _, generator, _ = _block_system(me)
     np.testing.assert_array_equal(generator(np.arange(3 * d * d)), full)
-
-
-@pytest.mark.parametrize("max_step", [-1.0, 0.0, math.nan])
-def test_hierarchy_rejects_non_positive_max_step(max_step):
-    p, me, space = jc_setup(g11=0.01, g22=0.01, g12=0.005)
-    t = np.linspace(0.0, 4.0, 21)
-    with pytest.raises(ValueError, match="max_step must be > 0"):
-        solve_blocks(me, jc_initial(p), t, excitation_number(space), max_step=max_step)
 
 
 def test_block_support_path_matches_full_stack_rk4_and_closed_form(monkeypatch):
@@ -512,9 +506,9 @@ def test_block_support_path_matches_full_stack_rk4_and_closed_form(monkeypatch):
     n = 1 + 4 * n_exc
     assert shapes == [(n, n)]  # not (n_exc + 1) dim^2
     monkeypatch.undo()
-    _, _, rk4 = solve_blocks(me, jc_initial(p), t, excitation_number(space), max_step=0.01)
-    for a, b in zip(exact, rk4):
-        assert np.max(np.abs(a - b)) <= 1e-9
+    rk4 = rk4_states(me, jc_initial(p), t, 0.01)
+    for i, a in enumerate(exact):
+        assert np.max(np.abs(a - sector_block(rk4, excitation_number(space), i))) <= 1e-9
     blk = closed_form_block(p, n_exc, t)
     r11, r12, r22 = sector_entries(exact[n_exc], space, n_exc)
     for got, want in ((r11, blk.rho11), (r12, blk.rho12), (r22, blk.rho22)):
