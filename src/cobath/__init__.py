@@ -8,13 +8,8 @@ from .core import (
     basis_index,
     basis_ket,
 )
-from .eigenops import (
-    EigenOperator,
-    SpectralDecomposition,
-    decompose,
-    eigenoperators,
-)
 from .master_equation import (
+    EigenOperator,
     IntegrationError,
     MasterEquation,
     SpectralTensor,

@@ -2,8 +2,8 @@
 
 Subcommands: ``simulate`` (one run), ``sweep`` (one run per parameter
 value), ``trajectories`` (Monte Carlo ensemble), ``plot`` (CSV -> SVG).
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or
+out of memory, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -140,6 +140,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (IntegrationError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's message names the array shape
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -233,7 +233,7 @@ def _parse_params(model: str, obj, path: str) -> tuple[JCParams, SpectralTensor 
             raise ConfigError(
                 f"{path}.tensor.gamma: need 2x2 matrices (channels: atom, mode)"
             )
-        # the bare split puts every coupling component at +-omega0; a rate
+        # build_jc declares every coupling component at +-omega0; a rate
         # anywhere else would act on no operator and silently vanish
         for i, w in enumerate(obj["tensor"]["frequencies"]):
             if w > FREQ_MATCH_TOL and abs(w - omega0) > FREQ_MATCH_TOL:

@@ -323,9 +323,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 @dataclass(frozen=True, eq=False)
 class StateSeries(Sequence):

@@ -38,8 +38,13 @@ from .core import (
     basis_ket,
     embed,
 )
-from .eigenops import decompose, eigenoperators
-from .master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor, emitting_frequencies
+from .master_equation import (
+    FREQ_MATCH_TOL,
+    EigenOperator,
+    MasterEquation,
+    SpectralTensor,
+    emitting_frequencies,
+)
 
 __all__ = [
     "JCParams",
@@ -178,27 +183,33 @@ def _hamiltonians(p: JCParams, space: HilbertSpace):
 def build_jc(p: JCParams, tensor: SpectralTensor | None = None) -> MasterEquation:
     """Assemble the master equation for the shared-bath model.
 
-    The coupling channels are the frequency components of S_+ + S_- and
-    a + a_dag, split against the bare (uncoupled) Hamiltonian, which
-    yields the plain lowering operators S_- and a at the resonance
-    frequency.  The rate matrix is applied flat across all positive
-    frequencies, and the tensor is built already filtered for zero
-    temperature.  A given ``tensor`` (zero-temperature, channels atom and
-    mode) replaces that flat rate matrix; the rates in ``p`` are then
-    unused.  Each of its positive frequencies must carry a coupling
-    component: :class:`MasterEquation` rejects a rate anywhere else.
+    The coupling channels are declared: channel 0 (atom) is S_+ at
+    -omega0 and S_- at +omega0, channel 1 (mode) is a_dag at -omega0 and
+    a at +omega0.  These are the frequency components A(w) of S_+ + S_-
+    and a + a_dag against the bare (uncoupled) Hamiltonian, with
+    [H_bare, A(w)] = -w A(w); the tests hold them bitwise against that
+    eigenoperator split, their oracle (``tests/split_reference.py``).
+    Mirror loss adds to the mode rate only.  The rate matrix is
+    applied flat across all positive frequencies, and the tensor is built
+    already filtered for zero temperature.  A given ``tensor``
+    (zero-temperature, channels atom and mode) replaces that flat rate
+    matrix; the rates in ``p`` are then unused.  Each of its positive
+    frequencies must carry a coupling component: :class:`MasterEquation`
+    rejects a rate anywhere else.
     """
     space = jc_space(p)
-    atom, cav, h_bare, h_full = _hamiltonians(p, space)
-    decomp = decompose(h_bare)
-    fam1 = tuple(eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, source_index=0))
-    fam2 = tuple(eigenoperators(cav["a"] + cav["a_dag"], decomp, source_index=1))
+    atom, cav, _, h_full = _hamiltonians(p, space)
+    w = float(p.omega0)
+    couplings = (
+        (EigenOperator(-w, atom["S_plus"], 0), EigenOperator(w, atom["S_minus"], 0)),
+        (EigenOperator(-w, cav["a_dag"], 1), EigenOperator(w, cav["a"], 1)),
+    )
     if tensor is None:
-        freqs = emitting_frequencies((fam1, fam2))
+        freqs = emitting_frequencies(couplings)
         g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
         tensor = SpectralTensor(tuple(freqs), tuple(g for _ in freqs))
     return MasterEquation(
-        H_S=Operator(space, h_full.matrix, label="H_S"), couplings=(fam1, fam2), tensor=tensor
+        H_S=Operator(space, h_full.matrix, label="H_S"), couplings=couplings, tensor=tensor
     )
 
 
@@ -307,10 +318,6 @@ class BlockSolution:
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def survival(self) -> np.ndarray:
-        """Probability that no quantum has been lost: rho11 + rho22."""
-        return self.rho11.real + self.rho22.real
 
 
 def _sector_matrix(p: JCParams, n: int) -> np.ndarray:

@@ -11,10 +11,11 @@ with the dissipator summing over frequencies and channel pairs:
 
 Off-diagonal gamma entries encode channels that share an environment and
 are the source of the cooperative effects this package targets.  The
-engines evolve the zero-temperature dynamics: a tensor with rates at
-non-positive frequencies (absorption) is filtered first
-(:func:`apply_t0_filter`), so every jump emits.  An environment-induced
-energy shift, where one is wanted, is part of the Hamiltonian ``H_S``.
+model is the zero-temperature one: :class:`MasterEquation` rejects a
+tensor with rates at non-positive frequencies (absorption), which
+:func:`apply_t0_filter` removes, so every jump emits.  An
+environment-induced energy shift, where one is wanted, is part of the
+Hamiltonian ``H_S``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .core import (
     StatePattern,
     StateSeries,
 )
-from .eigenops import EigenOperator
 
 __all__ = [
+    "EigenOperator",
     "SpectralTensor",
     "MasterEquation",
     "IntegrationError",
@@ -50,6 +51,8 @@ __all__ = [
 GAMMA_HERM_TOL = 1e-12
 GAMMA_PSD_TOL = 1e-10
 FREQ_MATCH_TOL = 1e-9
+# rate-matrix eigenvalues at or below this emit no jump operator
+RANK_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -112,8 +115,19 @@ class SpectralTensor:
     def n_channels(self) -> int:
         return self.gamma[0].shape[0] if self.gamma else 0
 
-    def has_nonpositive_frequencies(self) -> bool:
-        return any(w <= FREQ_MATCH_TOL for w in self.frequencies)
+
+@dataclass(frozen=True)
+class EigenOperator:
+    """Single-frequency component A(w) of a coupling operator, with
+    [H, A(w)] = -w A(w) for the system Hamiltonian H.
+
+    ``source_index`` identifies which coupling channel the component came
+    from when several operators couple to the same environment.
+    """
+
+    frequency: float
+    op: Operator
+    source_index: int = 0
 
 
 class ChannelTerm(NamedTuple):
@@ -190,9 +204,11 @@ class MasterEquation:
     sum gamma_ab A_a^dag A_b and ``B`` = H_S - (i/2) (K + K^dag)/2 the
     no-jump generator; every generator form is built from these.
     Immutable after assembly; integrations of the same object may run
-    concurrently.  A B with a non-finite entry is a ValueError, and so is a
-    positive tensor frequency at which no channel has a component: its
-    rates would act on no operator and silently vanish.
+    concurrently.  A tensor frequency at or below ``FREQ_MATCH_TOL`` is a
+    ValueError (the model is the zero-temperature one: filter the tensor
+    with :func:`apply_t0_filter` first), and so are a B with a non-finite
+    entry and a positive tensor frequency at which no channel has a
+    component: its rates would act on no operator and silently vanish.
     """
 
     H_S: Operator
@@ -203,6 +219,8 @@ class MasterEquation:
     B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if any(w <= FREQ_MATCH_TOL for w in self.tensor.frequencies):
+            raise ValueError("tensor contains non-positive frequencies; filter it first")
         fams = tuple(tuple(f) for f in self.couplings)
         if len(fams) != self.tensor.n_channels:
             raise ValueError(
@@ -512,8 +530,6 @@ def integrate(me: MasterEquation, rho0: DensityMatrix, t_grid: np.ndarray) -> St
     ``rho0``), and a violation is an :class:`IntegrationError` with the
     failing time.  A one-point grid propagates nothing.
     """
-    if me.tensor.has_nonpositive_frequencies():
-        raise ValueError("tensor contains non-positive frequencies; filter it first")
     if rho0.space != me.space:
         raise ValueError("initial state lives on the wrong space")
     t = time_grid(t_grid)
@@ -529,9 +545,7 @@ def integrate(me: MasterEquation, rho0: DensityMatrix, t_grid: np.ndarray) -> St
 
 
 def diagonalize_gamma(
-    tensor: SpectralTensor,
-    couplings: tuple[tuple[EigenOperator, ...], ...],
-    rank_tol: float = 1e-12,
+    tensor: SpectralTensor, couplings: tuple[tuple[EigenOperator, ...], ...]
 ) -> list[tuple[float, Operator]]:
     """Rotate each gamma(w) to diagonal form, emitting unit-coefficient jump operators.
 
@@ -542,18 +556,17 @@ def diagonalize_gamma(
     satisfy sum_k L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho} = D(rho)
     exactly; the rebuilt dissipator is tested against the pair-sum form,
     which stays the authority.  One operator per eigenvalue above
-    ``rank_tol`` is emitted, so the count equals rank(gamma(w)).
+    ``RANK_TOL`` is emitted, so the count equals rank(gamma(w)); each
+    gamma(w) is PSD, as :class:`SpectralTensor` checked.
     """
     space = _coupling_space(couplings)
     dim = space.total_dim
     out: list[tuple[float, Operator]] = []
     for w, g in zip(tensor.frequencies, tensor.gamma):
         lam, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
-        if lam.size and lam[0] < -GAMMA_PSD_TOL:
-            raise ValueError(f"gamma({w}) not positive semidefinite: eigenvalue {lam[0]:.3e}")
         ops = [_coupling_at(couplings, b, w, dim) for b in range(tensor.n_channels)]
         for k in range(len(lam) - 1, -1, -1):  # largest rate first
-            if lam[k] <= rank_tol:
+            if lam[k] <= RANK_TOL:
                 continue
             m = np.zeros((dim, dim), dtype=complex)
             for b in range(tensor.n_channels):

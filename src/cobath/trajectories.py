@@ -54,17 +54,15 @@ SECTOR_TOL = 1e-10
 def hierarchy_sector(me: MasterEquation, rho0: DensityMatrix, number_op: Operator) -> int:
     """The excitation sector n of ``rho0``, once the hierarchy's preconditions hold.
 
-    The checks, in order: a filtered tensor, one space, an integer
-    spectrum of ``number_op`` (the count N) with no negative count,
-    [N, H_S] = 0, [N, A(w)] = -A(w) at every w > 0, and N rho0 = n rho0
-    for one n >= 0 (for a Hermitian rho0 that excludes weight in other
-    sectors and coherence between sectors alike; split such a state by
-    linearity).  Under them every jump lowers the count by one and none
+    The checks, in order (``MasterEquation`` has already rejected an
+    unfiltered tensor): one space, an integer spectrum of ``number_op``
+    (the count N) with no negative count, [N, H_S] = 0, [N, A(w)] = -A(w)
+    at every w > 0, and N rho0 = n rho0 for one n >= 0 (for a Hermitian
+    rho0 that excludes weight in other sectors and coherence between
+    sectors alike; split such a state by linearity).  Under them every jump lowers the count by one and none
     leaves sector 0, so the master-equation state never mixes sectors and
     block i of the hierarchy is its sector-i part P_i rho P_i.
     """
-    if me.tensor.has_nonpositive_frequencies():
-        raise ValueError("tensor contains non-positive frequencies; filter it first")
     if rho0.space != me.space or number_op.space != me.space:
         raise ValueError("space mismatch between state, generator, and number operator")
     num = number_op.matrix
@@ -300,9 +298,6 @@ def mcwf_unravel(
     t = time_grid(t_grid)
     dts = np.diff(t)
     jumps_T = [op.matrix.T for op in jump_operators(me)]
-    if me.tensor.has_nonpositive_frequencies():
-        # the unraveling, like integrate, is of the zero-temperature equation
-        raise ValueError("tensor contains non-positive frequencies; filter it first")
     b = me.B
     resolution = grid_resolution(t)
     # one ladder exp(-iB dt 2^-j)^T, j = 0..J, per class of spacings; keys[k]

@@ -37,8 +37,7 @@ def rotate_model(me, u):
     the invariant support of any state is the whole space.
     """
     from cobath.core import Operator
-    from cobath.eigenops import EigenOperator
-    from cobath.master_equation import MasterEquation
+    from cobath.master_equation import EigenOperator, MasterEquation
 
     def rot(op):
         return Operator(op.space, u @ op.matrix @ u.conj().T, label=op.label)

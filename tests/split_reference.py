@@ -1,12 +1,14 @@
-"""The full-product split and the embedded JC operators, as oracles.
+"""The eigenoperator split and the embedded JC operators, as oracles.
 
-``full_product_eigenoperators`` splits a coupling operator with the two
-d x d basis changes of every component, A(w) = V (mask_w o V^dag A V) V^dag,
-and one Python step per kept cluster pair.  ``cobath.eigenops.eigenoperators``
-keys its pairs once per distinct frequency, and where V is a permutation
-its products become re-indexings.  It must return the same components,
-bit for bit on the JC splits and wherever V is not a permutation; against
-a permutation the BLAS products may leave a zero with the other sign.
+``decompose`` diagonalizes a Hamiltonian with degeneracy clustering and
+``full_product_eigenoperators`` splits a coupling operator A against it
+into its frequency components A(w) (Breuer & Petruccione, The Theory of
+Open Quantum Systems, 2002), with the two d x d basis changes of every
+component, A(w) = V (mask_w o V^dag A V) V^dag, and one Python step per
+kept cluster pair.  ``cobath.jc.build_jc`` declares its couplings
+instead: S_+ and a_dag at -omega0, S_- and a at +omega0.  Split against
+the bare Hamiltonian, S_+ + S_- and a + a_dag must give those components
+bit for bit, in the same order.
 
 ``embedded_hamiltonians`` builds the JC ladder operators and Hamiltonians
 as products of embedded single-factor matrices; ``cobath.jc._hamiltonians``
@@ -18,13 +20,89 @@ frequencies, and no exact basis-vector eigenvectors, for the split and
 support tests.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from cobath.core import Operator
-from cobath.eigenops import BLOCK_DROP_TOL, EigenOperator, decompose, eigenoperators
+from cobath.core import HilbertSpace, Operator, StatePattern, _freeze
 from cobath.jc import _hamiltonians, jc_space
-from cobath.master_equation import FREQ_MATCH_TOL, MasterEquation, SpectralTensor
+from cobath.master_equation import FREQ_MATCH_TOL, EigenOperator, MasterEquation, SpectralTensor
 from operator_reference import make_atom_ops, make_cavity_ops
+
+# zero-norm frequency blocks would pollute the dissipator sums
+BLOCK_DROP_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Clustered eigenvalues and the read-only eigenvector columns they came
+    from; cluster k spans the columns from ``starts[k]`` to the next start."""
+
+    space: HilbertSpace
+    eigenvalues: tuple[float, ...]
+    vectors: np.ndarray
+    starts: tuple[int, ...]
+    degeneracy_tol: float
+
+    def __post_init__(self):
+        if len(self.eigenvalues) != len(self.starts):
+            raise ValueError("eigenvalue/cluster count mismatch")
+        evs = sorted(self.eigenvalues)
+        for i in range(len(evs) - 1):
+            if evs[i + 1] - evs[i] <= self.degeneracy_tol:
+                raise ValueError("clustered eigenvalues are not separated beyond degeneracy_tol")
+
+    @property
+    def projectors(self) -> tuple[Operator, ...]:
+        """Eigenspace projector of each cluster, in eigenvalue order."""
+        runs = np.split(self.vectors, self.starts[1:], axis=1)
+        return tuple(Operator(self.space, v @ v.conj().T) for v in runs)
+
+
+def _default_tol(eigenvalues: np.ndarray) -> float:
+    scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+    return 1e-8 * scale
+
+
+def decompose(H: Operator, degeneracy_tol: float | None = None) -> SpectralDecomposition:
+    """Diagonalize a Hermitian operator, merging eigenvalues closer than the tolerance.
+
+    ``eigh`` runs inside each connected block of H's exact nonzero pattern
+    (one stacked call per block size), so roundoff never mixes the sectors
+    of a conserved count such as the JC excitation number; a matrix with no
+    exact zeros is one block.  Eigenpairs are sorted by eigenvalue (stable):
+    exactly equal eigenvalues keep the order the blocks are diagonalized in,
+    smaller blocks first, blocks of one size by their least index, and
+    each block's own ``eigh`` order.  A non-finite entry is a ValueError.
+    """
+    if not np.isfinite(H.matrix).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    herm_defect = float(np.max(np.abs(H.matrix - H.matrix.conj().T)))
+    if herm_defect > 1e-9 * max(1.0, float(np.max(np.abs(H.matrix)))):
+        raise ValueError(f"Hamiltonian not Hermitian: max |H - H^dag| = {herm_defect:.3e}")
+    h = (H.matrix + H.matrix.conj().T) / 2.0
+    d = len(h)
+    evals, vecs, done = np.empty(d), np.zeros_like(h), 0
+    for idx in StatePattern.of(h).groups:  # one row per block, one array per block size
+        cols = done + np.arange(idx.size).reshape(idx.shape)
+        evals[cols], vecs[idx[:, :, None], cols[:, None, :]] = np.linalg.eigh(
+            h[idx[:, :, None], idx[:, None, :]]
+        )
+        done += idx.size
+    order = np.argsort(evals, kind="stable")
+    evals, vecs = evals[order], vecs[:, order]
+    tol = _default_tol(evals) if degeneracy_tol is None else float(degeneracy_tol)
+    # sorted ascending, so each cluster is a contiguous run of columns; the
+    # means are taken per run length, each row the bits of np.mean of its run
+    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > tol)
+    sizes = np.diff(starts, append=d)
+    means = np.empty(len(starts))
+    for s in np.flatnonzero(np.bincount(sizes)):  # each run length once
+        runs = np.flatnonzero(sizes == s)
+        means[runs] = evals[starts[runs, None] + np.arange(s)].mean(axis=1)
+    return SpectralDecomposition(
+        H.space, tuple(means.tolist()), _freeze(vecs), tuple(starts.tolist()), tol
+    )
 
 
 def build_dressed_jc(p):
@@ -34,8 +112,8 @@ def build_dressed_jc(p):
     space = jc_space(p)
     atom, cav, _, h_full = _hamiltonians(p, space)
     decomp = decompose(h_full)
-    fam1 = tuple(eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, source_index=0))
-    fam2 = tuple(eigenoperators(cav["a"] + cav["a_dag"], decomp, source_index=1))
+    fam1 = tuple(full_product_eigenoperators(atom["S_plus"] + atom["S_minus"], decomp, 0))
+    fam2 = tuple(full_product_eigenoperators(cav["a"] + cav["a_dag"], decomp, 1))
     g = np.array([[p.g11, p.g12], [np.conj(p.g12), p.cavity_rate]], dtype=complex)
     emitting = [eo.frequency for fam in (fam1, fam2) for eo in fam if eo.frequency > FREQ_MATCH_TOL]
     freqs = sorted({round(w, 12) for w in emitting})
@@ -55,7 +133,14 @@ def embedded_hamiltonians(p, space):
 
 
 def full_product_eigenoperators(A, decomp, source_index=0, drop_tol=BLOCK_DROP_TOL):
-    """Components of A against ``decomp``, as the dense products give them."""
+    """Components of A against ``decomp``, ascending in w, as the dense
+    products give them.
+
+    Each cluster pair (i, j) whose V^dag A V block has an entry of modulus
+    >= ``drop_tol`` sits at w = eps_j - eps_i and joins the first
+    frequency (row-major) within the decomposition's tolerance; components
+    with Frobenius norm below ``drop_tol`` are dropped.  They sum back to A.
+    """
     V = decomp.vectors
     a = V.conj().T @ A.matrix @ V
     starts = np.asarray(decomp.starts)

@@ -17,7 +17,6 @@ import pytest
 from scipy.linalg import expm
 
 from cobath.core import DensityMatrix, basis_ket
-from cobath.eigenops import decompose, eigenoperators
 from cobath.jc import (
     JCParams,
     build_jc,
@@ -292,17 +291,16 @@ def test_criterion_09_concurrence_oracle_report():
 
 
 def test_criterion_10_eigenoperator_suite():
-    # completeness and ladder identities on the jc split
+    # completeness and ladder identities of build_jc's declared couplings
     p = JCParams(**DFS_PARAMS)
     space = jc_space(p)
     atom = make_atom_ops(space, 0)
     cav = make_cavity_ops(space, 1)
     h_bare = 0.5 * atom["S_z"] + cav["n_op"]
-    d = decompose(h_bare)
     worst_complete = 0.0
     worst_ladder = 0.0
-    for a in (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"]):
-        parts = eigenoperators(a, d)
+    couplings = (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"])
+    for parts, a in zip(build_jc(p).couplings, couplings, strict=True):
         total = sum(part.op.matrix for part in parts)
         worst_complete = max(worst_complete, float(np.max(np.abs(total - a.matrix))))
         for part in parts:

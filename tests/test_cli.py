@@ -333,7 +333,8 @@ def columns_state_by_state(cfg, states) -> dict:
     rows = []
     for s in states:
         row = {"population": excited_population(s, space), "trace": s.trace,
-               "purity": s.purity(), "block0_p00": ground_population(s, space)}
+               "purity": float(np.real(np.trace(s.matrix @ s.matrix))),
+               "block0_p00": ground_population(s, space)}
         if p.n_exc == 1:
             r11, r12, r22 = sector_entries(s, space, 1)
             row["concurrence"] = x_state_concurrence(two_qubit_projection(s, space))
@@ -1259,6 +1260,23 @@ def test_cli_exit_code_io_error(tmp_path):
     target.write_text("a file, not a directory")
     r = run_cli("simulate", "--config", str(cfg_path), "--out", str(target))
     assert r.returncode == 4
+
+
+def test_cli_out_of_memory_is_exit_3_with_one_line(tmp_path, monkeypatch, capsys):
+    # numpy's message for the dense series of n_exc 256 on 4001 points
+    message = (
+        "Unable to allocate 16.0 GiB for an array with shape (4000, 518, 518) "
+        "and data type complex128"
+    )
+
+    def out_of_memory(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("cobath.runner.simulate_config", out_of_memory)
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(base_config(outputs=["population"])))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"out of memory: {message}\n"
 
 
 def test_cli_sweep_requires_sweep_section(tmp_path):

@@ -5,17 +5,19 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cobath.core import HilbertSpace, Operator
-from cobath.eigenops import (
+from cobath.jc import JCParams, _hamiltonians, build_jc, excitation_number, jc_initial, jc_space
+from cobath.master_equation import FREQ_MATCH_TOL, invariant_support, linear_system
+from cobath.runner import build_model
+from conftest import random_hermitian, shipped_runs
+from operator_reference import make_atom_ops, make_cavity_ops, verify_rwa_conservation
+from split_reference import (
     BLOCK_DROP_TOL,
     SpectralDecomposition,
+    build_dressed_jc,
     decompose,
-    eigenoperators,
+    embedded_hamiltonians,
+    full_product_eigenoperators,
 )
-from cobath.jc import JCParams, _hamiltonians, build_jc, excitation_number, jc_initial, jc_space
-from cobath.master_equation import invariant_support, linear_system
-from conftest import random_hermitian
-from operator_reference import make_atom_ops, make_cavity_ops, verify_rwa_conservation
-from split_reference import build_dressed_jc, embedded_hamiltonians, full_product_eigenoperators
 from support_reference import dense_invariant_support, reference_invariant_support
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -79,7 +81,7 @@ def test_projector_completeness_and_orthogonality(rng):
 
 def test_sigma_x_splits_into_ladder_parts():
     d = decompose(qubit_h())
-    parts = eigenoperators(Operator(HilbertSpace((2,)), SX), d)
+    parts = full_product_eigenoperators(Operator(HilbertSpace((2,)), SX), d)
     by_freq = {round(e.frequency, 9): e.op.matrix for e in parts}
     assert set(by_freq) == {1.0, -1.0}
     np.testing.assert_allclose(by_freq[1.0], SM, atol=1e-12)
@@ -88,7 +90,7 @@ def test_sigma_x_splits_into_ladder_parts():
 
 def test_identity_has_only_zero_frequency():
     d = decompose(qubit_h())
-    parts = eigenoperators(Operator(HilbertSpace((2,)), np.eye(2)), d)
+    parts = full_product_eigenoperators(Operator(HilbertSpace((2,)), np.eye(2)), d)
     assert len(parts) == 1
     assert parts[0].frequency == pytest.approx(0.0)
     np.testing.assert_allclose(parts[0].op.matrix, np.eye(2), atol=1e-12)
@@ -102,7 +104,7 @@ def test_mode_quadrature_splits_into_a_and_adag():
     cav = make_cavity_ops(sp, 1)
     h_bare = 0.5 * omega0 * atom["S_z"] + omega0 * cav["n_op"]
     d = decompose(h_bare)
-    parts = eigenoperators(cav["a"] + cav["a_dag"], d)
+    parts = full_product_eigenoperators(cav["a"] + cav["a_dag"], d)
     by_freq = {round(e.frequency, 9): e.op.matrix for e in parts}
     assert set(by_freq) == {1.0, -1.0}
     np.testing.assert_allclose(by_freq[1.0], cav["a"].matrix, atol=1e-12)
@@ -120,7 +122,7 @@ def _random_setup(rng, dim=6):
 def test_ladder_commutator_identity(rng):
     h, a = _random_setup(rng)
     d = decompose(h)
-    for part in eigenoperators(a, d):
+    for part in full_product_eigenoperators(a, d):
         comm = h.matrix @ part.op.matrix - part.op.matrix @ h.matrix
         want = -part.frequency * part.op.matrix
         assert np.max(np.abs(comm - want)) <= 1e-9 * max(1.0, float(np.linalg.norm(part.op.matrix)))
@@ -128,7 +130,7 @@ def test_ladder_commutator_identity(rng):
 
 def test_dagger_maps_frequency_to_negative(rng):
     h, a = _random_setup(rng)
-    parts = eigenoperators(a, decompose(h))
+    parts = full_product_eigenoperators(a, decompose(h))
     by_freq = {e.frequency: e.op.matrix for e in parts}
     for w, m in by_freq.items():
         partner = min(by_freq, key=lambda v: abs(v + w))
@@ -138,14 +140,14 @@ def test_dagger_maps_frequency_to_negative(rng):
 
 def test_completeness(rng):
     h, a = _random_setup(rng)
-    parts = eigenoperators(a, decompose(h))
+    parts = full_product_eigenoperators(a, decompose(h))
     total = sum(p.op.matrix for p in parts)
     assert np.max(np.abs(total - a.matrix)) < 1e-10
 
 
 def test_interaction_picture_phase(rng):
     h, a = _random_setup(rng, dim=5)
-    parts = eigenoperators(a, decompose(h))
+    parts = full_product_eigenoperators(a, decompose(h))
     for t in rng.uniform(-3.0, 3.0, size=5):
         u = expm(1j * h.matrix * t)
         for part in parts:
@@ -158,7 +160,7 @@ def test_interaction_picture_phase(rng):
 def test_zero_blocks_dropped():
     # sigma_z against sigma_z: only the zero-frequency (diagonal) part survives
     d = decompose(qubit_h())
-    parts = eigenoperators(Operator(HilbertSpace((2,)), SZ), d)
+    parts = full_product_eigenoperators(Operator(HilbertSpace((2,)), SZ), d)
     assert [p.frequency for p in parts] == [0.0]
 
 
@@ -222,10 +224,11 @@ def test_rwa_dimension_mismatch():
 def pairwise_eigenoperators(A, decomp, drop_tol=BLOCK_DROP_TOL):
     """Reference split: P_i A P_j for every cluster pair (i, j).
 
-    Same rules as ``eigenoperators``: a pair is skipped when its block has
-    no entry of modulus >= drop_tol, pairs are visited in row-major order
-    and join the first frequency within the decomposition's tolerance, and
-    sums with Frobenius norm below drop_tol are dropped.
+    Same rules as ``full_product_eigenoperators``: a pair is skipped when
+    its block has no entry of modulus >= drop_tol, pairs are visited in
+    row-major order and join the first frequency within the
+    decomposition's tolerance, and sums with Frobenius norm below
+    drop_tol are dropped.
     """
     projs = [p.matrix for p in decomp.projectors]
     freqs, sums = [], []
@@ -247,18 +250,23 @@ def pairwise_eigenoperators(A, decomp, drop_tol=BLOCK_DROP_TOL):
     return [(freqs[k], sums[k]) for k in order if np.linalg.norm(sums[k]) >= drop_tol]
 
 
-def _assert_matches_oracle(a, d, atol=1e-14):
-    parts, want = eigenoperators(a, d), pairwise_eigenoperators(a, d)
+def _assert_matches_oracle(a, d, atol=1e-14, parts=None):
+    """``parts`` (by default the full-product split of ``a``) against the
+    pairwise split of ``a`` against ``d``."""
+    parts = full_product_eigenoperators(a, d) if parts is None else parts
+    want = pairwise_eigenoperators(a, d)
     assert [e.frequency for e in parts] == [w for w, _ in want]
     for e, (_, m) in zip(parts, want):
         np.testing.assert_allclose(e.op.matrix, m, rtol=0.0, atol=atol)
 
 
 def _assert_jc_split_matches_oracle(p, dressed, atol):
+    # the bare split is build_jc's declared couplings, the dressed one the fixture's
     atom, cav, h_bare, h_full = _hamiltonians(p, jc_space(p))
     d = decompose(h_full if dressed else h_bare)
-    for a in (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"]):
-        _assert_matches_oracle(a, d, atol)
+    me = build_dressed_jc(p) if dressed else build_jc(p)
+    for fam, a in zip(me.couplings, (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"])):
+        _assert_matches_oracle(a, d, atol, parts=fam)
 
 
 @pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3])
@@ -300,7 +308,7 @@ def test_frequency_joins_the_first_match_not_the_nearest(rng):
     h = _rotated(rng, [0.0, 1.0, 2.16, 3.25])
     d = decompose(h, degeneracy_tol=0.1)
     a = Operator(h.space, random_hermitian(rng, 4))
-    parts = eigenoperators(a, d)
+    parts = full_product_eigenoperators(a, d)
     assert [round(e.frequency, 9) for e in parts if e.frequency > 0] == [1.0, 1.16, 2.16, 3.25]
     _assert_matches_oracle(a, d)
 
@@ -312,7 +320,7 @@ def test_block_below_drop_tol_is_dropped_before_summing():
     a[:2, 2:] = 0.9 * BLOCK_DROP_TOL
     a = Operator(h.space, a + a.conj().T)
     d = decompose(h)
-    assert eigenoperators(a, d) == []
+    assert full_product_eigenoperators(a, d) == []
     _assert_matches_oracle(a, d)
 
 
@@ -334,7 +342,9 @@ def _jc_splits(p, dressed):
     h = h_full if dressed else h_bare
     d, ref = decompose(h), whole_space_decompose(h)
     couplings = (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"])
-    return d, ref, [(eigenoperators(a, d), eigenoperators(a, ref)) for a in couplings]
+    return d, ref, [
+        (full_product_eigenoperators(a, d), full_product_eigenoperators(a, ref)) for a in couplings
+    ]
 
 
 @pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3])
@@ -423,40 +433,69 @@ def bits(m):
     return np.ascontiguousarray(m).view(np.uint64)
 
 
-def _assert_same_components(parts, want, exact=True):
-    assert [e.frequency for e in parts] == [e.frequency for e in want]
-    assert [(e.op.label, e.source_index) for e in parts] == [
-        (e.op.label, e.source_index) for e in want
-    ]
+def _assert_same_components(parts, want):
+    """Same order and channels, frequencies within ``FREQ_MATCH_TOL`` and the
+    same matrix bits (uint64 view, so signed zeros count)."""
+    assert [e.source_index for e in parts] == [e.source_index for e in want]
     for e, w in zip(parts, want):
-        if exact:
-            np.testing.assert_array_equal(bits(e.op.matrix), bits(w.op.matrix))
-        else:
-            np.testing.assert_array_equal(e.op.matrix, w.op.matrix)
+        assert abs(e.frequency - w.frequency) <= FREQ_MATCH_TOL
+        np.testing.assert_array_equal(bits(e.op.matrix), bits(w.op.matrix))
 
 
-def _jc_couplings(p):
-    atom, cav, h_bare, h_full = _hamiltonians(p, jc_space(p))
+def _jc_couplings(p, hamiltonians=_hamiltonians):
+    atom, cav, h_bare, h_full = hamiltonians(p, jc_space(p))
     return (atom["S_plus"] + atom["S_minus"], cav["a"] + cav["a_dag"]), h_bare, h_full
 
 
-@pytest.mark.parametrize("dressed", [False, True])
-@pytest.mark.parametrize("eps", [0.1, -0.07 + 0.05j])
-@pytest.mark.parametrize("omega0", [0.7, 1.0, 1.3])
-@pytest.mark.parametrize("n_exc", [0, 1, 2, 13, 30])
-def test_jc_split_is_bitwise_the_full_product_split(n_exc, omega0, eps, dressed):
-    p = JCParams(omega0=omega0, eps=eps, g11=0.01, g22=0.01, n_exc=n_exc)
-    couplings, h_bare, h_full = _jc_couplings(p)
+def jc_split(p, dressed=False, hamiltonians=_hamiltonians):
+    """The full-product split of S_+ + S_- (channel 0) and a + a_dag
+    (channel 1) against the bare Hamiltonian, or the full one if ``dressed``."""
+    couplings, h_bare, h_full = _jc_couplings(p, hamiltonians)
     d = decompose(h_full if dressed else h_bare)
-    if not dressed:
-        assert d.basis is not None  # the bare H is diagonal: the re-indexing path
-    for k, a in enumerate(couplings):
-        _assert_same_components(eigenoperators(a, d, k), full_product_eigenoperators(a, d, k))
+    return [full_product_eigenoperators(a, d, k) for k, a in enumerate(couplings)]
+
+
+# n_exc 13, 14 and 30 are the many-quanta models; the dressed split takes
+# about 2 s at n_exc 64, where the bare one is pinned
+JC_SPLIT_CASES = [
+    (n_exc, omega0, eps, dressed)
+    for n_exc in (0, 1, 2, 13, 14, 30, 64)
+    for omega0 in (0.7, 1.0, 1.3, 123.456)
+    for eps in (0.1, -0.07 + 0.05j)
+    for dressed in (False, True)
+    if not (dressed and n_exc == 64)
+]
+
+
+@pytest.mark.parametrize("n_exc, omega0, eps, dressed", JC_SPLIT_CASES)
+def test_jc_split_is_bitwise_the_full_product_split(n_exc, omega0, eps, dressed):
+    # build_jc's declared couplings (S_+ and a_dag at -omega0, S_- and a at
+    # +omega0), and the dressed fixture's split, against the full-product
+    # split of the model built from embedded products
+    p = JCParams(omega0=omega0, eps=eps, g11=0.01, g22=0.01, n_exc=n_exc)
+    me = build_dressed_jc(p) if dressed else build_jc(p)
+    want = jc_split(p, dressed, hamiltonians=embedded_hamiltonians)
+    assert len(me.couplings) == len(want) == 2
+    for fam, w in zip(me.couplings, want):
+        _assert_same_components(fam, w)
+
+
+def test_shipped_models_declare_the_bare_split():
+    # every shipped config and sweep point, the custom tensor's model included
+    runs = shipped_runs()
+    assert runs
+    for _, cfg in runs:
+        couplings = build_model(cfg).couplings
+        assert len(couplings) == 2
+        for fam, want in zip(couplings, jc_split(cfg.params)):
+            _assert_same_components(fam, want)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_random_split_is_the_full_product_split(dim, rng):
-    # dense and sparse couplings against a dense, a sparse and a diagonal H
+    # the pairwise split is the full-product split: dense and sparse
+    # couplings against a dense, a sparse and a diagonal H, at three
+    # clustering tolerances
     for kind in ("dense", "sparse", "diagonal"):
         h = random_hermitian(rng, dim)
         if kind == "sparse":
@@ -469,21 +508,7 @@ def test_random_split_is_the_full_product_split(dim, rng):
         a[rng.random((dim, dim)) < 0.4] = 0
         a = Operator(H.space, a + a.conj().T)
         for tol in (None, 0.05, 0.5):
-            d = decompose(H, tol)
-            assert d.basis is not None or kind != "diagonal"
-            # against a permutation, only the sign of a zero may differ
-            _assert_same_components(
-                eigenoperators(a, d), full_product_eigenoperators(a, d), exact=d.basis is None
-            )
-
-
-def test_basis_is_set_only_for_a_permutation_of_unit_columns():
-    space = HilbertSpace((3,))
-    perm = np.eye(3)[:, [2, 0, 1]]
-    d = SpectralDecomposition(space, (0.0, 1.0, 2.0), perm, (0, 1, 2), 1e-8)
-    np.testing.assert_array_equal(d.basis, [2, 0, 1])
-    for v in (-perm, 1j * perm, perm + 1e-300 * np.eye(3)[:, [1, 2, 0]]):
-        assert SpectralDecomposition(space, (0.0, 1.0, 2.0), v, (0, 1, 2), 1e-8).basis is None
+            _assert_matches_oracle(a, decompose(H, tol))
 
 
 @pytest.mark.parametrize("eps", [0.1, -0.1, 0.1j, -0.1 - 0.05j, 0.0, -0.0, complex(-0.0, -0.0)])
@@ -522,12 +547,6 @@ def test_decompose_rejects_non_finite_entries(bad):
         decompose(Operator(HilbertSpace((3,)), h))
 
 
-def test_eigenoperators_rejects_non_finite_entries():
-    d = decompose(qubit_h())
-    with pytest.raises(ValueError, match="non-finite"):
-        eigenoperators(Operator(HilbertSpace((2,)), np.array([[0.0, np.nan], [np.nan, 0.0]])), d)
-
-
 # --------------------------------------------- random JC models (property)
 
 RATE = st.one_of(st.just(0.0), st.floats(1e-3, 0.05))
@@ -553,7 +572,7 @@ def jc_models(draw):
 @given(jc_models())
 def test_random_jc_models_agree_with_the_oracles(model):
     # no engine disagreement: the support search is the per-term and the
-    # dense search, and the bare split is the pairwise projector oracle
+    # dense search, and build_jc's couplings are the pairwise projector split
     p, initial = model
     me = build_jc(p)
     structure = linear_system(me)[1]
@@ -567,8 +586,8 @@ def test_random_jc_models_agree_with_the_oracles(model):
         np.testing.assert_array_equal(got, want)
     couplings, h_bare, _ = _jc_couplings(p)
     d = decompose(h_bare)
-    for a in couplings:
-        parts, want = eigenoperators(a, d), pairwise_eigenoperators(a, d)
+    for parts, a in zip(me.couplings, couplings):
+        want = pairwise_eigenoperators(a, d)
         assert [e.frequency for e in parts] == [w for w, _ in want]
         for e, (_, m) in zip(parts, want):
             np.testing.assert_array_equal(bits(e.op.matrix), bits(m))

@@ -14,7 +14,6 @@ from cobath.core import (
     StateSeries,
     basis_ket,
 )
-from cobath.eigenops import EigenOperator
 from cobath.jc import (
     JCParams,
     build_jc,
@@ -24,6 +23,7 @@ from cobath.jc import (
     sector_entries,
 )
 from cobath.master_equation import (
+    EigenOperator,
     IntegrationError,
     MasterEquation,
     SpectralTensor,
@@ -858,10 +858,9 @@ def test_integrate_rejects_unfiltered_tensor():
     t = SpectralTensor((1.0, -1.0), (me.tensor.gamma[0], np.array([[0.0]])))
     a = me.couplings[0][0]
     fam = (a, EigenOperator(-1.0, a.op.dagger(), 0))
-    me_neg = MasterEquation(me.H_S, (fam,), t)
     rho0 = DensityMatrix(space, np.diag([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="filter"):
-        integrate(me_neg, rho0, np.array([0.0, 1.0]))
+        integrate(MasterEquation(me.H_S, (fam,), t), rho0, np.array([0.0, 1.0]))
 
 
 # ----------------------------------------------------- diagonalized jumps

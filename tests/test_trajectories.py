@@ -8,7 +8,6 @@ import pytest
 from scipy.linalg import expm
 
 from cobath.core import DensityMatrix, HilbertSpace, KetState, Operator, basis_ket
-from cobath.eigenops import EigenOperator
 from cobath.jc import (
     JCParams,
     build_jc,
@@ -21,6 +20,7 @@ from cobath.jc import (
     sector_entries,
 )
 from cobath.master_equation import (
+    EigenOperator,
     MasterEquation,
     SpectralTensor,
     grid_resolution,
@@ -119,7 +119,7 @@ def test_generator_rejects_unfiltered_tensor():
     fam = (a, EigenOperator(-1.0, a.op.dagger(), 0))
     tensor = SpectralTensor((1.0, -1.0), (me.tensor.gamma[0], np.zeros((1, 1))))
     # no-jump evolution under B leaves out the absorption jumps: the
-    # unraveling refuses such a tensor
+    # model refuses such a tensor before the unraveling starts
     ket = KetState(space, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="filter"):
         mcwf_unravel(MasterEquation(me.H_S, (fam,), tensor), ket, np.linspace(0.0, 1.0, 3), 2, 0)
